@@ -86,7 +86,12 @@ def _domain_bundles_perms(cat: FiniteCategory, q: ArrowQuery):
 
 
 def _replay_witness(cat: FiniteCategory, q: ArrowQuery, items: list[int], colors: list[int]) -> bool:
-    """Independent check that every w sees more than t colors under `colors`."""
+    """Independent check that `colors` is a k-coloring of `items` under which
+    every w sees more than t colors."""
+    if not isinstance(colors, list) or len(colors) != len(items):
+        return False
+    if not all(type(c) is int and 0 <= c < q.k for c in colors):
+        return False
     hom_ab = cat.hom(q.A, q.B)
     hom_bc = cat.hom(q.B, q.C)
     if q.mode == "morphism":
@@ -97,8 +102,6 @@ def _replay_witness(cat: FiniteCategory, q: ArrowQuery, items: list[int], colors
         for cl, c in zip(classes, colors):
             for m in cl.members:
                 color_of[m] = c
-    if max(colors, default=-1) >= q.k:
-        return False
     for w in hom_bc:
         seen = {color_of[cat.compose(w, f)] for f in hom_ab}
         if len(seen) <= q.t:

@@ -66,7 +66,7 @@ class ResultCache:
             warnings.warn(f"discarding corrupt cache entry {key}")
             self.evict(key)
             return None
-        if not isinstance(value, dict) or "holds" not in value:
+        if not isinstance(value, dict) or not _ENTRY_FIELDS <= value.keys():
             warnings.warn(f"discarding malformed cache entry {key}")
             self.evict(key)
             return None
@@ -92,6 +92,9 @@ class ResultCache:
 
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
+
+
+_ENTRY_FIELDS = {"holds", "witness", "domain", "nodes"}
 
 
 def _verdict_to_entry(v: ArrowVerdict) -> dict:
@@ -140,19 +143,19 @@ def cached_check_arrow(
 
 
 def _entry_checks_out(cache, cat, q, key, verdict: ArrowVerdict, budget) -> bool:
+    # domain must still match the category (guards against digest collisions
+    # in the face of tampering)
+    items, _, _ = _domain_bundles_perms(cat, q)
+    if verdict.domain != items:
+        warnings.warn(f"cached domain mismatch; evicting {key}")
+        cache.evict(key)
+        return False
     if verdict.holds is False:
-        if verdict.witness is None or not _replay_witness(cat, q, verdict.domain, verdict.witness):
+        if not _replay_witness(cat, q, items, verdict.witness):
             warnings.warn(f"cached witness failed replay; evicting {key}")
             cache.evict(key)
             return False
         return True
-    # domain must still match the category (guards against digest collisions
-    # in the face of tampering)
-    items, _, _ = _domain_bundles_perms(cat, q)
-    if list(verdict.domain) != list(items):
-        warnings.warn(f"cached domain mismatch; evicting {key}")
-        cache.evict(key)
-        return False
     if int(key[:8], 16) % VERIFY_SAMPLE_MOD == 0:
         fresh = check_arrow(cat, q, budget=budget)
         if fresh.holds != verdict.holds:

@@ -1,21 +1,23 @@
 """Explicit finite categories.
 
 A category is stored as flat tables: object labels, morphism (dom, cod, label)
-records and a total composition mapping.  Everything downstream (arrow search,
-degree computation, expansion checks) reads these tables; after construction a
+records, a hom index and one composition table.  The composition table is a
+row-major ``array("i")`` of m*m cells where cell ``g * m + f`` holds g*f, or -1
+where the composite is undefined.  Everything downstream (arrow search, degree
+computation, expansion checks) reads these tables; after construction a
 category is treated as immutable and is safe to share between worker threads.
 """
 
 from __future__ import annotations
 
+import heapq
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-# Above this morphism count the composition table is kept as a hash map
-# instead of a dense m*m array.
-DENSE_COMPOSE_CAP = 2000
+# The composition table takes 4*m*m bytes, 256 MB at this many morphisms;
+# larger categories are refused before anything is allocated.
+MAX_MORPHISMS = 8192
 
 
 class CategoryError(ValueError):
@@ -27,29 +29,50 @@ class FiniteCategory:
         self,
         object_labels: Sequence[str],
         morphisms: Sequence[tuple[int, int, str]],
-        compose: Mapping[tuple[int, int], int],
+        compose: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]],
         identities: Sequence[int] | None = None,
     ):
+        """`compose` maps (g, f) to g*f, as a mapping or as a one-pass
+        iterable of its items; a large category can then stream its
+        composition straight into the table."""
         self.object_labels: tuple[str, ...] = tuple(str(s) for s in object_labels)
         self.n_objects = len(self.object_labels)
         self.mor_dom: tuple[int, ...] = tuple(m[0] for m in morphisms)
         self.mor_cod: tuple[int, ...] = tuple(m[1] for m in morphisms)
         self.mor_labels: tuple[str, ...] = tuple(str(m[2]) for m in morphisms)
         self.n_morphisms = len(self.mor_dom)
+        if self.n_morphisms > MAX_MORPHISMS:
+            raise CategoryError(f"{self.n_morphisms} morphisms exceed the cap of {MAX_MORPHISMS}")
         for i in range(self.n_morphisms):
             if not (0 <= self.mor_dom[i] < self.n_objects and 0 <= self.mor_cod[i] < self.n_objects):
                 raise CategoryError(f"morphism {i} has dangling dom/cod")
 
+        # hom index: hom(a, b), and per object the morphisms into and out of
+        # it, each in id order
+        hom: dict[tuple[int, int], list[int]] = {}
+        into: list[list[int]] = [[] for _ in range(self.n_objects)]
+        out: list[list[int]] = [[] for _ in range(self.n_objects)]
+        for i, (d, c) in enumerate(zip(self.mor_dom, self.mor_cod)):
+            hom.setdefault((d, c), []).append(i)
+            into[c].append(i)
+            out[d].append(i)
+        self._hom: dict[tuple[int, int], tuple[int, ...]] = {k: tuple(v) for k, v in hom.items()}
+        self._into: tuple[tuple[int, ...], ...] = tuple(map(tuple, into))
+        self._out: tuple[tuple[int, ...], ...] = tuple(map(tuple, out))
+
         m = self.n_morphisms
-        if m <= DENSE_COMPOSE_CAP:
-            table = np.full((m, m), -1, dtype=np.int32)
-            for (g, f), gf in compose.items():
-                table[g, f] = gf
-            self._compose_dense: np.ndarray | None = table
-            self._compose_map: dict[tuple[int, int], int] | None = None
-        else:
-            self._compose_dense = None
-            self._compose_map = dict(compose)
+        table = array("i", [-1]) * (m * m)
+        stray = []
+        for (g, f), gf in compose.items() if isinstance(compose, Mapping) else compose:
+            if not (0 <= g < m and 0 <= f < m and 0 <= gf < m):
+                raise CategoryError(f"composition entry ({g},{f}) -> {gf} names an unknown morphism")
+            table[g * m + f] = gf
+            if self.mor_cod[f] != self.mor_dom[g]:
+                stray.append((g, f, gf))
+        self._table = table
+        # entries defined on non-composable pairs: malformed input, kept so
+        # that validate() reports it and dump_category() writes it back
+        self._stray: list[tuple[int, int, int]] = sorted(stray)
 
         if identities is not None:
             self.identities: tuple[int, ...] = tuple(identities)
@@ -58,9 +81,9 @@ class FiniteCategory:
         else:
             self.identities = self._infer_identities()
 
-        self._hom_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         self._aut_cache: dict[int, tuple[int, ...]] = {}
         self._all_mono: bool | None = None
+        self._opposite: FiniteCategory | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -70,10 +93,7 @@ class FiniteCategory:
 
     def compose(self, g: int, f: int) -> int:
         """Composite g*f (first f, then g); raises if not composable."""
-        if self._compose_dense is not None:
-            gf = int(self._compose_dense[g, f])
-        else:
-            gf = self._compose_map.get((g, f), -1)  # type: ignore[union-attr]
+        gf = self._table[g * self.n_morphisms + f]
         if gf < 0:
             raise CategoryError(f"morphisms {g} and {f} are not composable")
         return gf
@@ -82,27 +102,24 @@ class FiniteCategory:
         return self.mor_cod[f] == self.mor_dom[g]
 
     def compose_entries(self) -> Iterable[tuple[int, int, int]]:
-        """All defined (g, f, g*f) entries."""
-        if self._compose_dense is not None:
-            gs, fs = np.nonzero(self._compose_dense >= 0)
-            for g, f in zip(gs.tolist(), fs.tolist()):
-                yield g, f, int(self._compose_dense[g, f])
-        else:
-            for (g, f), gf in self._compose_map.items():  # type: ignore[union-attr]
-                yield g, f, gf
+        """All defined (g, f, g*f) entries, in (g, f) order."""
+        entries = self._composable_entries()
+        return heapq.merge(entries, self._stray) if self._stray else entries
+
+    def _composable_entries(self) -> Iterable[tuple[int, int, int]]:
+        table, m, into = self._table, self.n_morphisms, self._into
+        for g in range(m):
+            row = g * m
+            for f in into[self.mor_dom[g]]:
+                gf = table[row + f]
+                if gf >= 0:
+                    yield g, f, gf
 
     def hom(self, a: int, b: int) -> tuple[int, ...]:
         """All morphisms a -> b in a deterministic (id) order."""
         self.check_object(a)
         self.check_object(b)
-        key = (a, b)
-        cached = self._hom_cache.get(key)
-        if cached is None:
-            cached = tuple(
-                i for i in range(self.n_morphisms) if self.mor_dom[i] == a and self.mor_cod[i] == b
-            )
-            self._hom_cache[key] = cached
-        return cached
+        return self._hom.get((a, b), ())
 
     def identity(self, a: int) -> int:
         self.check_object(a)
@@ -112,9 +129,7 @@ class FiniteCategory:
         ids = []
         for x in range(self.n_objects):
             found = -1
-            for e in range(self.n_morphisms):
-                if self.mor_dom[e] != x or self.mor_cod[e] != x:
-                    continue
+            for e in self._hom.get((x, x), ()):
                 if self._acts_as_identity(e):
                     found = e
                     break
@@ -125,14 +140,9 @@ class FiniteCategory:
 
     def _acts_as_identity(self, e: int) -> bool:
         x = self.mor_dom[e]
-        for f in range(self.n_morphisms):
-            if self.mor_cod[f] == x:
-                if not self.composable(e, f) or self.compose(e, f) != f:
-                    return False
-            if self.mor_dom[f] == x:
-                if not self.composable(f, e) or self.compose(f, e) != f:
-                    return False
-        return True
+        return all(self.compose(e, f) == f for f in self._into[x]) and all(
+            self.compose(f, e) == f for f in self._out[x]
+        )
 
     # -- derived structure -------------------------------------------------
 
@@ -158,26 +168,21 @@ class FiniteCategory:
         return cached
 
     def is_mono(self, f: int) -> bool:
-        """f is mono iff f*u = f*v forces u = v for all parallel u, v into dom(f)."""
+        """f is mono iff u -> f*u is injective on hom(x, dom f) for every x."""
         d = self.mor_dom[f]
         for x in range(self.n_objects):
             arrows = self.hom(x, d)
-            for i, u in enumerate(arrows):
-                fu = self.compose(f, u)
-                for v in arrows[i + 1 :]:
-                    if self.compose(f, v) == fu:
-                        return False
+            if len({self.compose(f, u) for u in arrows}) != len(arrows):
+                return False
         return True
 
     def is_epi(self, f: int) -> bool:
+        """f is epi iff u -> u*f is injective on hom(cod f, x) for every x."""
         c = self.mor_cod[f]
         for x in range(self.n_objects):
             arrows = self.hom(c, x)
-            for i, u in enumerate(arrows):
-                uf = self.compose(u, f)
-                for v in arrows[i + 1 :]:
-                    if self.compose(v, f) == uf:
-                        return False
+            if len({self.compose(u, f) for u in arrows}) != len(arrows):
+                return False
         return True
 
     @property
@@ -207,12 +212,20 @@ class FiniteCategory:
     # -- constructions -----------------------------------------------------
 
     def opposite(self) -> "FiniteCategory":
-        """Same objects and morphism ids with dom/cod swapped and composition reversed."""
-        morphisms = [
-            (self.mor_cod[i], self.mor_dom[i], self.mor_labels[i]) for i in range(self.n_morphisms)
-        ]
-        compose = {(f, g): gf for g, f, gf in self.compose_entries()}
-        return FiniteCategory(self.object_labels, morphisms, compose, self.identities)
+        """Same objects and morphism ids with dom/cod swapped and composition
+        reversed.
+
+        Built on the first call and returned after that.  The opposite holds
+        no reference back to this category (a cycle would keep both alive), so
+        its own opposite() builds a fresh copy.
+        """
+        if self._opposite is None:
+            morphisms = [
+                (self.mor_cod[i], self.mor_dom[i], self.mor_labels[i]) for i in range(self.n_morphisms)
+            ]
+            compose = (((f, g), gf) for g, f, gf in self.compose_entries())
+            self._opposite = FiniteCategory(self.object_labels, morphisms, compose, self.identities)
+        return self._opposite
 
     # -- canonical form ----------------------------------------------------
 
@@ -293,36 +306,32 @@ def validate(cat: FiniteCategory) -> ValidationReport:
     each morphism.
     """
     report = ValidationReport()
+    m = cat.n_morphisms
 
-    defined = set()
     for g, f, gf in cat.compose_entries():
-        defined.add((g, f))
-        if not cat.composable(g, f):
+        if (
+            not cat.composable(g, f)
+            or cat.mor_dom[gf] != cat.mor_dom[f]
+            or cat.mor_cod[gf] != cat.mor_cod[g]
+        ):
             report.closure_violations.append((g, f))
-            continue
-        if cat.mor_dom[gf] != cat.mor_dom[f] or cat.mor_cod[gf] != cat.mor_cod[g]:
-            report.closure_violations.append((g, f))
-    for g in range(cat.n_morphisms):
-        for f in range(cat.n_morphisms):
-            if cat.composable(g, f) and (g, f) not in defined:
+    for g in range(m):
+        for f in cat._into[cat.mor_dom[g]]:
+            if cat._table[g * m + f] < 0:
                 report.missing_compositions.append((g, f))
     if report.closure_violations or report.missing_compositions:
         return report
 
-    for f in range(cat.n_morphisms):
+    for f in range(m):
         e_cod = cat.identity(cat.mor_cod[f])
         e_dom = cat.identity(cat.mor_dom[f])
         if cat.compose(e_cod, f) != f or cat.compose(f, e_dom) != f:
             report.identity_violations.append(f)
 
-    for f in range(cat.n_morphisms):
-        for g in range(cat.n_morphisms):
-            if not cat.composable(g, f):
-                continue
+    for f in range(m):
+        for g in cat._out[cat.mor_cod[f]]:
             gf = cat.compose(g, f)
-            for h in range(cat.n_morphisms):
-                if not cat.composable(h, g):
-                    continue
+            for h in cat._out[cat.mor_cod[g]]:
                 if cat.compose(h, gf) != cat.compose(cat.compose(h, g), f):
                     report.associativity_violations.append((h, g, f))
 

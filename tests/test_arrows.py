@@ -10,7 +10,7 @@ from catramsey.arrows import (
     check_arrow_native_dual,
     ramsey_property_check,
 )
-from catramsey.core import CategoryError
+from catramsey.core import CategoryError, FiniteCategory
 from catramsey.generators import UniverseSpec, generate
 from conftest import obj, oracle_arrow
 
@@ -114,6 +114,28 @@ def test_dual_route_equals_opposite_route(surj3):
             native = check_arrow_native_dual(surj3, q)
             assert via_opposite.holds == native.holds
             assert via_opposite.witness == native.witness
+
+
+def test_dual_route_on_shared_opposite_matches_fresh_opposite():
+    surj4 = generate(UniverseSpec("Surj", 4))
+    fresh = FiniteCategory(
+        surj4.object_labels,
+        [(surj4.mor_cod[i], surj4.mor_dom[i], surj4.mor_labels[i]) for i in range(surj4.n_morphisms)],
+        {(f, g): gf for g, f, gf in surj4.compose_entries()},
+        surj4.identities,
+    )
+    queries = [(1, 1, 3, 1), (2, 2, 3, 1), (2, 3, 3, 1), (3, 3, 3, 1), (0, 1, 2, 1), (1, 2, 3, 2)]
+    for a, b, c, t in queries:
+        q = ArrowQuery(a, b, c, 2, t)
+        shared = check_arrow_dual(surj4, q)
+        direct = check_arrow(fresh, q)
+        assert (shared.holds, shared.witness, shared.domain, shared.nodes) == (
+            direct.holds,
+            direct.witness,
+            direct.domain,
+            direct.nodes,
+        )
+    assert surj4.opposite() is surj4.opposite()
 
 
 def test_lo_failure_same_via_both_dual_routes(lo6):

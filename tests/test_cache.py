@@ -69,6 +69,52 @@ def test_poisoned_witness_is_evicted(tmp_path, lo6):
     assert cached_check_arrow(cache, lo6, q).holds is False
 
 
+def _forge(path, **fields):
+    with open(path, encoding="utf-8") as fh:
+        entry = json.load(fh)
+    entry.update({name: make(entry) for name, make in fields.items()})
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entry, fh)
+
+
+@pytest.mark.parametrize(
+    "forgery",
+    [
+        # negative colours are all distinct, so they looked like a valid >t-coloring
+        {"witness": lambda e: [-(i + 1) for i in range(len(e["domain"]))]},
+        {"witness": lambda e: [0, 1] * (len(e["domain"]) // 2) + [2] * (len(e["domain"]) % 2)},
+        {"witness": lambda e: [i % 2 for i in range(len(e["domain"]) - 1)]},
+        {"witness": lambda e: [i / len(e["domain"]) for i in range(len(e["domain"]))]},
+    ],
+    ids=["negative-colours", "colour-out-of-range", "short-witness", "fractional-colours"],
+)
+def test_forged_failing_verdict_is_evicted(tmp_path, lo6, forgery):
+    # LO_6 -> (LO_3)^{LO_2}_{2,1} holds; its entry is rewritten to claim a failure
+    cache = ResultCache(str(tmp_path))
+    q = ArrowQuery(obj(lo6, "LO", 2), obj(lo6, "LO", 3), obj(lo6, "LO", 6), 2, 1)
+    assert cached_check_arrow(cache, lo6, q).holds is True
+    path = os.path.join(str(tmp_path), _key_for(cache, lo6, q) + ".json")
+    _forge(path, holds=lambda e: False, **forgery)
+    with pytest.warns(UserWarning, match="evicting"):
+        v = cached_check_arrow(cache, lo6, q)
+    assert v.holds is True
+    assert cache.stats() == {"hits": 0, "misses": 2, "evictions": 1}
+
+
+def test_reordered_failing_entry_is_evicted(tmp_path, lo6):
+    # the same coloring listed against a reordered domain still replays, but
+    # the domain no longer matches what the category gives for the query
+    cache = ResultCache(str(tmp_path))
+    q = _lo5_failing_query(lo6)
+    fresh = cached_check_arrow(cache, lo6, q)
+    path = os.path.join(str(tmp_path), _key_for(cache, lo6, q) + ".json")
+    _forge(path, domain=lambda e: e["domain"][::-1], witness=lambda e: e["witness"][::-1])
+    with pytest.warns(UserWarning, match="domain mismatch"):
+        v = cached_check_arrow(cache, lo6, q)
+    assert (v.holds, v.domain, v.witness) == (False, fresh.domain, fresh.witness)
+    assert cache.evictions == 1
+
+
 def test_corrupt_json_is_evicted(tmp_path, lo6):
     cache = ResultCache(str(tmp_path))
     q = _lo5_failing_query(lo6)
@@ -89,10 +135,11 @@ def test_malformed_entry_is_evicted(tmp_path, lo6):
     cached_check_arrow(cache, lo6, q)
     key = _key_for(cache, lo6, q)
     path = os.path.join(str(tmp_path), key + ".json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"unexpected": True}, fh)
-    with pytest.warns(UserWarning, match="malformed"):
-        assert cached_check_arrow(cache, lo6, q).holds is False
+    for entry in ({"unexpected": True}, {"holds": False, "witness": None}):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh)
+        with pytest.warns(UserWarning, match="malformed"):
+            assert cached_check_arrow(cache, lo6, q).holds is False
 
 
 def test_distinct_queries_and_categories_do_not_collide(tmp_path, lo6, inj3):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +185,13 @@ def test_usage_errors(capsys, tmp_path):
     bad.write_text("objects: x\n")
     assert main(["validate", "--cat", str(bad)]) == 3
     capsys.readouterr()
+
+
+def test_cli_import_does_not_load_numpy():
+    # the package has no numpy dependency; keep it from creeping back in
+    src = str(Path(catio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, catramsey.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

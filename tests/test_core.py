@@ -1,6 +1,10 @@
+import itertools
+import weakref
+
 import pytest
 
 from catramsey.core import (
+    MAX_MORPHISMS,
     CategoryError,
     FiniteCategory,
     one_object_category,
@@ -16,6 +20,27 @@ def test_one_object_category_valid():
     report = validate(cat)
     assert report.ok
     assert report.all_mono
+
+
+def test_oversized_category_refused_before_allocating():
+    # the composition table is quadratic in the morphism count
+    morphisms = [(0, 0, str(i)) for i in range(MAX_MORPHISMS + 1)]
+    with pytest.raises(CategoryError, match="exceed the cap"):
+        FiniteCategory(["x"], morphisms, {}, identities=[0])
+
+
+def test_composition_entry_naming_unknown_morphism_refused():
+    with pytest.raises(CategoryError, match="unknown morphism"):
+        FiniteCategory(["x"], [(0, 0, "id")], {(0, 0): 0, (0, 1): 0}, identities=[0])
+
+
+def test_closure_violation_reported_and_kept():
+    # (idx, e) and (e, idy) are defined although neither pair is composable
+    compose = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2, (0, 2): 2, (2, 1): 2}
+    cat = FiniteCategory(["x", "y"], [(0, 0, "idx"), (1, 1, "idy"), (0, 1, "e")], compose, identities=[0, 1])
+    assert validate(cat).closure_violations == [(0, 2), (2, 1)]
+    entries = list(cat.compose_entries())
+    assert entries == sorted((g, f, gf) for (g, f), gf in compose.items())
 
 
 def test_lo3_valid_and_mono():
@@ -89,6 +114,47 @@ def test_subobject_classes_requires_mono(surj3):
 def test_opposite_involution(surj3, lo4):
     for cat in (surj3, lo4):
         assert cat.opposite().opposite().structurally_equal(cat)
+
+
+def test_opposite_is_built_once_without_back_reference():
+    cat = generate(UniverseSpec("Surj", 3))
+    op = cat.opposite()
+    assert cat.opposite() is op
+    assert op.opposite() is not cat
+    assert op.opposite().structurally_equal(cat)
+    # no reference cycle: dropping the last reference frees both at once,
+    # without waiting for the cycle collector
+    refs = weakref.ref(cat), weakref.ref(op)
+    del cat, op
+    assert [r() for r in refs] == [None, None]
+
+
+def _pairwise_mono(cat, f):
+    d = cat.mor_dom[f]
+    return all(
+        cat.compose(f, u) != cat.compose(f, v)
+        for x in range(cat.n_objects)
+        for u, v in itertools.combinations(cat.hom(x, d), 2)
+    )
+
+
+def _pairwise_epi(cat, f):
+    c = cat.mor_cod[f]
+    return all(
+        cat.compose(u, f) != cat.compose(v, f)
+        for x in range(cat.n_objects)
+        for u, v in itertools.combinations(cat.hom(c, x), 2)
+    )
+
+
+def test_mono_and_epi_match_pairwise_reference(surj3, inj3):
+    for cat in (surj3, surj3.opposite(), inj3):
+        for f in range(cat.n_morphisms):
+            assert cat.is_mono(f) == _pairwise_mono(cat, f)
+            assert cat.is_epi(f) == _pairwise_epi(cat, f)
+    # each side of the reference is exercised
+    assert not all(surj3.is_mono(f) for f in range(surj3.n_morphisms))
+    assert not all(inj3.is_epi(f) for f in range(inj3.n_morphisms))
 
 
 def test_opposite_hom_counts(lo4):

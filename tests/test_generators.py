@@ -15,6 +15,8 @@ def test_spec_validation():
     with pytest.raises(CategoryError):
         UniverseSpec("Surj", 6)
     with pytest.raises(CategoryError):
+        UniverseSpec("Inj", 7)
+    with pytest.raises(CategoryError):
         UniverseSpec("Foo", 3)
 
 

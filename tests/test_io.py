@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from catramsey import io as catio
@@ -11,6 +13,20 @@ def test_category_round_trip(lo4):
     assert back.structurally_equal(lo4)
     assert validate(back).ok
     assert back.identities == lo4.identities
+
+
+@pytest.mark.parametrize(
+    "family, size, digest",
+    [
+        ("LO", 4, "b1f8b2dac26882d622cdc77443d6d202ad08572c556e105aafb275f397297d6e"),
+        ("Inj", 3, "ad6e77209232cd3a9c5f70a0ddece7f2ad95c6971474972773a584370cef8b89"),
+        ("Surj", 3, "860fa182364244bfc785530e9776ce8349511d508d4fb4c783824c19359af422"),
+    ],
+)
+def test_dump_bytes_are_stable(family, size, digest):
+    # cache keys hash these bytes, so any change to them orphans every cache
+    text = catio.dumps_category(generate(UniverseSpec(family, size)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_duplicate_object_id_rejected():
