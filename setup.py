@@ -1,29 +1,38 @@
 """Build script for the optional compiled search kernel.
 
-The package works without the extension (a pure-Python kernel is selected at
-import time), so a failed build of the .pyx module is downgraded to a warning.
+src/catramsey/_kernel.c uses no Python API, so it is built as a plain shared
+library, catramsey/libcatramsey_kernel.so, which catramsey._kernel loads with
+ctypes.  The package works without it (the pure-Python kernel is selected at
+import time), so the extension is optional: a failed build, for instance on a
+machine without a C compiler, is only a warning.
 """
 
-import warnings
+import os
 
-from setuptools import setup
+from setuptools import Extension, setup
+from setuptools.command.build_ext import build_ext
 
-try:
-    from Cython.Build import cythonize
-    from setuptools import Extension
 
-    extensions = cythonize(
-        [
-            Extension(
-                "catramsey._kernel",
-                ["src/catramsey/_kernel.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-except Exception as exc:  # pragma: no cover - build-environment dependent
-    warnings.warn(f"compiled kernel disabled: {exc}")
-    extensions = []
+class build_shared_library(build_ext):
+    """build_ext for a plain shared library instead of an extension module."""
 
-setup(ext_modules=extensions)
+    def get_ext_filename(self, fullname):
+        # no extension-module suffix: the library must never be importable
+        return os.path.join(*fullname.split(".")) + ".so"
+
+    def get_export_symbols(self, ext):
+        return ext.export_symbols  # search_from_prefix only: there is no PyInit_
+
+
+setup(
+    ext_modules=[
+        Extension(
+            "catramsey.libcatramsey_kernel",
+            ["src/catramsey/_kernel.c"],
+            extra_compile_args=["-O3"],
+            export_symbols=["search_from_prefix"],
+            optional=True,
+        )
+    ],
+    cmdclass={"build_ext": build_shared_library},
+)

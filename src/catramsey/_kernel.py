@@ -1,0 +1,94 @@
+"""Compiled witness-search kernel: _kernel.c, loaded with ctypes.
+
+The shared library is built next to this file by setup.py (build_ext).
+Importing this module raises ImportError when the library is missing or does
+not load, which selects the pure-Python kernel instead.  ctypes releases the
+GIL for the duration of each call, so branches searched on several threads
+run concurrently.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+IMPL = "compiled"
+
+_LIBRARY = Path(__file__).with_name("libcatramsey_kernel.so")
+if not _LIBRARY.is_file():
+    # decided before importing ctypes, so an unbuilt tree does not pay for it
+    raise ImportError(f"compiled kernel not built: no {_LIBRARY}")
+
+import ctypes  # noqa: E402
+from array import array  # noqa: E402
+
+try:
+    _lib = ctypes.CDLL(str(_LIBRARY))
+except OSError as exc:
+    raise ImportError(f"compiled kernel does not load: {exc}") from exc
+
+_int_p = ctypes.POINTER(ctypes.c_int)
+_search = _lib.search_from_prefix
+_search.restype = ctypes.c_int
+_search.argtypes = [
+    ctypes.c_int, ctypes.c_int, ctypes.c_int, _int_p,  # n_points, k, t, bundle_sizes
+    _int_p, _int_p, ctypes.c_int, _int_p,  # pb_off, pb, n_perms, perms
+    ctypes.c_int, _int_p, ctypes.c_longlong, ctypes.POINTER(ctypes.c_longlong),  # prefix, budget, nodes
+    _int_p, _int_p, _int_p, _int_p, _int_p,  # counts, distinct, assigned, color, ren
+    _int_p, _int_p,  # used, next
+]
+
+# a budget no search can spend; a larger one would overflow long long, and
+# any budget below 0 stops at the first node just as 0 does
+_BUDGET_CAP = 2**62
+
+
+def _ints(values):
+    """`values` as a C int array; array("i") refuses a value outside the C
+    int range, which ctypes would silently wrap."""
+    try:
+        buf = array("i", values)
+    except OverflowError as exc:
+        raise ValueError(f"value out of C int range: {exc}") from None
+    return (ctypes.c_int * len(buf)).from_buffer(buf)
+
+
+def _zeros(size):
+    return (ctypes.c_int * size)()
+
+
+def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget):
+    """Same contract as _kernel_py.search_from_prefix.
+
+    Raises ValueError on input that would make the C code index out of
+    bounds or overflow an int; the pure kernel would raise IndexError or
+    misread it.
+    """
+    n_bundles = len(bundle_sizes)
+    if not (1 <= k and n_bundles * k < 2**31 and abs(t) < 2**31):
+        raise ValueError("need 1 <= k, with n_bundles * k and t in C int range")
+    if len(prefix) > n_points or any(c < 0 for c in prefix):
+        raise ValueError("prefix must be at most n_points nonnegative colors")
+    if len(pb_off) != n_points + 1 or pb_off[0] != 0 or pb_off[-1] != len(pb):
+        raise ValueError("pb_off must have n_points + 1 offsets from 0 to len(pb)")
+    if any(a > b for a, b in zip(pb_off, pb_off[1:])):
+        raise ValueError("pb_off must be nondecreasing")
+    if pb and not (0 <= min(pb) and max(pb) < n_bundles):
+        raise ValueError("pb names a bundle out of range")
+    if any(len(row) != n_points for row in perms):
+        raise ValueError("every perms row must have n_points entries")
+    flat = [p for row in perms for p in row]
+    if flat and not (0 <= min(flat) and max(flat) < n_points):
+        raise ValueError("perms names a point out of range")
+
+    nodes = ctypes.c_longlong()
+    color = _zeros(n_points)
+    r = _search(
+        n_points, k, t, _ints(bundle_sizes),
+        _ints(pb_off), _ints(pb), len(perms), _ints(flat),
+        len(prefix), _ints(prefix), max(0, min(budget, _BUDGET_CAP)), ctypes.byref(nodes),
+        _zeros(n_bundles * k), _zeros(n_bundles), _zeros(n_bundles), color, _zeros(k),
+        _zeros(n_points + 1), _zeros(n_points + 1),
+    )
+    if r == 1:
+        return list(color), nodes.value, True
+    return None, nodes.value, r == 0

@@ -6,8 +6,10 @@ are enumerated in restricted-growth form (first use of each color is in
 increasing order), which quotients out color permutations; point permutations
 supplied by the caller are quotiented by lexicographic prefix canonicity.
 
-The compiled kernel in _kernel.pyx implements the identical search; both must
-visit the same tree.
+The compiled kernel in _kernel.c implements the identical search as the same
+loop, line for line; both must visit the same tree.  The depth-first walk
+keeps its state in explicit arrays instead of recursion, so a problem with
+thousands of points cannot exhaust the Python stack.
 """
 
 from __future__ import annotations
@@ -86,26 +88,29 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
         if c == max_used:
             max_used += 1
 
-    BUDGET = object()
-
-    def dfs(depth, used):
-        nonlocal nodes
-        if depth == n_points:
-            return list(color)
-        for c in range(min(used + 1, k)):
-            nodes += 1
-            if nodes > budget:
-                return BUDGET
-            ok = assign(depth, c)
-            if ok and canonical(depth + 1):
-                r = dfs(depth + 1, used + 1 if c == used else used)
-                if r is not None:
-                    unassign(depth)
-                    return r
+    # depth-first over nxt[depth], the next color to try at depth, with
+    # used[depth] colors already in use before it
+    start = depth = len(prefix)
+    used = [0] * (n_points + 1)
+    nxt = [0] * (n_points + 1)
+    used[depth] = max_used
+    while depth < n_points:
+        c = nxt[depth]
+        u = used[depth]
+        if c > u or c == k:
+            if depth == start:
+                return None, nodes, True
+            depth -= 1
             unassign(depth)
-        return None
-
-    result = dfs(len(prefix), max_used)
-    if result is BUDGET:
-        return None, nodes, False
-    return result, nodes, True
+            continue
+        nxt[depth] = c + 1
+        nodes += 1
+        if nodes > budget:
+            return None, nodes, False
+        if assign(depth, c) and canonical(depth + 1):
+            depth += 1
+            used[depth] = u + (c == u)
+            nxt[depth] = 0
+        else:
+            unassign(depth)
+    return list(color), nodes, True

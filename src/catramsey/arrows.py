@@ -109,22 +109,20 @@ def _replay_witness(cat: FiniteCategory, q: ArrowQuery, items: list[int], colors
     return True
 
 
-def check_arrow(
-    cat: FiniteCategory,
+def _decide(
     q: ArrowQuery,
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
+    items: list[int],
+    bundles: list[frozenset[int]],
+    perms: list[tuple[int, ...]],
+    replay,
+    budget: int,
+    threads: int,
 ) -> ArrowVerdict:
-    cat.check_object(q.A)
-    cat.check_object(q.B)
-    cat.check_object(q.C)
-    if q.mode == "subobject" and not cat.all_mono:
-        raise CategoryError("subobject mode requires an all-mono category")
-
-    items, bundles, perms = _domain_bundles_perms(cat, q)
+    """The decision both routes share: the vacuous and trivial cases, the
+    search and the verdict.  `bundles` has one entry per w, and `replay` is
+    the route's own independent check of a witness coloring."""
     n = len(items)
-
-    if not cat.hom(q.B, q.C):
+    if not bundles:
         # no w exists; the relation degenerates to whether the domain can be
         # colored with more than t colors at all
         if min(q.k, n) <= q.t:
@@ -141,12 +139,30 @@ def check_arrow(
     problem = build_problem(n, bundles, q.k, q.t, perms)
     outcome = solve(problem, budget=budget, threads=threads)
     if outcome.witness is not None:
-        if not _replay_witness(cat, q, items, outcome.witness):
+        if not replay(outcome.witness):
             raise RuntimeError("internal error: witness failed replay verification")
         return ArrowVerdict(False, outcome.witness, items, outcome.nodes)
     if not outcome.exhausted:
         return ArrowVerdict(None, None, items, outcome.nodes, note="node budget exceeded")
     return ArrowVerdict(True, None, items, outcome.nodes)
+
+
+def check_arrow(
+    cat: FiniteCategory,
+    q: ArrowQuery,
+    budget: int = DEFAULT_BUDGET,
+    threads: int = 1,
+) -> ArrowVerdict:
+    cat.check_object(q.A)
+    cat.check_object(q.B)
+    cat.check_object(q.C)
+    if q.mode == "subobject" and not cat.all_mono:
+        raise CategoryError("subobject mode requires an all-mono category")
+
+    items, bundles, perms = _domain_bundles_perms(cat, q)
+    return _decide(
+        q, items, bundles, perms, lambda colors: _replay_witness(cat, q, items, colors), budget, threads
+    )
 
 
 def check_arrow_dual(
@@ -186,32 +202,12 @@ def check_arrow_native_dual(
         tuple(idx[cat.compose(m, alpha)] for m in items)
         for alpha in cat.automorphisms(q.C)
     ]
-    n = len(items)
 
-    if not hom_cb:
-        if min(q.k, n) <= q.t:
-            return ArrowVerdict(True, None, items, 0, note="vacuous: no B->C morphisms, domain not >t-colorable")
-        witness = [i % q.k for i in range(n)]
-        return ArrowVerdict(False, witness, items, 0, note="vacuous: no B->C morphisms, >t-coloring exists")
-    if min(q.k, n) <= q.t:
-        return ArrowVerdict(True, None, items, 0, note="trivial: at most t colors can occur")
-    for b in bundles:
-        if len(b) <= q.t:
-            return ArrowVerdict(True, None, items, 0, note="trivial: some w has a bundle of size <= t")
-
-    problem = build_problem(n, bundles, q.k, q.t, perms)
-    outcome = solve(problem, budget=budget, threads=threads)
-    if outcome.witness is not None:
-        colors = outcome.witness
+    def replay(colors: list[int]) -> bool:
         # replay in place: every w must see more than t colors
-        for w in hom_cb:
-            seen = {colors[idx[cat.compose(h, w)]] for h in hom_ba}
-            if len(seen) <= q.t:
-                raise RuntimeError("internal error: witness failed replay verification")
-        return ArrowVerdict(False, colors, items, outcome.nodes)
-    if not outcome.exhausted:
-        return ArrowVerdict(None, None, items, outcome.nodes, note="node budget exceeded")
-    return ArrowVerdict(True, None, items, outcome.nodes)
+        return all(len({colors[idx[cat.compose(h, w)]] for h in hom_ba}) > q.t for w in hom_cb)
+
+    return _decide(q, items, bundles, perms, replay, budget, threads)
 
 
 @dataclass

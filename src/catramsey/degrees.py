@@ -63,21 +63,22 @@ class _ArrowMemo:
         self.budget = budget
         self.threads = threads
         self.memo: dict[tuple[int, int, int, int], ArrowVerdict] = {}
+        # (B, C, k) -> [(t, verdict)], in the memo's insertion order
+        self.cells: dict[tuple[int, int, int], list[tuple[int, ArrowVerdict]]] = {}
 
     def verdict(self, A, B, C, k, t) -> ArrowVerdict:
         key = (B, C, k, t)
         if key not in self.memo:
+            cell = self.cells.setdefault((B, C, k), [])
             # holds at smaller t, or fails at larger t, settles this cell
-            for t2, v2 in ((t2, v2) for (b2, c2, k2, t2), v2 in self.memo.items() if (b2, c2, k2) == (B, C, k)):
-                if v2.holds is True and t2 <= t:
-                    self.memo[key] = v2
-                    break
-                if v2.holds is False and t2 >= t:
-                    self.memo[key] = v2
+            for t2, v in cell:
+                if (v.holds is True and t2 <= t) or (v.holds is False and t2 >= t):
                     break
             else:
                 q = ArrowQuery(A, B, C, k, t, self.mode)
-                self.memo[key] = self.evaluator(self.cat, q, budget=self.budget, threads=self.threads)
+                v = self.evaluator(self.cat, q, budget=self.budget, threads=self.threads)
+            self.memo[key] = v
+            cell.append((t, v))
         return self.memo[key]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .core import CategoryError, FiniteCategory
 from .kernel import DEFAULT_BUDGET
-from .degrees import DegreeBound, degree_bounds
+from .degrees import DegreeBound, default_pool, degree_bounds
 
 FIBER_SIZE_CAP = 256
 TOTAL_OBJECT_CAP = 512
@@ -296,6 +296,36 @@ def aut_decomposition(U: ExpansionFunctor, a_down: int) -> dict:
     return {"status": "ok" if ok else "violation", "aut_down": n_aut_down, "entries": entries}
 
 
+def _matched_degrees(
+    U: ExpansionFunctor,
+    a_down: int,
+    mode: str,
+    k_max: int,
+    B_pool_down: list[int] | None,
+    C_universe_down: list[int] | None,
+    budget: int,
+    threads: int,
+) -> tuple[DegreeBound, dict[int, DegreeBound]]:
+    """The downstairs degree bound of a_down and the bound of every fiber
+    object over it, on matched pools: the upstairs pools are the preimages of
+    the downstairs ones, cut to objects the fiber object maps into.  The
+    downstairs pools default to the objects a_down maps into."""
+    down, up = U.downstairs, U.upstairs
+    if B_pool_down is None:
+        B_pool_down = default_pool(down, a_down)
+    if C_universe_down is None:
+        C_universe_down = default_pool(down, a_down)
+    d_down = degree_bounds(down, a_down, mode, k_max, B_pool_down, C_universe_down, budget, threads)
+    B_pool_up = [b for b in range(up.n_objects) if U.object_map[b] in B_pool_down]
+    C_universe_up = [c for c in range(up.n_objects) if U.object_map[c] in C_universe_down]
+    fiber_degrees = {}
+    for a_up in U.fiber(a_down):
+        bp = [b for b in B_pool_up if up.hom(a_up, b)]
+        cu = [c for c in C_universe_up if up.hom(a_up, c)]
+        fiber_degrees[a_up] = degree_bounds(up, a_up, mode, k_max, bp, cu, budget, threads)
+    return d_down, fiber_degrees
+
+
 def verify_additivity(
     U: ExpansionFunctor,
     a_down: int,
@@ -311,7 +341,6 @@ def verify_additivity(
     additionally needs the expansion property and upstairs directedness, all
     of which are checked first and reported.
     """
-    down = U.downstairs
     hyps = {
         "functor": U.validate_functor(),
         "reasonable": check_reasonable(U),
@@ -326,21 +355,9 @@ def verify_additivity(
     if not basic_ok:
         return {"status": "violation", "reason": "hypotheses fail", "hypotheses": hyps}
 
-    if B_pool_down is None:
-        B_pool_down = [b for b in range(down.n_objects) if down.hom(a_down, b)]
-    if C_universe_down is None:
-        C_universe_down = [c for c in range(down.n_objects) if down.hom(a_down, c)]
-
-    d_down = degree_bounds(down, a_down, "morphism", k_max, B_pool_down, C_universe_down, budget, threads)
-    B_pool_up = [b for b in range(U.upstairs.n_objects) if U.object_map[b] in B_pool_down]
-    C_universe_up = [c for c in range(U.upstairs.n_objects) if U.object_map[c] in C_universe_down]
-    fiber = U.fiber(a_down)
-    fiber_degrees = {}
-    for a_up in fiber:
-        bp = [b for b in B_pool_up if U.upstairs.hom(a_up, b)]
-        cu = [c for c in C_universe_up if U.upstairs.hom(a_up, c)]
-        fiber_degrees[a_up] = degree_bounds(U.upstairs, a_up, "morphism", k_max, bp, cu, budget, threads)
-
+    d_down, fiber_degrees = _matched_degrees(
+        U, a_down, "morphism", k_max, B_pool_down, C_universe_down, budget, threads
+    )
     if not d_down.tight or any(not d.tight for d in fiber_degrees.values()):
         return {"status": "inconclusive", "reason": "bounds not tight", "hypotheses": hyps}
     total = sum(d.upper for d in fiber_degrees.values())
@@ -378,21 +395,12 @@ def verify_ratio_formula(
     upstairs isomorphism class.
     """
     down, up = U.downstairs, U.upstairs
-    if B_pool_down is None:
-        B_pool_down = [b for b in range(down.n_objects) if down.hom(a_down, b)]
-    if C_universe_down is None:
-        C_universe_down = [c for c in range(down.n_objects) if down.hom(a_down, c)]
-    d_down = degree_bounds(down, a_down, "subobject", k_max, B_pool_down, C_universe_down, budget, threads)
-    B_pool_up = [b for b in range(up.n_objects) if U.object_map[b] in B_pool_down]
-    C_universe_up = [c for c in range(up.n_objects) if U.object_map[c] in C_universe_down]
-    fiber = U.fiber(a_down)
-    fiber_degrees = {}
-    for a_up in fiber:
-        bp = [b for b in B_pool_up if up.hom(a_up, b)]
-        cu = [c for c in C_universe_up if up.hom(a_up, c)]
-        fiber_degrees[a_up] = degree_bounds(up, a_up, "subobject", k_max, bp, cu, budget, threads)
+    d_down, fiber_degrees = _matched_degrees(
+        U, a_down, "subobject", k_max, B_pool_down, C_universe_down, budget, threads
+    )
     if not d_down.tight or any(not d.tight for d in fiber_degrees.values()):
         return {"status": "inconclusive", "reason": "bounds not tight"}
+    fiber = U.fiber(a_down)
 
     n_aut_down = len(down.automorphisms(a_down))
     weighted = sum(

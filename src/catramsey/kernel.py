@@ -1,27 +1,23 @@
 """Search-kernel front end: problem preprocessing, branch decomposition and
 the deterministic parallel driver.
 
-The actual DFS lives in _kernel (compiled) or _kernel_py (pure Python); both
-expose the same search_from_prefix and explore identical trees, so results
-and node counts match bit for bit.  Set CATRAMSEY_PURE_PYTHON=1 to force the
-fallback.
+The actual DFS lives in _kernel (compiled C, used when its library has been
+built) or _kernel_py (pure Python, used otherwise); both expose the same
+search_from_prefix and explore identical trees, so results and node counts
+match bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import _kernel_py
 
-if os.environ.get("CATRAMSEY_PURE_PYTHON"):
-    _impl = _kernel_py
-else:
-    try:
-        from . import _kernel as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernel_py
+try:
+    from . import _kernel as _impl
+except ImportError:
+    _impl = _kernel_py  # type: ignore[assignment]
 
 IMPL = _impl.IMPL
 
@@ -189,6 +185,4 @@ def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1
             return SearchOutcome(witness=colors, nodes=nodes, exhausted=True)
         if not ex:
             exhausted = False
-    if not exhausted:
-        return SearchOutcome(witness=None, nodes=nodes, exhausted=False)
-    return SearchOutcome(witness=None, nodes=nodes, exhausted=True)
+    return SearchOutcome(witness=None, nodes=nodes, exhausted=exhausted)

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from catramsey.arrows import ArrowVerdict
 from catramsey.core import CategoryError, one_object_category
 from catramsey.degrees import (
+    _ArrowMemo,
     default_pool,
     degree_bounds,
     dual_degree_bounds,
@@ -152,3 +155,39 @@ def test_dual_of_self_dual_unit():
 def test_empty_pool_rejected(inj4):
     with pytest.raises(CategoryError):
         degree_bounds(inj4, 0, "morphism", 2, B_pool=[])
+
+
+
+cells = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(2, 3), st.integers(1, 3))
+
+
+@given(
+    outcomes=st.dictionaries(cells, st.sampled_from([True, False, None])),
+    queries=st.lists(cells, max_size=40),
+)
+@settings(max_examples=150, deadline=None)
+def test_arrow_memo_settles_like_a_full_scan(outcomes, queries):
+    # scripted verdicts need not be monotone in t, so the test sees which
+    # earlier entry settled a query; the reference scans the whole memo in
+    # insertion order for the first entry of the same (B, C, k) that does
+    calls = []
+
+    def evaluate(cat, q, budget, threads):
+        calls.append((q.B, q.C, q.k, q.t))
+        return ArrowVerdict(outcomes.get((q.B, q.C, q.k, q.t)), None, [], 0)
+
+    memo = _ArrowMemo(None, "morphism", evaluate, 0, 1)
+    ref: dict = {}
+    ref_calls = []
+    for key in queries:
+        B, C, k, t = key
+        if key not in ref:
+            for (b2, c2, k2, t2), h2 in ref.items():
+                if (b2, c2, k2) == (B, C, k) and (h2 is True and t2 <= t or h2 is False and t2 >= t):
+                    ref[key] = h2
+                    break
+            else:
+                ref_calls.append(key)
+                ref[key] = outcomes.get(key)
+        assert memo.verdict(0, B, C, k, t).holds == ref[key]
+    assert calls == ref_calls

@@ -1,19 +1,21 @@
 import importlib.util
 import itertools
 import shutil
-import sysconfig
+import subprocess
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from catramsey import _kernel_py
+from catramsey import _kernel_py, kernel
 from catramsey.kernel import SearchProblem, branch_prefixes, build_problem, solve
 
-try:
-    from catramsey import _kernel
-except ImportError:  # pragma: no cover
-    _kernel = None
+PATH_POINTS = 1200
+PATH_BUNDLES = [frozenset({i, i + 1}) for i in range(PATH_POINTS - 1)]
+# all triples of 9 points, k=4, t=1: no witness, since some color covers 3
+# points; about 1,200 nodes, so the search runs deep below the branch prefixes
+TRIPLES_9 = [frozenset(c) for c in itertools.combinations(range(9), 3)]
+ROTATIONS_9 = [tuple((i + r) % 9 for i in range(9)) for r in range(1, 9)]
 
 
 def naive_witness_exists(n, k, t, bundles):
@@ -49,43 +51,100 @@ def test_solve_matches_naive_enumeration(problem):
         assert all(len({out.witness[i] for i in b}) > t for b in bundles)
 
 
-@pytest.fixture(scope="session")
-def compiled_kernel(tmp_path_factory):
-    """The compiled kernel: the installed extension, or else the checked-in C
-    source built for this interpreter.  Skips, saying why, when neither can
-    be had, so that the parity test never passes without comparing."""
-    if _kernel is not None:
-        return _kernel
-    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    headers = Path(sysconfig.get_paths()["include"]) / "Python.h"
-    if shutil.which(compiler) is None or not headers.exists() or importlib.util.find_spec("setuptools") is None:
-        pytest.skip(
-            f"no compiled kernel: catramsey._kernel is not built, and {compiler}, {headers} or setuptools is missing"
-        )
-    from setuptools import Distribution, Extension
-    from setuptools.command.build_ext import build_ext
-
-    out = tmp_path_factory.mktemp("kernel")
-    source = Path(_kernel_py.__file__).with_name("_kernel.c")
-    cmd = build_ext(Distribution({"ext_modules": [Extension("_kernel", [str(source)])]}))
-    cmd.build_lib, cmd.build_temp = str(out), str(out / "tmp")
-    cmd.ensure_finalized()
-    cmd.run()
-    spec = importlib.util.spec_from_file_location("catramsey._kernel", cmd.get_ext_fullpath("_kernel"))
+def load_kernel(directory: Path):
+    """Import a copy of catramsey/_kernel.py placed in `directory`, so that it
+    loads the library found there."""
+    source = Path(_kernel_py.__file__).with_name("_kernel.py")
+    shutil.copy(source, directory / "_kernel.py")
+    spec = importlib.util.spec_from_file_location("catramsey._kernel", directory / "_kernel.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@given(problem=problems())
-@settings(max_examples=60, deadline=None)
-def test_pure_and_compiled_agree(compiled_kernel, problem):
-    n, k, t, bundles = problem
-    pr = build_problem(n, bundles, k, t, [])
-    for prefix in branch_prefixes(n, k):
-        a = compiled_kernel.search_from_prefix(n, k, t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, prefix, 10**6)
-        b = _kernel_py.search_from_prefix(n, k, t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, prefix, 10**6)
-        assert a == b
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The compiled kernel built from the checked-in _kernel.c with plain
+    `cc -shared -fPIC` into a temporary directory, loaded through a copy of
+    _kernel.py.  Skips, saying why, only when there is no C compiler, so that
+    the parity test never passes without comparing."""
+    compiler = shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no compiled kernel: no C compiler (cc) on PATH")
+    out = tmp_path_factory.mktemp("kernel")
+    source = Path(_kernel_py.__file__).with_name("_kernel.c")
+    library = out / "libcatramsey_kernel.so"
+    subprocess.run([compiler, "-O2", "-shared", "-fPIC", str(source), "-o", str(library)], check=True)
+    return load_kernel(out)
+
+
+@st.composite
+def searches(draw):
+    """A built problem with point permutations, so that canonical() prunes,
+    and a budget that is sometimes small enough to run out.  Up to 10 points,
+    so that the search runs below the branch prefixes."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    k = draw(st.integers(min_value=2, max_value=4))
+    t = draw(st.integers(min_value=1, max_value=k - 1))
+    points = st.integers(min_value=0, max_value=n - 1)
+    bundles = draw(st.lists(st.frozensets(points, min_size=min(t + 1, n)), min_size=1, max_size=6))
+    perms = draw(st.lists(st.permutations(range(n)), max_size=3))
+    budget = draw(st.one_of(st.integers(min_value=0, max_value=60), st.just(20_000)))
+    return build_problem(n, bundles, k, t, perms), budget
+
+
+@given(search=searches())
+@example(search=(build_problem(PATH_POINTS, PATH_BUNDLES, 2, 1, []), 10**6))
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, []), 20_000))
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 20_000))
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 300))
+@settings(max_examples=100, deadline=None)
+def test_pure_and_compiled_agree(compiled_kernel, search):
+    # the empty prefix walks the whole tree; the branch prefixes are the
+    # subtrees solve() hands out
+    pr, budget = search
+    for prefix in [[]] + branch_prefixes(pr.n_points, pr.k):
+        args = (pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, prefix, budget)
+        assert compiled_kernel.search_from_prefix(*args) == _kernel_py.search_from_prefix(*args)
+
+
+def test_compiled_kernel_refuses_malformed_input(compiled_kernel):
+    pr = build_problem(4, [frozenset({0, 1}), frozenset({2, 3})], 2, 1, [(1, 0, 3, 2)])
+    good = dict(n_points=4, k=2, t=1, bundle_sizes=pr.bundle_sizes, pb_off=pr.pb_off, pb=pr.pb,
+                perms=pr.perms, prefix=[0], budget=10**30)
+    expected = _kernel_py.search_from_prefix(**good)
+    assert expected[0] is not None
+    assert compiled_kernel.search_from_prefix(**good) == expected
+    for bad in (
+        {"pb": [0, 0, 1, 2]},  # bundle 2 does not exist
+        {"pb_off": [0, 1, 2, 3]},  # one offset short
+        {"perms": [[0, 1, 2]]},  # row too short
+        {"perms": [[0, 1, 2, 4]]},  # point 4 does not exist
+        {"prefix": [0, -1]},
+        {"prefix": [0, 1, 0, 1, 0]},  # longer than n_points
+        {"bundle_sizes": [2, 2**40]},  # would wrap in a C int
+        {"k": 0},
+    ):
+        with pytest.raises(ValueError):
+            compiled_kernel.search_from_prefix(**{**good, **bad})
+
+
+def test_compiled_kernel_without_library_is_an_import_error(tmp_path):
+    # kernel.py selects the pure kernel on ImportError: the library is
+    # missing, or it is there but does not load
+    with pytest.raises(ImportError):
+        load_kernel(tmp_path)
+    (tmp_path / "libcatramsey_kernel.so").write_bytes(b"not a shared library")
+    with pytest.raises(ImportError):
+        load_kernel(tmp_path)
+
+
+def test_pure_kernel_solves_a_deep_path(monkeypatch):
+    # the recursive DFS raised RecursionError here
+    monkeypatch.setattr(kernel, "_impl", _kernel_py)
+    out = solve(build_problem(PATH_POINTS, PATH_BUNDLES, 2, 1, []))
+    assert out.exhausted and out.witness is not None
+    assert all(out.witness[i] != out.witness[i + 1] for i in range(PATH_POINTS - 1))
 
 
 def test_symmetry_reduction_preserves_verdict():
