@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 # The composition table takes 4*m*m bytes, 256 MB at this many morphisms;
 # larger categories are refused before anything is allocated.
@@ -340,6 +340,55 @@ def validate(cat: FiniteCategory) -> ValidationReport:
             report.non_mono.append(f)
 
     return report
+
+
+def concrete_category(
+    object_labels: Sequence[str],
+    arrows: Callable[[int, int], Iterable[tuple[Hashable, str]]],
+    compose: Callable[[Hashable, Hashable], Hashable],
+    identity: Callable[[int], Hashable],
+) -> tuple[FiniteCategory, list]:
+    """A category of values: `arrows(a, b)` lists the (value, label) pairs of
+    hom(a, b), `compose(g, f)` gives the value of g*f, `identity(a)` that of
+    a's identity.  Morphisms are numbered hom-set by hom-set in (a, b) order;
+    g*f is computed only over hom(b, c) x hom(a, b).  Returns the category and
+    each morphism's value.  A composite or identity that no hom-set lists, or
+    more than MAX_MORPHISMS morphisms, raise CategoryError."""
+    n = len(object_labels)
+    morphisms: list[tuple[int, int, str]] = []
+    values: list = []
+    out: list[list[tuple[int, range]]] = [[] for _ in range(n)]  # per a, each nonempty hom(a, b)
+    index: dict[tuple[int, int], dict] = {}  # (dom, cod) -> {value: id}
+    for a in range(n):
+        for b in range(n):
+            start, ids = len(values), {}
+            for value, label in arrows(a, b):
+                if len(values) == MAX_MORPHISMS:
+                    raise CategoryError(f"more morphisms than the cap of {MAX_MORPHISMS}")
+                ids[value] = len(values)
+                values.append(value)
+                morphisms.append((a, b, label))
+            if ids:
+                index[(a, b)] = ids
+                out[a].append((b, range(start, len(values))))
+
+    def entries():
+        for a in range(n):
+            for b, fs in out[a]:
+                for c, gs in out[b]:
+                    ids = index.get((a, c), {})
+                    for g in gs:
+                        gv = values[g]
+                        for f in fs:
+                            gf = ids.get(compose(gv, values[f]))
+                            if gf is None:
+                                raise CategoryError(f"the composite {g}*{f} is not a morphism {a} -> {c}")
+                            yield (g, f), gf
+
+    identities = [index.get((a, a), {}).get(identity(a)) for a in range(n)]
+    if None in identities:
+        raise CategoryError(f"the identity of object {identities.index(None)} is not a morphism")
+    return FiniteCategory(object_labels, morphisms, entries(), identities), values
 
 
 def product(cat1: FiniteCategory, cat2: FiniteCategory) -> FiniteCategory:

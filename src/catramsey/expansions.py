@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
-from .core import CategoryError, FiniteCategory
+from .core import CategoryError, FiniteCategory, concrete_category
 from .kernel import DEFAULT_BUDGET
 from .degrees import DegreeBound, default_pool, degree_bounds
 
@@ -46,12 +47,19 @@ class ExpansionFunctor:
         """Functoriality, object surjectivity and hom-set injectivity."""
         up, down = self.upstairs, self.downstairs
         problems = []
-        if set(self.object_map.keys()) != set(range(up.n_objects)):
-            problems.append("object_map not total")
+        for name, mapping, n_up, n_down in (
+            ("object_map", self.object_map, up.n_objects, down.n_objects),
+            ("morphism_map", self.morphism_map, up.n_morphisms, down.n_morphisms),
+        ):
+            if set(mapping) != set(range(n_up)):
+                problems.append(f"{name} not total")
+            if not set(mapping.values()) <= set(range(n_down)):
+                problems.append(f"{name} names an unknown downstairs id")
+        if problems:
+            # the checks below look up every entry of both maps
+            return {"status": "violation", "problems": problems}
         if set(self.object_map.values()) != set(range(down.n_objects)):
             problems.append("object_map not surjective")
-        if set(self.morphism_map.keys()) != set(range(up.n_morphisms)):
-            problems.append("morphism_map not total")
         for m in range(up.n_morphisms):
             dm = self.morphism_map[m]
             if self.object_map[up.mor_dom[m]] != down.mor_dom[dm] or self.object_map[up.mor_cod[m]] != down.mor_cod[dm]:
@@ -428,6 +436,26 @@ def verify_ratio_formula(
     }
 
 
+def lifted_expansion(
+    base: FiniteCategory,
+    up_objects: list[tuple],
+    up_labels: list[str],
+    lifting: Callable[[tuple, tuple], Iterable[int]],
+) -> ExpansionFunctor:
+    """An expansion over `base` whose upstairs objects are (base object,
+    decoration) pairs.  The morphisms u -> v are the base morphisms that
+    `lifting(up_objects[u], up_objects[v])` lists, labelled and composed as
+    in the base; the functor maps each to its base morphism."""
+    upstairs, mor_map = concrete_category(
+        up_labels,
+        lambda u, v: ((f, base.mor_labels[f]) for f in lifting(up_objects[u], up_objects[v])),
+        base.compose,
+        lambda u: base.identity(up_objects[u][0]),
+    )
+    object_map = {u: ob[0] for u, ob in enumerate(up_objects)}
+    return ExpansionFunctor(upstairs, base, object_map, dict(enumerate(mor_map)))
+
+
 @dataclass(frozen=True)
 class ColoringExpansionSpec:
     base: FiniteCategory
@@ -491,31 +519,9 @@ def build_coloring_expansion(spec: ColoringExpansionSpec) -> ExpansionFunctor:
         flat = ";".join("".join(map(str, t)) for t in theta)
         up_labels.append(f"{base.object_labels[c]}[{flat}]")
 
-    up_morphisms: list[tuple[int, int, str]] = []
-    mor_map: dict[int, int] = {}
-    mor_index: dict[tuple[int, int, int], int] = {}
-    for u, src in enumerate(up_objects):
-        for v, dst in enumerate(up_objects):
-            for f in base.hom(src[0], dst[0]):
-                if lifts(f, src, dst):
-                    mid = len(up_morphisms)
-                    up_morphisms.append((u, v, base.mor_labels[f]))
-                    mor_map[mid] = f
-                    mor_index[(u, v, f)] = mid
-
-    compose = {}
-    for g in range(len(up_morphisms)):
-        gd, gc, _ = up_morphisms[g]
-        for f in range(len(up_morphisms)):
-            fd, fc, _ = up_morphisms[f]
-            if fc != gd:
-                continue
-            base_gf = base.compose(mor_map[g], mor_map[f])
-            compose[(g, f)] = mor_index[(fd, gc, base_gf)]
-    identities = [mor_index[(u, u, base.identity(up_objects[u][0]))] for u in range(len(up_objects))]
-    upstairs = FiniteCategory(up_labels, up_morphisms, compose, identities)
-    obj_map = {u: up_objects[u][0] for u in range(len(up_objects))}
-    functor = ExpansionFunctor(upstairs=upstairs, downstairs=base, object_map=obj_map, morphism_map=mor_map)
+    functor = lifted_expansion(
+        base, up_objects, up_labels, lambda src, dst: [f for f in base.hom(src[0], dst[0]) if lifts(f, src, dst)]
+    )
     functor._coloring_objects = up_objects  # type: ignore[attr-defined]
     functor._coloring_spec = spec  # type: ignore[attr-defined]
     return functor

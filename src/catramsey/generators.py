@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import CategoryError, FiniteCategory
+from .core import CategoryError, FiniteCategory, concrete_category
 
 # Inj_6 has 2,365 morphisms, a 22 MB composition table; Inj_7 would have
 # 16,064 and need about 1 GB.
@@ -43,13 +43,7 @@ def _functions(family: str, a: int, b: int) -> list[tuple[int, ...]]:
     if family == "Inj":
         return sorted(itertools.permutations(range(b), a))
     # surjections a -> b
-    if a < b:
-        return []
-    out = []
-    for img in itertools.product(range(b), repeat=a):
-        if len(set(img)) == b:
-            out.append(img)
-    return out
+    return [img for img in itertools.product(range(b), repeat=a) if len(set(img)) == b]
 
 
 def generate(spec: UniverseSpec) -> FiniteCategory:
@@ -58,31 +52,13 @@ def generate(spec: UniverseSpec) -> FiniteCategory:
     Object i (0-based) has size i+1 and label "<family>_<size>".
     """
     family, n = spec.family, spec.max_size
-    objects = [f"{family}_{s}" for s in range(1, n + 1)]
-
-    morphisms: list[tuple[int, int, str]] = []
-    fn_of: list[tuple[int, ...]] = []
-    hom: dict[tuple[int, int], range] = {}  # morphisms are numbered hom-set by hom-set
-    index: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for a in range(n):
-        for b in range(n):
-            start = len(morphisms)
-            for img in _functions(family, a + 1, b + 1):
-                index[(a, b, img)] = len(morphisms)
-                morphisms.append((a, b, ",".join(map(str, img))))
-                fn_of.append(img)
-            hom[(a, b)] = range(start, len(morphisms))
-
-    def compose():
-        for (a, b), fs in hom.items():
-            for c in range(n):
-                for g in hom[(b, c)]:
-                    gi = fn_of[g]
-                    for f in fs:
-                        yield (g, f), index[(a, c, tuple(gi[x] for x in fn_of[f]))]
-
-    identities = [index[(s, s, tuple(range(s + 1)))] for s in range(n)]
-    return FiniteCategory(objects, morphisms, compose(), identities)
+    cat, _ = concrete_category(
+        [f"{family}_{s}" for s in range(1, n + 1)],
+        lambda a, b: ((img, ",".join(map(str, img))) for img in _functions(family, a + 1, b + 1)),
+        lambda g, f: tuple([g[x] for x in f]),
+        lambda a: tuple(range(a + 1)),
+    )
+    return cat
 
 
 def object_of_size(cat: FiniteCategory, family: str, size: int) -> int:
@@ -102,54 +78,19 @@ def forgetful_LO_to_Inj(max_size: int):
     with respect to the chosen orders; forgetting the order is surjective on
     objects and injective on hom-sets.
     """
-    from .expansions import ExpansionFunctor
+    from .expansions import lifted_expansion
 
     inj = generate(UniverseSpec("Inj", max_size))
+    # (Inj object, order), where the Inj object of size s is s - 1
+    up_objects = [(s - 1, pi) for s in range(1, max_size + 1) for pi in itertools.permutations(range(s))]
+    up_labels = [f"LOset_{a + 1}_" + "".join(map(str, pi)) for a, pi in up_objects]
+    objs = range(max_size)
+    hom_fns = {(a, b): list(zip(inj.hom(a, b), _functions("Inj", a + 1, b + 1))) for a in objs for b in objs}
 
-    up_objects: list[tuple[int, tuple[int, ...]]] = []  # (size, order)
-    for s in range(1, max_size + 1):
-        for pi in itertools.permutations(range(s)):
-            up_objects.append((s, pi))
-    up_index = {ob: i for i, ob in enumerate(up_objects)}
-    up_labels = [f"LOset_{s}_" + "".join(map(str, pi)) for s, pi in up_objects]
+    def lifting(src, dst):
+        # f respects the orders: positions of f(pi(i)) in dst's order increase with i
+        (a, pi), (b, sigma) = src, dst
+        pos = {v: i for i, v in enumerate(sigma)}
+        return [e for e, f in hom_fns[a, b] if all(pos[f[x]] < pos[f[y]] for x, y in zip(pi, pi[1:]))]
 
-    def monotone(f: tuple[int, ...], src: tuple[int, ...], dst: tuple[int, ...]) -> bool:
-        # f respects the orders: positions of f(src[i]) in dst increase with i
-        pos = {v: i for i, v in enumerate(dst)}
-        seq = [pos[f[x]] for x in src]
-        return all(seq[i] < seq[i + 1] for i in range(len(seq) - 1))
-
-    up_morphisms: list[tuple[int, int, str]] = []
-    up_fn: list[tuple[int, ...]] = []
-    up_mindex: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    mor_map: dict[int, int] = {}  # upstairs morphism -> downstairs morphism
-    inj_index = {}
-    for m in range(inj.n_morphisms):
-        key = (inj.mor_dom[m], inj.mor_cod[m], tuple(int(x) for x in inj.mor_labels[m].split(",")))
-        inj_index[key] = m
-    for u in range(len(up_objects)):
-        su, piu = up_objects[u]
-        for v in range(len(up_objects)):
-            sv, piv = up_objects[v]
-            for f in itertools.permutations(range(sv), su):
-                if monotone(f, piu, piv):
-                    mid = len(up_morphisms)
-                    up_morphisms.append((u, v, ",".join(map(str, f))))
-                    up_fn.append(f)
-                    up_mindex[(u, v, f)] = mid
-                    mor_map[mid] = inj_index[(su - 1, sv - 1, f)]
-
-    compose = {}
-    for g in range(len(up_morphisms)):
-        gd, gc, _ = up_morphisms[g]
-        for f in range(len(up_morphisms)):
-            fd, fc, _ = up_morphisms[f]
-            if fc != gd:
-                continue
-            img = tuple(up_fn[g][x] for x in up_fn[f])
-            compose[(g, f)] = up_mindex[(fd, gc, img)]
-
-    ids = [up_mindex[(u, u, tuple(range(up_objects[u][0])))] for u in range(len(up_objects))]
-    upstairs = FiniteCategory(up_labels, up_morphisms, compose, ids)
-    obj_map = {u: up_objects[u][0] - 1 for u in range(len(up_objects))}
-    return ExpansionFunctor(upstairs=upstairs, downstairs=inj, object_map=obj_map, morphism_map=mor_map)
+    return lifted_expansion(inj, up_objects, up_labels, lifting)

@@ -143,18 +143,29 @@ def load_functor(stream: TextIO):
         raise ParseError(0, "functor file needs both category blocks")
     upstairs = _parse_category_lines(sections["upstairs"])
     downstairs = _parse_category_lines(sections["downstairs"])
-    obj_map: dict[int, int] = {}
-    mor_map: dict[int, int] = {}
+    maps: dict[str, dict[int, int]] = {"obj": {}, "mor": {}}
+    sizes = {
+        "obj": (upstairs.n_objects, downstairs.n_objects),
+        "mor": (upstairs.n_morphisms, downstairs.n_morphisms),
+    }
     for ln, line in sections["umap"]:
         parts = line.split()
         if len(parts) != 4 or parts[1] not in ("obj", "mor"):
             raise ParseError(ln, "expected `umap obj|mor <up> <down>`")
-        up, down = int(parts[2]), int(parts[3])
-        target = obj_map if parts[1] == "obj" else mor_map
-        if up in target:
-            raise ParseError(ln, f"duplicate umap entry for {parts[1]} {up}")
-        target[up] = down
-    return ExpansionFunctor(upstairs=upstairs, downstairs=downstairs, object_map=obj_map, morphism_map=mor_map)
+        kind, up, down = parts[1], int(parts[2]), int(parts[3])
+        n_up, n_down = sizes[kind]
+        if not (0 <= up < n_up):
+            raise ParseError(ln, f"unknown upstairs {kind} {up}")
+        if not (0 <= down < n_down):
+            raise ParseError(ln, f"unknown downstairs {kind} {down}")
+        if up in maps[kind]:
+            raise ParseError(ln, f"duplicate umap entry for {kind} {up}")
+        maps[kind][up] = down
+    for kind, target in maps.items():
+        if len(target) != sizes[kind][0]:
+            missing = min(set(range(sizes[kind][0])) - set(target))
+            raise ParseError(0, f"no umap entry for upstairs {kind} {missing}")
+    return ExpansionFunctor(upstairs=upstairs, downstairs=downstairs, object_map=maps["obj"], morphism_map=maps["mor"])
 
 
 def load_functor_file(path: str):
@@ -171,6 +182,12 @@ def dump_functor(functor, stream: TextIO) -> None:
         stream.write(f"umap obj {up} {functor.object_map[up]}\n")
     for up in sorted(functor.morphism_map):
         stream.write(f"umap mor {up} {functor.morphism_map[up]}\n")
+
+
+def dumps_functor(functor) -> str:
+    buf = _io.StringIO()
+    dump_functor(functor, buf)
+    return buf.getvalue()
 
 
 def dump_functor_file(functor, path: str) -> None:

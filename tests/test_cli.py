@@ -149,6 +149,38 @@ def test_expansion_build_coloring(tmp_path, capsys):
     assert U.validate_functor()["status"] == "ok"
 
 
+def test_build_coloring_on_a_tampered_base_is_a_usage_error(tmp_path, capsys):
+    # Inj_2 with 4*1 rewritten: it loads, validate reports associativity
+    # violation [4, 4, 2], and a lifted composite then has no upstairs morphism
+    text = catio.dumps_category(generate(UniverseSpec("Inj", 2)))
+    assert "\ncmp 4 1 2\n" in text
+    base_path = tmp_path / "inj2_tampered.txt"
+    base_path.write_text(text.replace("\ncmp 4 1 2\n", "\ncmp 4 1 1\n"))
+    code, doc = _run(capsys, "validate", "--cat", str(base_path))
+    assert code == 1 and doc["associativity_violations"] == [[4, 4, 2]]
+    code = main(["expansion", "build-coloring", "--base", str(base_path), "--degrees", "0=2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "is not a morphism" in json.loads(captured.err)["error"]
+
+
+def test_expansion_check_on_a_malformed_functor_is_a_usage_error(tmp_path, capsys):
+    from catramsey.generators import forgetful_LO_to_Inj
+
+    text = catio.dumps_functor(forgetful_LO_to_Inj(2))
+    cases = [
+        ("\numap mor 0 0\n", "\n", "no umap entry for upstairs mor 0"),
+        ("\numap mor 1 1\n", "\numap mor 1 999\n", "unknown downstairs mor 999"),
+    ]
+    for old, new, message in cases:
+        assert old in text
+        path = tmp_path / "functor.txt"
+        path.write_text(text.replace(old, new))
+        assert main(["expansion", "check", "--functor", str(path)]) == 3
+        assert message in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_verify_aut_bridge_and_dual(inj3_file, surj3_file, capsys, inj3):
     a2 = obj(inj3, "Inj", 2)
     code, doc = _run(capsys, "verify", "aut-bridge", "--cat", inj3_file, "--A", str(a2))

@@ -7,6 +7,7 @@ from catramsey.core import (
     MAX_MORPHISMS,
     CategoryError,
     FiniteCategory,
+    concrete_category,
     one_object_category,
     product,
     validate,
@@ -32,6 +33,40 @@ def test_oversized_category_refused_before_allocating():
 def test_composition_entry_naming_unknown_morphism_refused():
     with pytest.raises(CategoryError, match="unknown morphism"):
         FiniteCategory(["x"], [(0, 0, "id")], {(0, 0): 0, (0, 1): 0}, identities=[0])
+
+
+def _two_point_maps(compose=lambda g, f: tuple(g[x] for x in f), identity=lambda a: (0, 1)):
+    # the maps of a 2-point set with values as image tuples
+    maps = [(0, 1), (1, 0), (0, 0), (1, 1)]
+    return concrete_category(["2"], lambda a, b: ((v, str(v)) for v in maps), compose, identity)
+
+
+def test_concrete_category_numbers_by_value_and_streams_composition():
+    cat, values = _two_point_maps()
+    assert values == [(0, 1), (1, 0), (0, 0), (1, 1)]
+    assert cat.identities == (0,)
+    assert cat.compose(1, 1) == 0 and cat.compose(2, 1) == 2 and cat.compose(1, 2) == 3
+    assert validate(cat).ok
+
+
+def test_concrete_category_refuses_what_it_did_not_build():
+    with pytest.raises(CategoryError, match="composite"):
+        _two_point_maps(compose=lambda g, f: (9, 9))
+    with pytest.raises(CategoryError, match="identity"):
+        _two_point_maps(identity=lambda a: (2, 2))
+
+
+def test_concrete_category_stops_at_the_morphism_cap():
+    listed = []
+
+    def arrows(a, b):
+        for i in range(2 * MAX_MORPHISMS):
+            listed.append(i)
+            yield i, str(i)
+
+    with pytest.raises(CategoryError, match="cap"):
+        concrete_category(["x"], arrows, lambda g, f: g, lambda a: 0)
+    assert len(listed) == MAX_MORPHISMS + 1
 
 
 def test_closure_violation_reported_and_kept():

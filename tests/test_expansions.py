@@ -155,6 +155,25 @@ def test_duplicate_lift_breaks_uniqueness():
     assert rep["reason"] == "hypotheses fail"
 
 
+@pytest.mark.parametrize(
+    "drop_object, expected",
+    [
+        (True, ["object_map not total"]),
+        (False, ["morphism_map not total", "morphism_map names an unknown downstairs id"]),
+    ],
+)
+def test_partial_functor_map_reported_without_lookup(forgetful3, drop_object, expected):
+    U = forgetful3
+    object_map, morphism_map = dict(U.object_map), dict(U.morphism_map)
+    if drop_object:
+        del object_map[0]
+    else:
+        del morphism_map[0]
+        morphism_map[1] = 999
+    rep = ExpansionFunctor(U.upstairs, U.downstairs, object_map, morphism_map).validate_functor()
+    assert rep == {"status": "violation", "problems": expected}
+
+
 def test_identity_expansion(lo4):
     U = identity_expansion(lo4)
     assert U.validate_functor()["status"] == "ok"

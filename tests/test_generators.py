@@ -70,6 +70,12 @@ def test_forgetful_fibers():
     assert validate(U.upstairs).ok
 
 
+def test_forgetful_over_the_morphism_cap_is_refused():
+    # 40,635 upstairs morphisms: refused while numbering, before any composition
+    with pytest.raises(CategoryError, match="cap"):
+        forgetful_LO_to_Inj(5)
+
+
 def test_forgetful_restriction_is_induced_order():
     # restricting an ordered 3-set along an injection from a 2-set must give
     # the order pulled back through the injection

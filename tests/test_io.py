@@ -1,10 +1,12 @@
 import hashlib
+import io
 
 import pytest
 
 from catramsey import io as catio
 from catramsey.core import validate
-from catramsey.generators import UniverseSpec, generate, forgetful_LO_to_Inj
+from catramsey.expansions import ColoringExpansionSpec, build_coloring_expansion
+from catramsey.generators import UniverseSpec, generate, forgetful_LO_to_Inj, object_of_size
 
 
 def test_category_round_trip(lo4):
@@ -21,12 +23,33 @@ def test_category_round_trip(lo4):
         ("LO", 4, "b1f8b2dac26882d622cdc77443d6d202ad08572c556e105aafb275f397297d6e"),
         ("Inj", 3, "ad6e77209232cd3a9c5f70a0ddece7f2ad95c6971474972773a584370cef8b89"),
         ("Surj", 3, "860fa182364244bfc785530e9776ce8349511d508d4fb4c783824c19359af422"),
+        ("Inj", 5, "64e8a465a8160b7a6b384007264edf2d0122b6e0f481297e12487b4c599e46b9"),
+        ("Surj", 5, "a165df5b9440527cacb18c676bb1cc2b5aab3ef9832a8d84638868a5b327d15f"),
     ],
 )
 def test_dump_bytes_are_stable(family, size, digest):
     # cache keys hash these bytes, so any change to them orphans every cache
     text = catio.dumps_category(generate(UniverseSpec(family, size)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _matrix_coloring_expansion():
+    inj = generate(UniverseSpec("Inj", 2))
+    a1, a2 = object_of_size(inj, "Inj", 1), object_of_size(inj, "Inj", 2)
+    return build_coloring_expansion(ColoringExpansionSpec(inj, (a1, a2), ((a1, 1), (a2, 2))))
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: forgetful_LO_to_Inj(3), "32a11a981191273fde381921c00b813d39755b0a4f1b03f782a00a5dd6285ae9"),
+        (_matrix_coloring_expansion, "d871400140c84983e52e36294276a7096c21b12ecaa6e11445b05f98717bb85f"),
+    ],
+    ids=["forgetful_3", "coloring_inj_2"],
+)
+def test_functor_dump_bytes_are_stable(build, digest):
+    # morphism ids, labels, composition and the maps of both expansions
+    assert hashlib.sha256(catio.dumps_functor(build()).encode()).hexdigest() == digest
 
 
 def test_duplicate_object_id_rejected():
@@ -67,6 +90,26 @@ def test_functor_round_trip(tmp_path):
     assert back.object_map == U.object_map
     assert back.morphism_map == U.morphism_map
     assert back.validate_functor()["status"] == "ok"
+
+
+def _forgetful2_dump_with(old: str, new: str) -> str:
+    text = catio.dumps_functor(forgetful_LO_to_Inj(2))
+    assert f"\n{old}\n" in text
+    return text.replace(f"\n{old}\n", f"\n{new}\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("umap mor 0 0", "", "no umap entry for upstairs mor 0"),
+        ("umap mor 1 1", "umap mor 1 999", "unknown downstairs mor 999"),
+        ("umap obj 2 1", "umap obj 2 7", "unknown downstairs obj 7"),
+        ("umap obj 2 1", "umap obj 9 1", "unknown upstairs obj 9"),
+    ],
+)
+def test_functor_map_must_cover_known_ids(old, new, message):
+    with pytest.raises(catio.ParseError, match=message):
+        catio.load_functor(io.StringIO(_forgetful2_dump_with(old, new)))
 
 
 def test_file_round_trip(tmp_path, surj3):
