@@ -67,15 +67,16 @@ static int canonical(State *s, int depth)
 }
 
 /* Explore the subtree under a restricted-growth prefix.  Returns 1 with the
-   witness left in color, 0 when the subtree holds none, -1 when the node
-   budget ran out first; *nodes counts the assignments tried.  counts must be
-   zeroed, n_bundles * k long; distinct and assigned n_bundles long, zeroed;
-   color n_points long; ren k long; used and next n_points + 1 long. */
+   witness left in color, 0 when the subtree holds none, -1 when the search
+   ended early: the node budget ran out, or another thread set *stop, which
+   is read at every node.  *nodes counts the assignments tried.  counts must
+   be zeroed, n_bundles * k long; distinct and assigned n_bundles long,
+   zeroed; color n_points long; ren k long; used and next n_points + 1 long. */
 int search_from_prefix(int n_points, int k, int t, const int *bundle_sizes,
                        const int *pb_off, const int *pb, int n_perms, const int *perms,
                        int prefix_len, const int *prefix, long long budget, long long *nodes,
                        int *counts, int *distinct, int *assigned, int *color, int *ren,
-                       int *used, int *next)
+                       int *used, int *next, const volatile int *stop)
 {
     State s = {n_points, k, t, n_perms, bundle_sizes, pb_off, pb, perms,
                counts, distinct, assigned, color, ren};
@@ -111,7 +112,7 @@ int search_from_prefix(int n_points, int k, int t, const int *bundle_sizes,
             continue;
         }
         next[depth] = c + 1;
-        if (++*nodes > budget)
+        if (++*nodes > budget || *stop)
             return -1;
         if (assign(&s, depth, c) && canonical(&s, depth + 1)) {
             depth++;

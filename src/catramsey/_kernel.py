@@ -34,7 +34,7 @@ _search.argtypes = [
     _int_p, _int_p, ctypes.c_int, _int_p,  # pb_off, pb, n_perms, perms
     ctypes.c_int, _int_p, ctypes.c_longlong, ctypes.POINTER(ctypes.c_longlong),  # prefix, budget, nodes
     _int_p, _int_p, _int_p, _int_p, _int_p,  # counts, distinct, assigned, color, ren
-    _int_p, _int_p,  # used, next
+    _int_p, _int_p, _int_p,  # used, next, stop
 ]
 
 # a budget no search can spend; a larger one would overflow long long, and
@@ -56,8 +56,17 @@ def _zeros(size):
     return (ctypes.c_int * size)()
 
 
-def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget):
-    """Same contract as _kernel_py.search_from_prefix.
+def _flag(stop):
+    """stop[0] as a C int over the caller's memory, not a copy, so that a
+    flag set by another thread reaches the running search."""
+    if not (isinstance(stop, array) and stop.typecode == "i" and stop):
+        raise ValueError("stop must be an array('i') with at least one element")
+    return ctypes.c_int.from_buffer(stop)
+
+
+def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop=None):
+    """Same contract as _kernel_py.search_from_prefix; stop=None is a flag
+    that is never set.
 
     Raises ValueError on input that would make the C code index out of
     bounds or overflow an int; the pure kernel would raise IndexError or
@@ -88,6 +97,7 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
         len(prefix), _ints(prefix), max(0, min(budget, _BUDGET_CAP)), ctypes.byref(nodes),
         _zeros(n_bundles * k), _zeros(n_bundles), _zeros(n_bundles), color, _zeros(k),
         _zeros(n_points + 1), _zeros(n_points + 1),
+        ctypes.byref(ctypes.c_int() if stop is None else _flag(stop)),
     )
     if r == 1:
         return list(color), nodes.value, True

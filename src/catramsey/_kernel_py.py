@@ -17,13 +17,14 @@ from __future__ import annotations
 IMPL = "python"
 
 
-def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget):
+def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop=(0,)):
     """Explore the subtree under a restricted-growth prefix.
 
     Returns (witness, nodes, exhausted): witness is a full color list when a
     coloring with all bundles seeing > t colors exists in the subtree, nodes
-    counts assignments tried, exhausted is False only when the node budget
-    was hit before the subtree was fully explored.
+    counts assignments tried, exhausted is False only when the search ended
+    early: the node budget was hit, or another thread set stop[0] (a
+    one-element array("i"); the default is a flag that is never set).
     """
     n_bundles = len(bundle_sizes)
     counts = [[0] * k for _ in range(n_bundles)]
@@ -105,7 +106,7 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
             continue
         nxt[depth] = c + 1
         nodes += 1
-        if nodes > budget:
+        if nodes > budget or stop[0]:
             return None, nodes, False
         if assign(depth, c) and canonical(depth + 1):
             depth += 1

@@ -19,7 +19,7 @@ from .arrows import ArrowQuery, ArrowVerdict, check_arrow, _domain_bundles_perms
 from .kernel import DEFAULT_BUDGET
 from . import io as catio
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 CACHE_DIR_ENV = "CATRAMSEY_CACHE_DIR"
 
 # recompute one in this many holding verdicts on read, chosen by key so the

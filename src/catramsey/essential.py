@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CategoryError, FiniteCategory
-from .kernel import DEFAULT_BUDGET
+from .kernel import DEFAULT_BUDGET, restricted_growth
 from .arrows import ArrowQuery, check_arrow
 
 PARTITION_DOMAIN_CAP = 12
@@ -82,25 +82,6 @@ def _replay_essential(cat: FiniteCategory, q: EssentialQuery, lam: dict[int, int
     return True
 
 
-def _rgs_partitions(n: int, max_blocks: int | None = None):
-    """All set partitions of range(n) as restricted-growth strings."""
-    s = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            yield list(s)
-            return
-        cap = used + 1 if max_blocks is None else min(used + 1, max_blocks)
-        for c in range(cap):
-            s[i] = c
-            yield from rec(i + 1, used + 1 if c == used else used)
-
-    if n == 0:
-        yield []
-        return
-    yield from rec(0, 0)
-
-
 def essential_exists_by_partitions(cat: FiniteCategory, q: EssentialQuery) -> bool:
     """Independent oracle: enumerate candidate lambdas and ambient kernels.
 
@@ -115,9 +96,9 @@ def essential_exists_by_partitions(cat: FiniteCategory, q: EssentialQuery) -> bo
             f"|hom(A, ambient)| = {len(hom_af)} exceeds partition cap {PARTITION_DOMAIN_CAP}"
         )
     hom_bf = cat.hom(q.B, q.ambient)
-    kernels = [dict(zip(hom_af, p)) for p in _rgs_partitions(len(hom_af))]
+    kernels = [dict(zip(hom_af, p)) for p in restricted_growth(len(hom_af), len(hom_af))]
 
-    for lam_str in _rgs_partitions(len(hom_ab), max_blocks=q.t):
+    for lam_str in restricted_growth(len(hom_ab), q.t):
         lam = dict(zip(hom_ab, lam_str))
         good = True
         for ker in kernels:

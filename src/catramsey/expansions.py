@@ -68,7 +68,8 @@ class ExpansionFunctor:
             if self.morphism_map[up.identity(o)] != down.identity(self.object_map[o]):
                 problems.append(f"identity of {o} not preserved")
         for g, f, gf in up.compose_entries():
-            if down.compose(self.morphism_map[g], self.morphism_map[f]) != self.morphism_map[gf]:
+            dg, df = self.morphism_map[g], self.morphism_map[f]
+            if not down.composable(dg, df) or down.compose(dg, df) != self.morphism_map[gf]:
                 problems.append(f"composition not preserved at ({g},{f})")
         for a in range(up.n_objects):
             for b in range(up.n_objects):
@@ -501,16 +502,23 @@ def build_coloring_expansion(spec: ColoringExpansionSpec) -> ExpansionFunctor:
                 f"coloring expansion has more than {TOTAL_OBJECT_CAP} objects; shrink the base or the degree map"
             )
 
-    def color_of(obj: tuple[int, tuple[tuple[int, ...], ...]], a_pos: int, e: int) -> int:
-        c, theta = obj
-        hl = spec.base.hom(spec.small_objects[a_pos], c)
-        return theta[a_pos][hl.index(e)]
+    # position[a_pos][c][e]: the index of e in hom(small_objects[a_pos], c),
+    # which is where theta[a_pos] holds the colour of e
+    position = [
+        [{e: i for i, e in enumerate(base.hom(a, c))} for c in range(base.n_objects)]
+        for a in spec.small_objects
+    ]
 
     def lifts(f: int, src, dst) -> bool:
-        c, _ = src
-        for a_pos, a in enumerate(spec.small_objects):
-            for e in base.hom(a, c):
-                if color_of(dst, a_pos, base.compose(f, e)) != color_of(src, a_pos, e):
+        (c, theta), (d, delta) = src, dst
+        for a_pos, by_object in enumerate(position):
+            into_d = by_object[d]
+            for e, i in by_object[c].items():
+                fe = base.compose(f, e)
+                j = into_d.get(fe)
+                if j is None:
+                    raise CategoryError(f"composite {f}*{e} = {fe} does not end at object {d}")
+                if delta[a_pos][j] != theta[a_pos][i]:
                     return False
         return True
 

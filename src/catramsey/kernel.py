@@ -9,6 +9,7 @@ match bit for bit.
 
 from __future__ import annotations
 
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -105,32 +106,31 @@ def build_problem(
     )
 
 
-def _rgs_prefixes(depth: int, k: int) -> list[list[int]]:
-    """All restricted-growth strings of the given length with values < k."""
-    out: list[list[int]] = []
+def restricted_growth(length: int, k: int):
+    """Lazily, in lexicographic order, every restricted-growth string of the
+    given length with values < k: each value is at most one more than the
+    largest before it, so every set partition of range(length) into at most
+    k blocks appears exactly once."""
+    s = [0] * length
 
-    def rec(s: list[int], used: int):
-        if len(s) == depth:
-            out.append(list(s))
+    def rec(i: int, used: int):
+        if i == length:
+            yield list(s)
             return
         for c in range(min(used + 1, k)):
-            s.append(c)
-            rec(s, used + 1 if c == used else used)
-            s.pop()
+            s[i] = c
+            yield from rec(i + 1, used + (c == used))
 
-    rec([], 0)
-    return out
+    yield from rec(0, 0)
 
 
 def branch_prefixes(n_points: int, k: int) -> list[list[int]]:
     """Fixed branch decomposition, independent of thread count."""
-    if n_points == 0:
-        return [[]]
-    for depth in range(1, min(n_points, MAX_BRANCH_DEPTH) + 1):
-        prefixes = _rgs_prefixes(depth, k)
-        if len(prefixes) >= MIN_BRANCHES or depth == min(n_points, MAX_BRANCH_DEPTH):
+    deepest = min(n_points, MAX_BRANCH_DEPTH)
+    for depth in range(deepest + 1):
+        prefixes = list(restricted_growth(depth, k))
+        if len(prefixes) >= MIN_BRANCHES or depth == deepest:
             return prefixes
-    return [[]]
 
 
 @dataclass
@@ -141,14 +141,19 @@ class SearchOutcome:
 
 
 def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1) -> SearchOutcome:
-    """Run the branch decomposition and fold deterministically.
+    """Fold the branch results in prefix order, as the serial run does.
 
-    Branches are scanned in canonical order: the first branch holding a
-    witness wins and node counts of later branches are not reported, so the
-    outcome does not depend on the thread count.
+    `budget` bounds the node total of the serial run, which searches the
+    branches in order and stops at the first witness; the outcome is
+    inconclusive, with nodes = budget + 1, exactly when it needs more.
+    threads > 1 only start later branches early, each capped at the budget
+    left then, and the stop flag ends them once the fold is decided.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     prefixes = branch_prefixes(problem.n_points, problem.k)
-    per_branch = max(1, budget // max(len(prefixes), 1))
+    stop = array("i", [0])
+    nodes = 0  # folded total: only grows, so a branch's cap is never below its serial one
 
     def run(prefix: list[int]):
         return _impl.search_from_prefix(
@@ -160,29 +165,23 @@ def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1
             problem.pb,
             problem.perms,
             prefix,
-            per_branch,
+            budget - nodes,
+            stop,
         )
 
-    if threads <= 1:
-        results = []
-        for prefix in prefixes:
-            res = run(prefix)
-            results.append(res)
-            if res[0] is not None:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, prefixes))
-
-    nodes = 0
-    exhausted = True
-    for witness, n, ex in results:
-        nodes += n
-        if witness is not None:
-            colors = [0] * problem.n_points
-            for i, it in enumerate(problem.order):
-                colors[it] = witness[i]
-            return SearchOutcome(witness=colors, nodes=nodes, exhausted=True)
-        if not ex:
-            exhausted = False
-    return SearchOutcome(witness=None, nodes=nodes, exhausted=exhausted)
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    try:
+        for witness, n, _ in (map if pool is None else pool.map)(run, prefixes):
+            if n > budget - nodes:
+                return SearchOutcome(witness=None, nodes=budget + 1, exhausted=False)
+            nodes += n
+            if witness is not None:
+                colors = [0] * problem.n_points
+                for i, it in enumerate(problem.order):
+                    colors[it] = witness[i]
+                return SearchOutcome(witness=colors, nodes=nodes, exhausted=True)
+        return SearchOutcome(witness=None, nodes=nodes, exhausted=True)
+    finally:
+        stop[0] = 1
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)

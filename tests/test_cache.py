@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from catramsey.arrows import ArrowQuery, check_arrow
+from catramsey import cache as cache_module
+from catramsey.arrows import ArrowQuery, ArrowVerdict, check_arrow
 from catramsey.cache import ResultCache, cached_check_arrow, category_digest
 from conftest import obj
 
@@ -24,6 +25,20 @@ def test_round_trip_and_counters(tmp_path, lo6):
     second = cached_check_arrow(cache, lo6, q)
     assert cache.stats()["hits"] == 1
     assert (first.holds, first.witness, first.domain) == (second.holds, second.witness, second.domain)
+
+
+def test_entry_of_an_older_format_version_is_not_read(tmp_path, lo6, monkeypatch):
+    # format 2 split the budget over the branches: LO_6 -> (LO_3)^{LO_2}_{2,1}
+    # was stored inconclusive at budget 858, where format 3 finds it holds
+    cache = ResultCache(str(tmp_path))
+    q = ArrowQuery(obj(lo6, "LO", 2), obj(lo6, "LO", 3), obj(lo6, "LO", 6), 2, 1)
+    monkeypatch.setattr(cache_module, "FORMAT_VERSION", 2)
+    stale = ArrowVerdict(None, None, check_arrow(lo6, q).domain, 366, note="node budget exceeded")
+    cache.put(_key_for(cache, lo6, q, budget=858), cache_module._verdict_to_entry(stale))
+    monkeypatch.undo()
+    v = cached_check_arrow(cache, lo6, q, budget=858)
+    assert (v.holds, v.nodes) == (True, 858)
+    assert cache.stats() == {"hits": 0, "misses": 1, "evictions": 0}
 
 
 def test_persists_across_instances(tmp_path, lo6):

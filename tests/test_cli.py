@@ -80,6 +80,15 @@ def test_arrow_budget_inconclusive(lo6_file, capsys, lo6):
     assert doc["holds"] is None
 
 
+def test_negative_budget_is_a_usage_error(lo6_file, capsys, lo6):
+    A, B, C = obj(lo6, "LO", 2), obj(lo6, "LO", 3), obj(lo6, "LO", 6)
+    code = main(["--budget", "-1", "arrow", "--cat", lo6_file, "--A", str(A), "--B", str(B), "--C", str(C)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "budget must be >= 0" in json.loads(captured.err)["error"]
+
+
 def test_arrow_dual_routes(surj3_file, capsys):
     for flag in ("--dual", "--native-dual"):
         code, doc = _run(capsys, "arrow", "--cat", surj3_file, "--A", "2", "--B", "1", "--C", "0", "--k", "2", "--t", "1", flag)
@@ -163,6 +172,12 @@ def test_build_coloring_on_a_tampered_base_is_a_usage_error(tmp_path, capsys):
     assert code == 3
     assert captured.out == ""
     assert "is not a morphism" in json.loads(captured.err)["error"]
+    # 4*1 rewritten to a morphism of another hom-set: the colour lookup of
+    # the composite must fail as a usage error, not with a KeyError
+    base_path.write_text(text.replace("\ncmp 4 1 2\n", "\ncmp 4 1 0\n"))
+    code = main(["expansion", "build-coloring", "--base", str(base_path), "--degrees", "0=2"])
+    assert code == 3
+    assert "does not end at object" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_expansion_check_on_a_malformed_functor_is_a_usage_error(tmp_path, capsys):
@@ -179,6 +194,20 @@ def test_expansion_check_on_a_malformed_functor_is_a_usage_error(tmp_path, capsy
         path.write_text(text.replace(old, new))
         assert main(["expansion", "check", "--functor", str(path)]) == 3
         assert message in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_expansion_check_reports_a_map_that_breaks_composition(tmp_path, capsys):
+    # upstairs mor 1 sent to a downstairs morphism that does not compose
+    # with the image of its partner: a violation, not a usage error
+    from catramsey.generators import forgetful_LO_to_Inj
+
+    text = catio.dumps_functor(forgetful_LO_to_Inj(2))
+    assert "\numap mor 1 1\n" in text
+    path = tmp_path / "functor.txt"
+    path.write_text(text.replace("\numap mor 1 1\n", "\numap mor 1 3\n"))
+    code, doc = _run(capsys, "expansion", "check", "--functor", str(path))
+    assert code == 1 and doc["status"] == "violation"
+    assert any(p.startswith("composition not preserved at") for p in doc["checks"]["functor"]["problems"])
 
 
 def test_verify_aut_bridge_and_dual(inj3_file, surj3_file, capsys, inj3):

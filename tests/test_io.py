@@ -39,13 +39,19 @@ def _matrix_coloring_expansion():
     return build_coloring_expansion(ColoringExpansionSpec(inj, (a1, a2), ((a1, 1), (a2, 2))))
 
 
+def _surj3_coloring_expansion():
+    surj = generate(UniverseSpec("Surj", 3))
+    return build_coloring_expansion(ColoringExpansionSpec(surj, (2,), ((2, 2),)))
+
+
 @pytest.mark.parametrize(
     "build, digest",
     [
         (lambda: forgetful_LO_to_Inj(3), "32a11a981191273fde381921c00b813d39755b0a4f1b03f782a00a5dd6285ae9"),
         (_matrix_coloring_expansion, "d871400140c84983e52e36294276a7096c21b12ecaa6e11445b05f98717bb85f"),
+        (_surj3_coloring_expansion, "59628440a1855a48e3e3977093688dc47a5601fdab8424e4d40e494190e6d173"),
     ],
-    ids=["forgetful_3", "coloring_inj_2"],
+    ids=["forgetful_3", "coloring_inj_2", "coloring_surj_3"],
 )
 def test_functor_dump_bytes_are_stable(build, digest):
     # morphism ids, labels, composition and the maps of both expansions

@@ -2,13 +2,17 @@ import importlib.util
 import itertools
 import shutil
 import subprocess
+import time
+from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from catramsey import _kernel_py, kernel
+from catramsey.arrows import ArrowQuery, check_arrow
 from catramsey.kernel import SearchProblem, branch_prefixes, build_problem, solve
+from conftest import obj
 
 PATH_POINTS = 1200
 PATH_BUNDLES = [frozenset({i, i + 1}) for i in range(PATH_POINTS - 1)]
@@ -93,25 +97,26 @@ def searches(draw):
     return build_problem(n, bundles, k, t, perms), budget
 
 
-@given(search=searches())
-@example(search=(build_problem(PATH_POINTS, PATH_BUNDLES, 2, 1, []), 10**6))
-@example(search=(build_problem(9, TRIPLES_9, 4, 1, []), 20_000))
-@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 20_000))
-@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 300))
+@given(search=searches(), stopped=st.booleans())
+@example(search=(build_problem(PATH_POINTS, PATH_BUNDLES, 2, 1, []), 10**6), stopped=False)
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, []), 20_000), stopped=False)
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 20_000), stopped=False)
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 300), stopped=False)
 @settings(max_examples=100, deadline=None)
-def test_pure_and_compiled_agree(compiled_kernel, search):
+def test_pure_and_compiled_agree(compiled_kernel, search, stopped):
     # the empty prefix walks the whole tree; the branch prefixes are the
-    # subtrees solve() hands out
+    # subtrees solve() hands out; a set stop flag ends both at the first node
     pr, budget = search
+    stop = array("i", [int(stopped)])
     for prefix in [[]] + branch_prefixes(pr.n_points, pr.k):
-        args = (pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, prefix, budget)
+        args = (pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, prefix, budget, stop)
         assert compiled_kernel.search_from_prefix(*args) == _kernel_py.search_from_prefix(*args)
 
 
 def test_compiled_kernel_refuses_malformed_input(compiled_kernel):
     pr = build_problem(4, [frozenset({0, 1}), frozenset({2, 3})], 2, 1, [(1, 0, 3, 2)])
     good = dict(n_points=4, k=2, t=1, bundle_sizes=pr.bundle_sizes, pb_off=pr.pb_off, pb=pr.pb,
-                perms=pr.perms, prefix=[0], budget=10**30)
+                perms=pr.perms, prefix=[0], budget=10**30, stop=array("i", [0]))
     expected = _kernel_py.search_from_prefix(**good)
     assert expected[0] is not None
     assert compiled_kernel.search_from_prefix(**good) == expected
@@ -124,6 +129,10 @@ def test_compiled_kernel_refuses_malformed_input(compiled_kernel):
         {"prefix": [0, 1, 0, 1, 0]},  # longer than n_points
         {"bundle_sizes": [2, 2**40]},  # would wrap in a C int
         {"k": 0},
+        {"stop": [0]},  # not a buffer: a copy would never see the flag set
+        {"stop": bytes(4)},  # read-only
+        {"stop": array("d", [0])},
+        {"stop": array("i")},  # no element
     ):
         with pytest.raises(ValueError):
             compiled_kernel.search_from_prefix(**{**good, **bad})
@@ -167,6 +176,51 @@ def test_thread_count_does_not_change_outcome():
     assert outs[0].witness == outs[1].witness == outs[2].witness
     assert outs[0].nodes == outs[1].nodes == outs[2].nodes
     assert outs[0].exhausted == outs[1].exhausted == outs[2].exhausted
+    # small budgets run out inside and between branches: a witness after 19
+    # nodes, and no witness after 80
+    for step, k, t in ((3, 2, 1), (4, 2, 1), (4, 4, 2)):
+        pr = build_problem(n, [frozenset({i, (i + 1) % n, (i + step) % n}) for i in range(n)], k, t, [])
+        for budget in range(61):
+            outs = {(tuple(o.witness or ()), o.nodes, o.exhausted)
+                    for o in (solve(pr, budget=budget, threads=th) for th in (1, 4, 8))}
+            assert len(outs) == 1, (step, k, t, budget, outs)
+
+
+def test_budget_is_the_serial_node_total(lo6):
+    # LO_6 -> (LO_3)^{LO_2}_{2,1} needs 858 nodes over several branches
+    q = ArrowQuery(obj(lo6, "LO", 2), obj(lo6, "LO", 3), obj(lo6, "LO", 6), 2, 1)
+    for threads in (1, 2):
+        enough = check_arrow(lo6, q, budget=858, threads=threads)
+        assert (enough.holds, enough.nodes) == (True, 858)
+        short = check_arrow(lo6, q, budget=857, threads=threads)
+        assert (short.holds, short.nodes) == (None, 858)
+
+
+def test_witness_stops_the_branches_still_running(monkeypatch):
+    # branch 0 holds a witness; every other branch runs until it sees the
+    # stop flag, so the fold must set it and not wait for them to finish
+    n = 12
+    pr = build_problem(n, [frozenset(range(n))], 2, 1, [])
+    witness = [i % 2 for i in range(n)]
+    first = branch_prefixes(n, 2)[0]
+    saw_stop = []
+
+    def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop):
+        if prefix == first:
+            return witness, 1, True
+        deadline = time.monotonic() + 10
+        while not stop[0] and time.monotonic() < deadline:
+            time.sleep(0.001)
+        saw_stop.append(bool(stop[0]))
+        return None, 1, False
+
+    stub = type("Stub", (), {"search_from_prefix": staticmethod(search_from_prefix)})
+    monkeypatch.setattr(kernel, "_impl", stub)
+    out = solve(pr, threads=4)
+    assert out.witness == [witness[pr.order.index(it)] for it in range(n)]
+    assert (out.nodes, out.exhausted) == (1, True)
+    assert saw_stop and all(saw_stop)
+    assert len(saw_stop) < len(branch_prefixes(n, 2)) - 1  # queued branches never start
 
 
 def test_budget_exhaustion_is_reported():
