@@ -5,12 +5,26 @@
    It uses no Python API and allocates nothing; every array is owned by the
    caller (_kernel.py), which calls it through ctypes with the GIL released.
 
+   Canonicity is incremental, as in _kernel_py.  Row r of perms keeps pos[r],
+   the positions already tied with the color prefix (n_points once it can no
+   longer prune), and its color renumbering ren[r * k ...] with fresh[r]
+   colors renumbered.  It waits on key = max(pos, row[pos]) in the stack
+   bucket[key], kept as head[key] and link[r]; coloring point d advances only
+   the rows in bucket[d], and a row that stops on an uncolored point moves to
+   a bucket above d.  The trail holds (r, pos, fresh) triples, top[d] being
+   its length before point d moved any row; undo(d) pops the moved rows off
+   their buckets and puts them back in bucket[d] in their saved state.  A row
+   moves at most once per level along a path, so the trail needs
+   len(perms) * n_points triples.
+
    Build: cc -O3 -shared -fPIC _kernel.c -o libcatramsey_kernel.so */
 
 typedef struct {
-    int n_points, k, t, n_perms;
+    int n_points, k, t;
     const int *bundle_sizes, *pb_off, *pb, *perms;
-    int *counts, *distinct, *assigned, *color, *ren;
+    int *counts, *distinct, *assigned, *color;
+    int *pos, *fresh, *ren, *link, *head, *trail, *top;
+    int trail_len;
 } State;
 
 /* returns 0 when some touched bundle can no longer exceed t */
@@ -41,29 +55,75 @@ static void unassign(State *s, int p)
     }
 }
 
-/* 0 when some permuted, color-renumbered prefix is lex-smaller */
-static int canonical(State *s, int depth)
+/* advance the rows waiting on point d, the last one colored; 0 when one of
+   them maps the prefix to a lex-smaller one */
+static int canonical(State *s, int d)
 {
-    for (int pi = 0; pi < s->n_perms; pi++) {
-        const int *row = s->perms + (long)pi * s->n_points;
-        int nxt = 0;
-        for (int i = 0; i < s->k; i++)
-            s->ren[i] = -1;
-        for (int i = 0; i < depth; i++) {
+    int r = s->head[d];
+    while (r >= 0) {
+        s->head[d] = s->link[r];
+        const int *row = s->perms + (long)r * s->n_points;
+        int *rr = s->ren + (long)r * s->k;
+        int i = s->pos[r], m = s->fresh[r];
+        int *e = s->trail + 3L * s->trail_len++;
+        e[0] = r;
+        e[1] = i;
+        e[2] = m;
+        int x, ci;
+        for (;;) {
             int cj = s->color[row[i]];
-            if (cj < 0)
+            x = rr[cj];
+            if (x < 0)
+                x = m;
+            ci = s->color[i];
+            if (x != ci) {
+                i = s->n_points; /* retired, or pruning below */
                 break;
-            int r = s->ren[cj];
-            if (r < 0)
-                r = s->ren[cj] = nxt++;
-            int ci = s->color[i];
-            if (r < ci)
-                return 0;
-            if (r > ci)
+            }
+            if (x == m)
+                rr[cj] = m++;
+            if (++i == s->n_points)
                 break;
+            int q = row[i];
+            if (q < i)
+                q = i;
+            if (q > d) {
+                s->link[r] = s->head[q];
+                s->head[q] = r;
+                break;
+            }
         }
+        s->pos[r] = i;
+        s->fresh[r] = m;
+        if (x < ci)
+            return 0;
+        r = s->head[d];
     }
     return 1;
+}
+
+/* put the rows that point d moved back in bucket[d], as they were */
+static void undo(State *s, int d)
+{
+    while (s->trail_len > s->top[d]) {
+        const int *e = s->trail + 3L * --s->trail_len;
+        int r = e[0], i = e[1], m = e[2];
+        int j = s->pos[r];
+        if (j < s->n_points) {
+            int q = s->perms[(long)r * s->n_points + j];
+            s->head[q > j ? q : j] = s->link[r];
+        }
+        if (s->fresh[r] > m) {
+            int *rr = s->ren + (long)r * s->k;
+            for (int c = 0; c < s->k; c++)
+                if (rr[c] >= m)
+                    rr[c] = -1;
+            s->fresh[r] = m;
+        }
+        s->pos[r] = i;
+        s->link[r] = s->head[d];
+        s->head[d] = r;
+    }
 }
 
 /* Explore the subtree under a restricted-growth prefix.  Returns 1 with the
@@ -71,18 +131,33 @@ static int canonical(State *s, int depth)
    ended early: the node budget ran out, or another thread set *stop, which
    is read at every node.  *nodes counts the assignments tried.  counts must
    be zeroed, n_bundles * k long; distinct and assigned n_bundles long,
-   zeroed; color n_points long; ren k long; used and next n_points + 1 long. */
+   zeroed; color and head n_points long; pos, fresh and link n_perms long;
+   ren n_perms * k long; trail 3 * n_perms * n_points long; used, next and
+   top n_points + 1 long.  Only counts, distinct and assigned are read before
+   they are written. */
 int search_from_prefix(int n_points, int k, int t, const int *bundle_sizes,
                        const int *pb_off, const int *pb, int n_perms, const int *perms,
                        int prefix_len, const int *prefix, long long budget, long long *nodes,
-                       int *counts, int *distinct, int *assigned, int *color, int *ren,
-                       int *used, int *next, const volatile int *stop)
+                       int *counts, int *distinct, int *assigned, int *color,
+                       int *pos, int *fresh, int *ren, int *link, int *head, int *trail,
+                       int *used, int *next, int *top, const volatile int *stop)
 {
-    State s = {n_points, k, t, n_perms, bundle_sizes, pb_off, pb, perms,
-               counts, distinct, assigned, color, ren};
+    State s = {n_points, k, t, bundle_sizes, pb_off, pb, perms,
+               counts, distinct, assigned, color,
+               pos, fresh, ren, link, head, trail, top, 0};
     *nodes = 0;
-    for (int i = 0; i < n_points; i++)
+    for (int i = 0; i < n_points; i++) {
         color[i] = -1;
+        head[i] = -1;
+    }
+    for (int r = 0; r < n_perms && n_points; r++) {
+        int q = perms[(long)r * n_points];
+        pos[r] = fresh[r] = 0;
+        for (int c = 0; c < k; c++)
+            ren[(long)r * k + c] = -1;
+        link[r] = head[q];
+        head[q] = r;
+    }
 
     /* replay the prefix; a pruned prefix means an empty (exhausted) subtree */
     int max_used = 0;
@@ -92,7 +167,7 @@ int search_from_prefix(int n_points, int k, int t, const int *bundle_sizes,
             return 0;
         if (!assign(&s, p, c))
             return 0;
-        if (!canonical(&s, p + 1))
+        if (head[p] >= 0 && !canonical(&s, p))
             return 0;
         if (c == max_used)
             max_used++;
@@ -103,22 +178,29 @@ int search_from_prefix(int n_points, int k, int t, const int *bundle_sizes,
     int start = prefix_len, depth = start;
     used[depth] = max_used;
     next[depth] = 0;
+    top[depth] = s.trail_len;
     while (depth < n_points) {
         int c = next[depth], u = used[depth];
         if (c > u || c == k) {
             if (depth == start)
                 return 0;
-            unassign(&s, --depth);
+            --depth;
+            if (s.trail_len > top[depth])
+                undo(&s, depth);
+            unassign(&s, depth);
             continue;
         }
         next[depth] = c + 1;
         if (++*nodes > budget || *stop)
             return -1;
-        if (assign(&s, depth, c) && canonical(&s, depth + 1)) {
+        if (assign(&s, depth, c) && (head[depth] < 0 || canonical(&s, depth))) {
             depth++;
             used[depth] = u + (c == u);
             next[depth] = 0;
+            top[depth] = s.trail_len;
         } else {
+            if (s.trail_len > top[depth])
+                undo(&s, depth);
             unassign(&s, depth);
         }
     }

@@ -33,8 +33,9 @@ _search.argtypes = [
     ctypes.c_int, ctypes.c_int, ctypes.c_int, _int_p,  # n_points, k, t, bundle_sizes
     _int_p, _int_p, ctypes.c_int, _int_p,  # pb_off, pb, n_perms, perms
     ctypes.c_int, _int_p, ctypes.c_longlong, ctypes.POINTER(ctypes.c_longlong),  # prefix, budget, nodes
-    _int_p, _int_p, _int_p, _int_p, _int_p,  # counts, distinct, assigned, color, ren
-    _int_p, _int_p, _int_p,  # used, next, stop
+    _int_p, _int_p, _int_p, _int_p,  # counts, distinct, assigned, color
+    _int_p, _int_p, _int_p, _int_p, _int_p, _int_p,  # pos, fresh, ren, link, head, trail
+    _int_p, _int_p, _int_p, _int_p,  # used, next, top, stop
 ]
 
 # a budget no search can spend; a larger one would overflow long long, and
@@ -83,8 +84,11 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
         raise ValueError("pb_off must be nondecreasing")
     if pb and not (0 <= min(pb) and max(pb) < n_bundles):
         raise ValueError("pb names a bundle out of range")
+    n_perms = len(perms)
     if any(len(row) != n_points for row in perms):
         raise ValueError("every perms row must have n_points entries")
+    if not (n_perms * k < 2**31 and 3 * n_perms * n_points < 2**31):
+        raise ValueError("need n_perms * k and the trail, 3 * n_perms * n_points, in C int range")
     flat = [p for row in perms for p in row]
     if flat and not (0 <= min(flat) and max(flat) < n_points):
         raise ValueError("perms names a point out of range")
@@ -93,10 +97,12 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     color = _zeros(n_points)
     r = _search(
         n_points, k, t, _ints(bundle_sizes),
-        _ints(pb_off), _ints(pb), len(perms), _ints(flat),
+        _ints(pb_off), _ints(pb), n_perms, _ints(flat),
         len(prefix), _ints(prefix), max(0, min(budget, _BUDGET_CAP)), ctypes.byref(nodes),
-        _zeros(n_bundles * k), _zeros(n_bundles), _zeros(n_bundles), color, _zeros(k),
-        _zeros(n_points + 1), _zeros(n_points + 1),
+        _zeros(n_bundles * k), _zeros(n_bundles), _zeros(n_bundles), color,
+        _zeros(n_perms), _zeros(n_perms), _zeros(n_perms * k), _zeros(n_perms),
+        _zeros(n_points), _zeros(3 * n_perms * n_points),
+        _zeros(n_points + 1), _zeros(n_points + 1), _zeros(n_points + 1),
         ctypes.byref(ctypes.c_int() if stop is None else _flag(stop)),
     )
     if r == 1:

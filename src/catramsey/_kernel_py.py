@@ -4,7 +4,31 @@ Searches for a coloring of n_points points with k colors such that every
 bundle (a subset of points) receives more than t distinct colors.  Colorings
 are enumerated in restricted-growth form (first use of each color is in
 increasing order), which quotients out color permutations; point permutations
-supplied by the caller are quotiented by lexicographic prefix canonicity.
+supplied by the caller are quotiented by lexicographic prefix canonicity: a
+prefix is pruned when some row maps it, colors renumbered in order of first
+use, to a lex-smaller one.
+
+Canonicity is kept incrementally, so a node pays only for the rows that its
+point can move.  Each row r keeps a state:
+  - pos[r]: the positions before it already tie with the color prefix;
+    n_points once the row can no longer prune in this subtree (it found a
+    lex-larger image, or tied all the way);
+  - ren[r] and fresh[r]: its color renumbering so far, and the number of
+    colors renumbered.
+Position pos compares color[pos] with the renumbered color[row[pos]], so a row
+waits on key = max(pos, row[pos]), the first point whose color lets it move,
+and sits in the stack bucket[key], kept as head[key] and link[r].  Coloring
+point d advances only the rows in bucket[d]: a smaller image prunes, a larger
+one retires the row, a tie goes on to the next position, and a row that stops
+on a point not yet colored moves to the bucket of its new key, always above d.
+So every push to bucket[q] comes from a level below q, and undoing the levels
+in reverse order pops each bucket as a stack.  The trail records (r, pos,
+fresh) for every row that point d moved, top[d] being its length before; a
+row is moved at most once per level along a path, so the trail never holds
+more than len(perms) * n_points entries.  Backtracking over d, or a prune
+part-way through its rows, puts them back in bucket[d] in their saved state.
+The check is skipped when bucket[d] is empty and the undo when level d left
+no trail, so problems without permutations pay nothing for it.
 
 The compiled kernel in _kernel.c implements the identical search as the same
 loop, line for line; both must visit the same tree.  The depth-first walk
@@ -33,6 +57,19 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     color = [-1] * n_points
     nodes = 0
 
+    n_perms = len(perms)
+    pos = [0] * n_perms
+    fresh = [0] * n_perms
+    ren = [[-1] * k for _ in range(n_perms)]
+    head = [-1] * n_points
+    link = [-1] * n_perms
+    trail = []
+    top = [0] * (n_points + 1)
+    for r in range(n_perms if n_points else 0):
+        q = perms[r][0]
+        link[r] = head[q]
+        head[q] = r
+
     def assign(p, c):
         # returns False when some touched bundle can no longer exceed t
         ok = True
@@ -57,25 +94,63 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
                 distinct[b] -= 1
             assigned[b] -= 1
 
-    def canonical(depth):
-        # reject when some permuted, color-renumbered prefix is lex-smaller
-        for row in perms:
-            ren = [-1] * k
-            nxt = 0
-            for i in range(depth):
+    def canonical(d):
+        # advance the rows waiting on point d, the last one colored; False
+        # when one of them maps the prefix to a lex-smaller one
+        r = head[d]
+        while r >= 0:
+            head[d] = link[r]
+            row = perms[r]
+            rr = ren[r]
+            i = pos[r]
+            m = fresh[r]
+            trail.append((r, i, m))
+            while True:
                 cj = color[row[i]]
-                if cj < 0:
-                    break
-                r = ren[cj]
-                if r < 0:
-                    ren[cj] = r = nxt
-                    nxt += 1
+                x = rr[cj]
+                if x < 0:
+                    x = m
                 ci = color[i]
-                if r < ci:
-                    return False
-                if r > ci:
+                if x != ci:
+                    i = n_points  # retired, or pruning below
                     break
+                if x == m:
+                    rr[cj] = m
+                    m += 1
+                i += 1
+                if i == n_points:
+                    break
+                q = row[i]
+                if q < i:
+                    q = i
+                if q > d:
+                    link[r] = head[q]
+                    head[q] = r
+                    break
+            pos[r] = i
+            fresh[r] = m
+            if x < ci:
+                return False
+            r = head[d]
         return True
+
+    def undo(d):
+        # put the rows that point d moved back in bucket[d], as they were
+        while len(trail) > top[d]:
+            r, i, m = trail.pop()
+            j = pos[r]
+            if j < n_points:
+                q = perms[r][j]
+                head[q if q > j else j] = link[r]
+            if fresh[r] > m:
+                rr = ren[r]
+                for c in range(k):
+                    if rr[c] >= m:
+                        rr[c] = -1
+                fresh[r] = m
+            pos[r] = i
+            link[r] = head[d]
+            head[d] = r
 
     # replay the prefix; a pruned prefix means an empty (exhausted) subtree
     max_used = 0
@@ -84,7 +159,7 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
             return None, nodes, True
         if not assign(p, c):
             return None, nodes, True
-        if not canonical(p + 1):
+        if head[p] >= 0 and not canonical(p):
             return None, nodes, True
         if c == max_used:
             max_used += 1
@@ -95,6 +170,7 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     used = [0] * (n_points + 1)
     nxt = [0] * (n_points + 1)
     used[depth] = max_used
+    top[depth] = len(trail)
     while depth < n_points:
         c = nxt[depth]
         u = used[depth]
@@ -102,16 +178,21 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
             if depth == start:
                 return None, nodes, True
             depth -= 1
+            if trail and len(trail) > top[depth]:
+                undo(depth)
             unassign(depth)
             continue
         nxt[depth] = c + 1
         nodes += 1
         if nodes > budget or stop[0]:
             return None, nodes, False
-        if assign(depth, c) and canonical(depth + 1):
+        if assign(depth, c) and (head[depth] < 0 or canonical(depth)):
             depth += 1
             used[depth] = u + (c == u)
             nxt[depth] = 0
+            top[depth] = len(trail)
         else:
+            if trail and len(trail) > top[depth]:
+                undo(depth)
             unassign(depth)
     return list(color), nodes, True

@@ -153,6 +153,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        # checked here, not only in solve(): a query that never searches
+        # would otherwise accept it
+        if args.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {args.budget}")
         return _dispatch(args)
     except (CategoryError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -89,6 +89,26 @@ def test_negative_budget_is_a_usage_error(lo6_file, capsys, lo6):
     assert "budget must be >= 0" in json.loads(captured.err)["error"]
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        # vacuous: no morphism from LO_3 into LO_2, so no search runs
+        lambda lo6: ["arrow", "--A", str(obj(lo6, "LO", 2)), "--B", str(obj(lo6, "LO", 3)),
+                     "--C", str(obj(lo6, "LO", 2))],
+        # LO_1 has degree 1 on every C without a search
+        lambda lo6: ["degree", "--A", str(obj(lo6, "LO", 1)), "--mode", "m"],
+    ],
+    ids=["vacuous-arrow", "degree"],
+)
+def test_negative_budget_is_a_usage_error_without_a_search(lo6_file, capsys, lo6, query):
+    argv = query(lo6)
+    code = main(["--budget", "-1", argv[0], "--cat", lo6_file, *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "budget must be >= 0" in json.loads(captured.err)["error"]
+
+
 def test_arrow_dual_routes(surj3_file, capsys):
     for flag in ("--dual", "--native-dual"):
         code, doc = _run(capsys, "arrow", "--cat", surj3_file, "--A", "2", "--B", "1", "--C", "0", "--k", "2", "--t", "1", flag)

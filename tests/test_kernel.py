@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from catramsey import _kernel_py, kernel
 from catramsey.arrows import ArrowQuery, check_arrow
 from catramsey.kernel import SearchProblem, branch_prefixes, build_problem, solve
+from catramsey.matrix import run_matrix
 from conftest import obj
 
 PATH_POINTS = 1200
@@ -20,6 +21,9 @@ PATH_BUNDLES = [frozenset({i, i + 1}) for i in range(PATH_POINTS - 1)]
 # points; about 1,200 nodes, so the search runs deep below the branch prefixes
 TRIPLES_9 = [frozenset(c) for c in itertools.combinations(range(9), 3)]
 ROTATIONS_9 = [tuple((i + r) % 9 for i in range(9)) for r in range(1, 9)]
+# many rows over many points: the edges of a 60-cycle, with its 59 rotations
+CYCLE_60 = build_problem(60, [frozenset({i, (i + 1) % 60}) for i in range(60)], 3, 1,
+                         [tuple((i + r) % 60 for i in range(60)) for r in range(1, 60)])
 
 
 def naive_witness_exists(n, k, t, bundles):
@@ -55,6 +59,140 @@ def test_solve_matches_naive_enumeration(problem):
         assert all(len({out.witness[i] for i in b}) > t for b in bundles)
 
 
+def reference_search(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop=(0,)):
+    """The kernel's search as it was before canonicity became incremental:
+    every node compares every permutation row from position 0.  Kept only as
+    an oracle that shares no state-keeping code with either kernel."""
+    n_bundles = len(bundle_sizes)
+    counts = [[0] * k for _ in range(n_bundles)]
+    distinct = [0] * n_bundles
+    assigned = [0] * n_bundles
+    color = [-1] * n_points
+    nodes = 0
+
+    def assign(p, c):
+        ok = True
+        for bi in range(pb_off[p], pb_off[p + 1]):
+            b = pb[bi]
+            if counts[b][c] == 0:
+                distinct[b] += 1
+            counts[b][c] += 1
+            assigned[b] += 1
+            if distinct[b] + (bundle_sizes[b] - assigned[b]) <= t:
+                ok = False
+        color[p] = c
+        return ok
+
+    def unassign(p):
+        c = color[p]
+        color[p] = -1
+        for bi in range(pb_off[p], pb_off[p + 1]):
+            b = pb[bi]
+            counts[b][c] -= 1
+            if counts[b][c] == 0:
+                distinct[b] -= 1
+            assigned[b] -= 1
+
+    def canonical(depth):
+        for row in perms:
+            ren = [-1] * k
+            nxt = 0
+            for i in range(depth):
+                cj = color[row[i]]
+                if cj < 0:
+                    break
+                r = ren[cj]
+                if r < 0:
+                    ren[cj] = r = nxt
+                    nxt += 1
+                ci = color[i]
+                if r < ci:
+                    return False
+                if r > ci:
+                    break
+        return True
+
+    max_used = 0
+    for p, c in enumerate(prefix):
+        if c > max_used or c >= k:
+            return None, nodes, True
+        if not assign(p, c):
+            return None, nodes, True
+        if not canonical(p + 1):
+            return None, nodes, True
+        if c == max_used:
+            max_used += 1
+
+    start = depth = len(prefix)
+    used = [0] * (n_points + 1)
+    nxt = [0] * (n_points + 1)
+    used[depth] = max_used
+    while depth < n_points:
+        c = nxt[depth]
+        u = used[depth]
+        if c > u or c == k:
+            if depth == start:
+                return None, nodes, True
+            depth -= 1
+            unassign(depth)
+            continue
+        nxt[depth] = c + 1
+        nodes += 1
+        if nodes > budget or stop[0]:
+            return None, nodes, False
+        if assign(depth, c) and canonical(depth + 1):
+            depth += 1
+            used[depth] = u + (c == u)
+            nxt[depth] = 0
+        else:
+            unassign(depth)
+    return list(color), nodes, True
+
+
+def cycle_group(n):
+    """All n rotations of an n-cycle, the identity included."""
+    return [tuple((i + r) % n for i in range(n)) for r in range(n)]
+
+
+def symmetric_group(m, pairs):
+    """S_m acting on its m points, or on the m(m-1) ordered pairs of
+    distinct points, as Aut(C) acts on hom(2, C) in Inj."""
+    if not pairs:
+        return list(itertools.permutations(range(m)))
+    cells = list(itertools.permutations(range(m), 2))
+    index = {c: i for i, c in enumerate(cells)}
+    return [tuple(index[g[a], g[b]] for a, b in cells) for g in itertools.permutations(range(m))]
+
+
+def group_problem(n, bundles, k, t, group, order):
+    """A built problem whose rows are the whole group in search coordinates,
+    identity included, listed in the given order of the group's elements."""
+    pr = build_problem(n, bundles, k, t, [])
+    pos = {it: i for i, it in enumerate(pr.order)}
+    pr.perms = [[pos[group[g][pr.order[i]]] for i in range(n)] for g in order]
+    return pr
+
+
+@st.composite
+def group_searches(draw):
+    """A problem acted on by a whole group: the rotations of an n-cycle, or
+    S_m on points or pairs, rows in a drawn order; a budget that sometimes
+    runs out."""
+    if draw(st.booleans()):
+        group = cycle_group(draw(st.integers(min_value=1, max_value=10)))
+    else:
+        m = draw(st.integers(min_value=1, max_value=5))
+        group = symmetric_group(m, pairs=2 <= m <= 4 and draw(st.booleans()))
+    n = len(group[0])
+    k = draw(st.integers(min_value=2, max_value=4))
+    t = draw(st.integers(min_value=1, max_value=k - 1))
+    points = st.integers(min_value=0, max_value=n - 1)
+    bundles = draw(st.lists(st.frozensets(points, min_size=min(t + 1, n)), min_size=1, max_size=6))
+    order = draw(st.permutations(range(len(group))))
+    budget = draw(st.one_of(st.integers(min_value=0, max_value=60), st.just(5_000)))
+    return group_problem(n, bundles, k, t, group, order), budget
+
+
 def load_kernel(directory: Path):
     """Import a copy of catramsey/_kernel.py placed in `directory`, so that it
     loads the library found there."""
@@ -68,17 +206,20 @@ def load_kernel(directory: Path):
 
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
-    """The compiled kernel built from the checked-in _kernel.c with plain
-    `cc -shared -fPIC` into a temporary directory, loaded through a copy of
-    _kernel.py.  Skips, saying why, only when there is no C compiler, so that
-    the parity test never passes without comparing."""
+    """The compiled kernel built from the checked-in _kernel.c into a
+    temporary directory, loaded through a copy of _kernel.py.  Any compiler
+    warning fails the build, and undefined behaviour that the sanitizer
+    sees (a signed overflow, a misaligned access) aborts the run.
+    Skips, saying why, only when there is no C compiler, so that the parity
+    test never passes without comparing."""
     compiler = shutil.which("cc")
     if compiler is None:
         pytest.skip("no compiled kernel: no C compiler (cc) on PATH")
     out = tmp_path_factory.mktemp("kernel")
     source = Path(_kernel_py.__file__).with_name("_kernel.c")
     library = out / "libcatramsey_kernel.so"
-    subprocess.run([compiler, "-O2", "-shared", "-fPIC", str(source), "-o", str(library)], check=True)
+    flags = ["-O2", "-Wall", "-Wextra", "-Werror", "-fsanitize=undefined", "-fno-sanitize-recover=all"]
+    subprocess.run([compiler, *flags, "-shared", "-fPIC", str(source), "-o", str(library)], check=True)
     return load_kernel(out)
 
 
@@ -102,6 +243,7 @@ def searches(draw):
 @example(search=(build_problem(9, TRIPLES_9, 4, 1, []), 20_000), stopped=False)
 @example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 20_000), stopped=False)
 @example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 300), stopped=False)
+@example(search=(CYCLE_60, 20_000), stopped=False)
 @settings(max_examples=100, deadline=None)
 def test_pure_and_compiled_agree(compiled_kernel, search, stopped):
     # the empty prefix walks the whole tree; the branch prefixes are the
@@ -113,6 +255,40 @@ def test_pure_and_compiled_agree(compiled_kernel, search, stopped):
         assert compiled_kernel.search_from_prefix(*args) == _kernel_py.search_from_prefix(*args)
 
 
+# the 4-cycle's rotations prune branch prefix [0, 1, 2, 1] while replaying it
+CYCLE_4 = group_problem(4, [frozenset({i, (i + 1) % 4}) for i in range(4)], 3, 1, cycle_group(4), range(4))
+# S_3 on the 6 ordered pairs: coloring one point moves some rows to later
+# buckets, then another row prunes, so the level is undone part-way through
+PAIRS_3 = group_problem(6, [frozenset({0, 1, 2})], 2, 1, symmetric_group(3, pairs=True), range(6))
+
+
+@given(search=group_searches(), stopped=st.booleans())
+@example(search=(CYCLE_4, 5_000), stopped=False)
+@example(search=(PAIRS_3, 5_000), stopped=False)
+@settings(max_examples=100, deadline=None)
+def test_pure_kernel_matches_reference(search, stopped):
+    pr, budget = search
+    stop = array("i", [int(stopped)])
+    for prefix in [[]] + branch_prefixes(pr.n_points, pr.k):
+        args = (pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, prefix, budget, stop)
+        assert _kernel_py.search_from_prefix(*args) == reference_search(*args)
+
+
+def test_matrix_search_work_is_pinned(monkeypatch):
+    # the kernel calls and their summed nodes over the default matrix at
+    # threads=1; a change to pruning or to the branch fold moves them
+    impl, nodes = kernel._impl, []
+
+    def search_from_prefix(*args):
+        out = impl.search_from_prefix(*args)
+        nodes.append(out[1])
+        return out
+
+    monkeypatch.setattr(kernel, "_impl", type("Counting", (), {"search_from_prefix": staticmethod(search_from_prefix)}))
+    run_matrix(threads=1)
+    assert (len(nodes), sum(nodes)) == (604, 1081)
+
+
 def test_compiled_kernel_refuses_malformed_input(compiled_kernel):
     pr = build_problem(4, [frozenset({0, 1}), frozenset({2, 3})], 2, 1, [(1, 0, 3, 2)])
     good = dict(n_points=4, k=2, t=1, bundle_sizes=pr.bundle_sizes, pb_off=pr.pb_off, pb=pr.pb,
@@ -120,11 +296,17 @@ def test_compiled_kernel_refuses_malformed_input(compiled_kernel):
     expected = _kernel_py.search_from_prefix(**good)
     assert expected[0] is not None
     assert compiled_kernel.search_from_prefix(**good) == expected
+    # repeated identity rows tie at every level, so the trail fills to its
+    # size, len(perms) * n_points entries, and the rows all drop out at the leaf
+    full = {**good, "perms": [[0, 1, 2, 3]] * 5, "prefix": []}
+    assert compiled_kernel.search_from_prefix(**full) == _kernel_py.search_from_prefix(**full)
     for bad in (
         {"pb": [0, 0, 1, 2]},  # bundle 2 does not exist
         {"pb_off": [0, 1, 2, 3]},  # one offset short
         {"perms": [[0, 1, 2]]},  # row too short
         {"perms": [[0, 1, 2, 4]]},  # point 4 does not exist
+        {"perms": [[1, 0, 3, 2], [0, 1, 2]]},  # a short row after a good one
+        {"perms": [[1, 0, 3, 2], [0, 1, 2, 3, 0]]},  # a long row: the trail is sized from n_points
         {"prefix": [0, -1]},
         {"prefix": [0, 1, 0, 1, 0]},  # longer than n_points
         {"bundle_sizes": [2, 2**40]},  # would wrap in a C int
