@@ -9,7 +9,7 @@ what the kernel searches for; an exhausted search certifies the relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import CategoryError, FiniteCategory
 from .kernel import DEFAULT_BUDGET, build_problem, solve
@@ -56,36 +56,30 @@ class ArrowVerdict:
         return out
 
 
-def _domain_bundles_perms(cat: FiniteCategory, q: ArrowQuery):
-    """Colorable items, per-w bundles (as item index sets) and the Aut(C)
-    action on items."""
-    hom_ab = cat.hom(q.A, q.B)
-    hom_bc = cat.hom(q.B, q.C)
+def _domain(cat: FiniteCategory, q: ArrowQuery) -> tuple[list[int], dict[int, int]]:
+    """The colorable items and the item index of every morphism of hom(A, C):
+    the morphisms themselves, or in subobject mode one representative per
+    class, every member indexed by its class."""
     if q.mode == "morphism":
         items = list(cat.hom(q.A, q.C))
-        idx = {m: i for i, m in enumerate(items)}
-        bundles = [
-            frozenset(idx[cat.compose(w, f)] for f in hom_ab) for w in hom_bc
-        ]
-        perms = [
-            tuple(idx[cat.compose(alpha, m)] for m in items)
-            for alpha in cat.automorphisms(q.C)
-        ]
-    else:
-        classes = cat.subobject_classes(q.A, q.C)
-        class_of = {m: i for i, cl in enumerate(classes) for m in cl.members}
-        items = [cl.representative for cl in classes]
-        bundles = [
-            frozenset(class_of[cat.compose(w, f)] for f in hom_ab) for w in hom_bc
-        ]
-        perms = [
-            tuple(class_of[cat.compose(alpha, rep)] for rep in items)
-            for alpha in cat.automorphisms(q.C)
-        ]
-    return items, bundles, perms
+        return items, {m: i for i, m in enumerate(items)}
+    classes = cat.subobject_classes(q.A, q.C)
+    return [cl.representative for cl in classes], {m: i for i, cl in enumerate(classes) for m in cl.members}
 
 
-def _replay_witness(cat: FiniteCategory, q: ArrowQuery, items: list[int], colors: list[int]) -> bool:
+def _domain_bundles_perms(cat: FiniteCategory, q: ArrowQuery):
+    """Colorable items and their index, per-w bundles (as item index sets) and
+    the Aut(C) action on items."""
+    items, index = _domain(cat, q)
+    hom_ab = cat.hom(q.A, q.B)
+    bundles = [frozenset(index[cat.compose(w, f)] for f in hom_ab) for w in cat.hom(q.B, q.C)]
+    perms = [tuple(index[cat.compose(alpha, m)] for m in items) for alpha in cat.automorphisms(q.C)]
+    return items, index, bundles, perms
+
+
+def _replay_witness(
+    cat: FiniteCategory, q: ArrowQuery, items: list[int], index: dict[int, int], colors: list[int]
+) -> bool:
     """Independent check that `colors` is a k-coloring of `items` under which
     every w sees more than t colors."""
     if not isinstance(colors, list) or len(colors) != len(items):
@@ -93,20 +87,7 @@ def _replay_witness(cat: FiniteCategory, q: ArrowQuery, items: list[int], colors
     if not all(type(c) is int and 0 <= c < q.k for c in colors):
         return False
     hom_ab = cat.hom(q.A, q.B)
-    hom_bc = cat.hom(q.B, q.C)
-    if q.mode == "morphism":
-        color_of = dict(zip(items, colors))
-    else:
-        classes = cat.subobject_classes(q.A, q.C)
-        color_of = {}
-        for cl, c in zip(classes, colors):
-            for m in cl.members:
-                color_of[m] = c
-    for w in hom_bc:
-        seen = {color_of[cat.compose(w, f)] for f in hom_ab}
-        if len(seen) <= q.t:
-            return False
-    return True
+    return all(len({colors[index[cat.compose(w, f)]] for f in hom_ab}) > q.t for w in cat.hom(q.B, q.C))
 
 
 def _decide(
@@ -159,9 +140,9 @@ def check_arrow(
     if q.mode == "subobject" and not cat.all_mono:
         raise CategoryError("subobject mode requires an all-mono category")
 
-    items, bundles, perms = _domain_bundles_perms(cat, q)
+    items, index, bundles, perms = _domain_bundles_perms(cat, q)
     return _decide(
-        q, items, bundles, perms, lambda colors: _replay_witness(cat, q, items, colors), budget, threads
+        q, items, bundles, perms, lambda colors: _replay_witness(cat, q, items, index, colors), budget, threads
     )
 
 
@@ -208,45 +189,3 @@ def check_arrow_native_dual(
         return all(len({colors[idx[cat.compose(h, w)]] for h in hom_ba}) > q.t for w in hom_cb)
 
     return _decide(q, items, bundles, perms, replay, budget, threads)
-
-
-@dataclass
-class RamseyPropertyReport:
-    cells: list[dict] = field(default_factory=list)
-
-    @property
-    def inconclusive(self) -> bool:
-        return any(c["witness_C"] is None and c["inconclusive"] for c in self.cells)
-
-    def as_dict(self) -> dict:
-        return {"cells": self.cells, "inconclusive": self.inconclusive}
-
-
-def ramsey_property_check(
-    cat: FiniteCategory,
-    pairs: list[tuple[int, int]],
-    k_max: int,
-    universe: list[int],
-    t: int = 1,
-    mode: str = "morphism",
-    budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
-) -> RamseyPropertyReport:
-    """For each (A, B, k <= k_max), find the first C in the universe with the
-    (k, t) arrow."""
-    report = RamseyPropertyReport()
-    for a, b in pairs:
-        for k in range(2, k_max + 1):
-            found = None
-            saw_inconclusive = False
-            for c in universe:
-                v = check_arrow(cat, ArrowQuery(a, b, c, k, t, mode), budget=budget, threads=threads)
-                if v.holds:
-                    found = c
-                    break
-                if v.holds is None:
-                    saw_inconclusive = True
-            report.cells.append(
-                {"A": a, "B": b, "k": k, "t": t, "witness_C": found, "inconclusive": saw_inconclusive and found is None}
-            )
-    return report

@@ -15,7 +15,7 @@ import os
 import warnings
 
 from .core import FiniteCategory
-from .arrows import ArrowQuery, ArrowVerdict, check_arrow, _domain_bundles_perms, _replay_witness
+from .arrows import ArrowQuery, ArrowVerdict, check_arrow, _domain, _replay_witness
 from .kernel import DEFAULT_BUDGET
 from . import io as catio
 
@@ -145,13 +145,13 @@ def cached_check_arrow(
 def _entry_checks_out(cache, cat, q, key, verdict: ArrowVerdict, budget) -> bool:
     # domain must still match the category (guards against digest collisions
     # in the face of tampering)
-    items, _, _ = _domain_bundles_perms(cat, q)
+    items, index = _domain(cat, q)
     if verdict.domain != items:
         warnings.warn(f"cached domain mismatch; evicting {key}")
         cache.evict(key)
         return False
     if verdict.holds is False:
-        if not _replay_witness(cat, q, items, verdict.witness):
+        if not _replay_witness(cat, q, items, index, verdict.witness):
             warnings.warn(f"cached witness failed replay; evicting {key}")
             cache.evict(key)
             return False

@@ -258,12 +258,7 @@ def dual_degree_bounds(
     must agree wherever both run.
     """
     if route == "opposite":
-        op = cat.opposite()
-        if B_pool is None:
-            B_pool = default_pool(op, A)
-        if C_universe is None:
-            C_universe = default_pool(op, A)
-        return degree_bounds(op, A, mode, k_max, B_pool, C_universe, budget, threads)
+        return degree_bounds(cat.opposite(), A, mode, k_max, B_pool, C_universe, budget, threads)
     if route == "native":
         if mode != "morphism":
             raise CategoryError("native dual route supports morphism mode only")

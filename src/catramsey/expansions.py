@@ -6,12 +6,19 @@ unique restrictions, precompact, separates points), materializes the
 restriction operator and its calculus, verifies the degree additivity over
 fibers, and builds the coloring-expansion category whose objects are pairs
 (C, theta) of a base object and a family of colorings of hom(A, C).
+
+Every axiom check is a pure read of indices the functor derives once, on
+first use: its fibers, its lift index (B_up, e) -> {A_up: the upstairs
+morphism A_up -> B_up over e}, and the restriction table read off the lift
+index together with the (B_up, e) that violate unique restrictions.  No check
+writes to the functor.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .core import CategoryError, FiniteCategory, concrete_category
@@ -28,20 +35,48 @@ class ExpansionFunctor:
     downstairs: FiniteCategory
     object_map: dict[int, int]
     morphism_map: dict[int, int]
-    _restr_table: dict | None = field(default=None, repr=False)
-    _over_cache: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def fibers(self) -> dict[int, tuple[int, ...]]:
+        """downstairs object -> the upstairs objects over it, in id order."""
+        fibers: dict[int, list[int]] = {}
+        for o in range(self.upstairs.n_objects):
+            fibers.setdefault(self.object_map[o], []).append(o)
+        return {a: tuple(objs) for a, objs in fibers.items()}
+
+    @cached_property
+    def lifts(self) -> dict[tuple[int, int], dict[int, int]]:
+        """(B_up, e) -> {A_up: the upstairs morphism A_up -> B_up over e}."""
+        up = self.upstairs
+        lifts: dict[tuple[int, int], dict[int, int]] = {}
+        for m in range(up.n_morphisms):
+            lifts.setdefault((up.mor_cod[m], self.morphism_map[m]), {})[up.mor_dom[m]] = m
+        return lifts
+
+    @cached_property
+    def restrictions(self) -> tuple[dict[tuple[int, int], int], tuple[dict, ...]]:
+        """The restriction table (B_up, e) -> the fiber object over A that
+        e: A -> U(B_up) lifts from into B_up, and the (B_up, e) that lift from
+        none or several, which unique restrictions forbids."""
+        down = self.downstairs
+        table: dict[tuple[int, int], int] = {}
+        violations = []
+        for b_up in range(self.upstairs.n_objects):
+            b_down = self.object_map[b_up]
+            for a in range(down.n_objects):
+                for e in down.hom(a, b_down):
+                    # a lift from outside the fiber over A means the functor
+                    # breaks dom/cod; it is no source
+                    over = self.lifts.get((b_up, e), {})
+                    sources = sorted(a_up for a_up in over if self.object_map[a_up] == a)
+                    if len(sources) != 1:
+                        violations.append({"B_up": b_up, "e": e, "sources": sources})
+                    else:
+                        table[(b_up, e)] = sources[0]
+        return table, tuple(violations)
 
     def fiber(self, a_down: int) -> list[int]:
-        return [o for o in range(self.upstairs.n_objects) if self.object_map[o] == a_down]
-
-    def mor_over(self, a_up: int, b_up: int) -> dict[int, int]:
-        """downstairs morphism -> the upstairs morphism over it in hom(a_up, b_up)."""
-        key = (a_up, b_up)
-        if key not in self._over_cache:
-            self._over_cache[key] = {
-                self.morphism_map[m]: m for m in self.upstairs.hom(a_up, b_up)
-            }
-        return self._over_cache[key]
+        return list(self.fibers.get(a_down, ()))
 
     def validate_functor(self) -> dict:
         """Functoriality, object surjectivity and hom-set injectivity."""
@@ -84,81 +119,65 @@ def check_reasonable(U: ExpansionFunctor) -> dict:
     down = U.downstairs
     violations = []
     for a in range(down.n_objects):
-        fiber_a = U.fiber(a)
         for b in range(down.n_objects):
             for e in down.hom(a, b):
-                for a_up in fiber_a:
-                    if not any(e in U.mor_over(a_up, b_up) for b_up in U.fiber(b)):
-                        violations.append({"e": e, "A_up": a_up})
+                lifted = set()
+                for b_up in U.fiber(b):
+                    lifted.update(U.lifts.get((b_up, e), ()))
+                violations.extend({"e": e, "A_up": a_up} for a_up in U.fiber(a) if a_up not in lifted)
     return {"status": "ok" if not violations else "violation", "violations": violations}
 
 
 def check_unique_restrictions(U: ExpansionFunctor) -> dict:
-    """Every e: A -> U(B_up) comes from exactly one fiber object over A.
-
-    On success the restriction operator is materialized as a table on the
-    functor, keyed by (B_up, e)."""
-    down = U.downstairs
-    violations = []
-    table: dict[tuple[int, int], int] = {}
-    for b_up in range(U.upstairs.n_objects):
-        b_down = U.object_map[b_up]
-        for a in range(down.n_objects):
-            for e in down.hom(a, b_down):
-                sources = [a_up for a_up in U.fiber(a) if e in U.mor_over(a_up, b_up)]
-                if len(sources) != 1:
-                    violations.append({"B_up": b_up, "e": e, "sources": sources})
-                else:
-                    table[(b_up, e)] = sources[0]
-    if not violations:
-        U._restr_table = table
+    """Every e: A -> U(B_up) comes from exactly one fiber object over A."""
+    violations = list(U.restrictions[1])
     return {"status": "ok" if not violations else "violation", "violations": violations}
 
 
 def restrict(U: ExpansionFunctor, b_up: int, e_down: int) -> int:
     """The unique fiber object that e_down lifts from into b_up."""
-    if U._restr_table is None:
-        rep = check_unique_restrictions(U)
-        if rep["status"] != "ok":
-            raise CategoryError("restriction requires unique restrictions to hold")
-    return U._restr_table[(b_up, e_down)]
+    table, violations = U.restrictions
+    if violations:
+        raise CategoryError("restriction requires unique restrictions to hold")
+    if (b_up, e_down) not in table:
+        raise CategoryError(f"downstairs morphism {e_down} does not end at the image of upstairs object {b_up}")
+    return table[(b_up, e_down)]
 
 
 def check_restriction_laws(U: ExpansionFunctor) -> dict:
     """Identity, composition and iso-transport laws of the restriction operator."""
     down, up = U.downstairs, U.upstairs
-    rep = check_unique_restrictions(U)
-    if rep["status"] != "ok":
+    restr, violations = U.restrictions
+    if violations:
         return {"status": "violation", "problems": ["unique restrictions fail"]}
     problems = []
     # identity law: restricting along id gives the object back
     for b_up in range(up.n_objects):
-        if restrict(U, b_up, down.identity(U.object_map[b_up])) != b_up:
+        if restr[(b_up, down.identity(U.object_map[b_up]))] != b_up:
             problems.append(f"identity law fails at {b_up}")
     # membership law: e lifts into b_up from a_up iff a_up is the restriction
     for a_up in range(up.n_objects):
         for b_up in range(up.n_objects):
             for m in up.hom(a_up, b_up):
-                if restrict(U, b_up, U.morphism_map[m]) != a_up:
+                if restr.get((b_up, U.morphism_map[m])) != a_up:
                     problems.append(f"membership law fails at morphism {m}")
     # composition law: restr(restr(C, g), f) = restr(C, g.f)
     for c_up in range(up.n_objects):
         c_down = U.object_map[c_up]
         for b in range(down.n_objects):
             for g in down.hom(b, c_down):
-                b_up = restrict(U, c_up, g)
+                b_up = restr[(c_up, g)]
                 for a in range(down.n_objects):
                     for f in down.hom(a, b):
-                        if restrict(U, b_up, f) != restrict(U, c_up, down.compose(g, f)):
+                        if restr[(b_up, f)] != restr[(c_up, down.compose(g, f))]:
                             problems.append(f"composition law fails at (g={g}, f={f})")
     # iso transport: the lift of a downstairs iso is an upstairs iso
     for b_up in range(up.n_objects):
         b_down = U.object_map[b_up]
         for a in range(down.n_objects):
             for e in down.iso(a, b_down):
-                a_up = restrict(U, b_up, e)
-                lifted = U.mor_over(a_up, b_up)[e]
-                if lifted not in up.iso(a_up, b_up):
+                a_up = restr[(b_up, e)]
+                if U.lifts[(b_up, e)][a_up] not in up.iso(a_up, b_up):
                     problems.append(f"iso transport fails at e={e}")
     return {"status": "ok" if not problems else "violation", "problems": problems}
 
@@ -166,20 +185,16 @@ def check_restriction_laws(U: ExpansionFunctor) -> dict:
 def check_disjoint_union(U: ExpansionFunctor) -> dict:
     """hom(A, U(B_up)) is the disjoint union of upstairs hom-sets over the fiber."""
     down = U.downstairs
+    # (B_up, A) -> e once for every fiber object over A that e lifts from
+    images: dict[tuple[int, int], list[int]] = {}
+    for (b_up, e), over in U.lifts.items():
+        for a_up in over:
+            images.setdefault((b_up, U.object_map[a_up]), []).append(e)
     violations = []
     for b_up in range(U.upstairs.n_objects):
         b_down = U.object_map[b_up]
         for a in range(down.n_objects):
-            target = list(down.hom(a, b_down))
-            images = []
-            for a_up in U.fiber(a):
-                images.append(set(U.mor_over(a_up, b_up).keys()))
-            union: set[int] = set()
-            total = 0
-            for img in images:
-                union |= img
-                total += len(img)
-            if union != set(target) or total != len(target):
+            if sorted(images.get((b_up, a), [])) != sorted(down.hom(a, b_down)):
                 violations.append({"B_up": b_up, "A": a})
     return {"status": "ok" if not violations else "violation", "violations": violations}
 
@@ -192,24 +207,16 @@ def check_precompact(U: ExpansionFunctor) -> dict:
 def check_separates_points(U: ExpansionFunctor) -> dict:
     """Distinct fiber objects are told apart by some restriction."""
     down = U.downstairs
-    rep = check_unique_restrictions(U)
-    if rep["status"] != "ok":
+    restr, violations = U.restrictions
+    if violations:
         return {"status": "violation", "violations": ["unique restrictions fail"]}
-    violations = []
+    unseparated = []
     for f_down in range(down.n_objects):
-        fiber = U.fiber(f_down)
-        for f1, f2 in itertools.combinations(fiber, 2):
-            separated = False
-            for a in range(down.n_objects):
-                for e in down.hom(a, f_down):
-                    if restrict(U, f1, e) != restrict(U, f2, e):
-                        separated = True
-                        break
-                if separated:
-                    break
-            if not separated:
-                violations.append({"F1": f1, "F2": f2})
-    return {"status": "ok" if not violations else "violation", "violations": violations}
+        into = [e for a in range(down.n_objects) for e in down.hom(a, f_down)]
+        for f1, f2 in itertools.combinations(U.fiber(f_down), 2):
+            if all(restr[(f1, e)] == restr[(f2, e)] for e in into):
+                unseparated.append({"F1": f1, "F2": f2})
+    return {"status": "ok" if not unseparated else "violation", "violations": unseparated}
 
 
 def check_directed(cat: FiniteCategory) -> dict:
@@ -242,7 +249,6 @@ def check_expansion_property(U: ExpansionFunctor) -> dict:
 
     per_a = {}
     definition_ok = True
-    definition_exhausted = False
     for a in range(down.n_objects):
         witness = None
         for b in range(down.n_objects):
@@ -252,7 +258,6 @@ def check_expansion_property(U: ExpansionFunctor) -> dict:
         per_a[a] = witness
         if witness is None:
             definition_ok = False
-            definition_exhausted = True
 
     per_d = {}
     single_ok = True
@@ -266,43 +271,17 @@ def check_expansion_property(U: ExpansionFunctor) -> dict:
         if witness is None:
             single_ok = False
 
-    if definition_ok != single_ok:
-        # the single-source criterion equals the definition only via
-        # directedness arguments that can leave the truncation
-        status = "inconclusive"
-    elif definition_ok:
-        status = "ok"
-    elif definition_exhausted:
-        status = "inconclusive"
-    else:
-        status = "violation"
+    # a route with no B may only have run out of the truncation, and the
+    # routes are equivalent only via directedness arguments that can leave
+    # it, so anything short of both holding is inconclusive
+    holds = definition_ok and single_ok
     return {
-        "status": status,
-        "holds": definition_ok if status != "inconclusive" else None,
+        "status": "ok" if holds else "inconclusive",
+        "holds": holds or None,
         "per_A_witness": per_a,
         "per_D_witness": per_d,
         "routes_agree": definition_ok == single_ok,
     }
-
-
-def aut_decomposition(U: ExpansionFunctor, a_down: int) -> dict:
-    """Aut(A) decomposes over the fiber: for each fixed fiber object,
-    |Aut(A)| = (number of fiber objects isomorphic to it) * |Aut of it|."""
-    down, up = U.downstairs, U.upstairs
-    n_aut_down = len(down.automorphisms(a_down))
-    fiber = U.fiber(a_down)
-    entries = []
-    ok = True
-    for a0 in fiber:
-        total = sum(len(up.iso(a1, a0)) for a1 in fiber)
-        iso_count = sum(1 for a1 in fiber if up.iso(a1, a0))
-        n_aut_up = len(up.automorphisms(a0))
-        entry_ok = total == n_aut_down and iso_count * n_aut_up == n_aut_down
-        ok = ok and entry_ok
-        entries.append(
-            {"A_up": a0, "iso_class_size": iso_count, "aut_up": n_aut_up, "sum_iso": total, "ok": entry_ok}
-        )
-    return {"status": "ok" if ok else "violation", "aut_down": n_aut_down, "entries": entries}
 
 
 def _matched_degrees(
@@ -527,12 +506,9 @@ def build_coloring_expansion(spec: ColoringExpansionSpec) -> ExpansionFunctor:
         flat = ";".join("".join(map(str, t)) for t in theta)
         up_labels.append(f"{base.object_labels[c]}[{flat}]")
 
-    functor = lifted_expansion(
+    return lifted_expansion(
         base, up_objects, up_labels, lambda src, dst: [f for f in base.hom(src[0], dst[0]) if lifts(f, src, dst)]
     )
-    functor._coloring_objects = up_objects  # type: ignore[attr-defined]
-    functor._coloring_spec = spec  # type: ignore[attr-defined]
-    return functor
 
 
 def expected_fiber_size(spec: ColoringExpansionSpec, c: int) -> int:
@@ -542,55 +518,3 @@ def expected_fiber_size(spec: ColoringExpansionSpec, c: int) -> int:
     for a in spec.small_objects:
         size *= degs[a] ** len(spec.base.hom(a, c))
     return size
-
-
-def check_min_expansions(U: ExpansionFunctor, a_down: int) -> dict:
-    """Distinct restrictions of a fully-colored ambient to A.
-
-    For a coloring expansion, an ambient whose A-coloring is surjective onto
-    its t_A colors restricts to at least t_A distinct decorated copies of A.
-    Ambients are drawn from the fibers over objects receiving A.
-    """
-    spec: ColoringExpansionSpec = getattr(U, "_coloring_spec", None)
-    up_objects = getattr(U, "_coloring_objects", None)
-    if spec is None or up_objects is None:
-        return {"status": "inconclusive", "reason": "not a coloring expansion"}
-    if a_down not in spec.small_objects:
-        return {"status": "inconclusive", "reason": "object not in the small-object pool"}
-    a_pos = spec.small_objects.index(a_down)
-    t_a = spec.degrees()[a_down]
-    base = spec.base
-
-    rep = check_unique_restrictions(U)
-    if rep["status"] != "ok":
-        return {"status": "violation", "reason": "unique restrictions fail"}
-
-    results = []
-    applicable = False
-    ok = True
-    for amb_up, (c, theta) in enumerate(up_objects):
-        homs = base.hom(a_down, c)
-        if not homs:
-            continue
-        surjective = set(theta[a_pos]) == set(range(t_a))
-        if not surjective:
-            continue
-        applicable = True
-        restrictions = {restrict(U, amb_up, e) for e in homs}
-        entry_ok = len(restrictions) >= t_a
-        ok = ok and entry_ok
-        results.append(
-            {"ambient": amb_up, "distinct_restrictions": len(restrictions), "required": t_a, "ok": entry_ok}
-        )
-    if not applicable:
-        return {"status": "inconclusive", "reason": "no ambient with surjective A-coloring"}
-    return {"status": "ok" if ok else "violation", "ambients": results}
-
-
-def identity_expansion(cat: FiniteCategory) -> ExpansionFunctor:
-    return ExpansionFunctor(
-        upstairs=cat,
-        downstairs=cat,
-        object_map={o: o for o in range(cat.n_objects)},
-        morphism_map={m: m for m in range(cat.n_morphisms)},
-    )

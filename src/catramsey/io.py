@@ -26,6 +26,10 @@ class ParseError(CategoryError):
         self.line_no = line_no
 
 
+# the fields each directive needs, its own name included; labels are optional
+_FIELDS = {"objects:": 2, "obj": 2, "mor": 4, "cmp": 4}
+
+
 def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
     n_objects = None
     labels: dict[int, str] = {}
@@ -34,6 +38,10 @@ def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
 
     for ln, line in lines:
         parts = line.split()
+        if parts[0] not in _FIELDS:
+            raise ParseError(ln, f"unknown directive {parts[0]!r}")
+        if len(parts) < _FIELDS[parts[0]]:
+            raise ParseError(ln, f"{parts[0]} needs {_FIELDS[parts[0]] - 1} fields, got {len(parts) - 1}")
         if parts[0] == "objects:":
             if n_objects is not None:
                 raise ParseError(ln, "duplicate objects header")
@@ -53,8 +61,6 @@ def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
             if (g, f) in compose:
                 raise ParseError(ln, f"duplicate composition entry ({g},{f})")
             compose[(g, f)] = gf
-        else:
-            raise ParseError(ln, f"unknown directive {parts[0]!r}")
 
     if n_objects is None:
         raise ParseError(lines[0][0] if lines else 0, "missing objects header")

@@ -58,9 +58,25 @@ def _cell_status(data: dict) -> str:
     return data.get("status", "ok")
 
 
+_INT_FIELDS = ("lo_max", "inj_max", "surj_max", "k_max", "budget")
+
+
+def _check_config(config) -> None:
+    """Refuse a config of the wrong shape before any cell runs."""
+    if not isinstance(config, dict):
+        raise CategoryError(f"config must be a JSON object, got {type(config).__name__}")
+    for name in _INT_FIELDS:
+        # bool is an int subclass, but JSON true is no size or budget
+        if name in config and type(config[name]) is not int:
+            raise CategoryError(f"config field {name!r} must be an integer, got {config[name]!r}")
+    if not isinstance(config.get("expectations", {}), dict):
+        raise CategoryError("config field 'expectations' must be a JSON object")
+
+
 def run_matrix(config: dict | None = None, threads: int = 1, cache: ResultCache | None = None) -> RunReport:
     if config is None:
         config = DEFAULT_CONFIG
+    _check_config(config)
     if cache is None:
         cache = ResultCache(directory=None)
     t_start = time.monotonic()
@@ -193,21 +209,17 @@ def _dual_cells(cells, config, budget, threads):
     for A in range(surj.n_objects):
         for B in range(surj.n_objects):
             for C in range(surj.n_objects):
-                for k in (2,):
-                    for t in (1, 2):
-                        if t >= k:
-                            continue
-                        q = ArrowQuery(A, B, C, k, t)
-                        via_opposite = check_arrow_dual(surj, q, budget=budget, threads=threads)
-                        native = check_arrow_native_dual(surj, q, budget=budget, threads=threads)
-                        checked += 1
-                        if via_opposite.holds is None or native.holds is None:
-                            inconclusive = True
-                        elif via_opposite.holds != native.holds or via_opposite.witness != native.witness:
-                            mismatches.append(
-                                {"A": A, "B": B, "C": C, "k": k, "t": t,
-                                 "opposite": via_opposite.holds, "native": native.holds}
-                            )
+                q = ArrowQuery(A, B, C, 2, 1)
+                via_opposite = check_arrow_dual(surj, q, budget=budget, threads=threads)
+                native = check_arrow_native_dual(surj, q, budget=budget, threads=threads)
+                checked += 1
+                if via_opposite.holds is None or native.holds is None:
+                    inconclusive = True
+                elif via_opposite.holds != native.holds or via_opposite.witness != native.witness:
+                    mismatches.append(
+                        {"A": A, "B": B, "C": C, "k": q.k, "t": q.t,
+                         "opposite": via_opposite.holds, "native": native.holds}
+                    )
     status = "violation" if mismatches else ("inconclusive" if inconclusive else "ok")
     cells["dual_routes_surj"] = {"status": status, "checked": checked, "mismatches": mismatches}
 

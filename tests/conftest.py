@@ -12,6 +12,7 @@ import itertools
 import pytest
 
 from catramsey.core import FiniteCategory
+from catramsey.expansions import ColoringExpansionSpec, build_coloring_expansion
 from catramsey.generators import UniverseSpec, generate, object_of_size
 
 
@@ -85,3 +86,16 @@ def surj3():
 
 def obj(cat, family, size):
     return object_of_size(cat, family, size)
+
+
+def matrix_coloring_expansion():
+    """The matrix's coloring expansion: Inj_2, degree 1 on Inj_1 and 2 on Inj_2."""
+    inj = generate(UniverseSpec("Inj", 2))
+    a1, a2 = object_of_size(inj, "Inj", 1), object_of_size(inj, "Inj", 2)
+    return build_coloring_expansion(ColoringExpansionSpec(inj, (a1, a2), ((a1, 1), (a2, 2))))
+
+
+def surj3_coloring_expansion():
+    """The Surj_3 coloring expansion with degree 2 on object 2."""
+    surj = generate(UniverseSpec("Surj", 3))
+    return build_coloring_expansion(ColoringExpansionSpec(surj, (2,), ((2, 2),)))

@@ -8,9 +8,9 @@ from catramsey.arrows import (
     check_arrow,
     check_arrow_dual,
     check_arrow_native_dual,
-    ramsey_property_check,
 )
 from catramsey.core import CategoryError, FiniteCategory
+from catramsey.degrees import degree_bounds
 from catramsey.generators import UniverseSpec, generate
 from conftest import obj, oracle_arrow
 
@@ -175,16 +175,20 @@ def test_budget_cap_gives_inconclusive(lo6):
 
 
 def test_ramsey_property_check(lo6, inj4):
-    # universes restricted to objects receiving B, so holds cannot be vacuous
+    # degree 1 on a one-object B pool: the upper witness is the first C of the
+    # universe with the k = 2, t = 1 arrow.  Universes are restricted to
+    # objects receiving B, so holds cannot be vacuous
+    def first_witness(cat, A, B, universe):
+        bound = degree_bounds(cat, A, "morphism", 2, [B], universe)
+        assert bound.upper == 1
+        return bound.upper_witnesses[(B, 2)]
+
     A, B = obj(lo6, "LO", 2), obj(lo6, "LO", 3)
     universe = [c for c in range(lo6.n_objects) if lo6.hom(B, c)]
-    rep = ramsey_property_check(lo6, [(A, B)], 2, universe)
-    assert rep.cells[0]["witness_C"] == obj(lo6, "LO", 6)
+    assert first_witness(lo6, A, B, universe) == obj(lo6, "LO", 6)
     a1, b2 = obj(inj4, "Inj", 1), obj(inj4, "Inj", 2)
     universe = [c for c in range(inj4.n_objects) if inj4.hom(b2, c)]
-    rep = ramsey_property_check(inj4, [(a1, b2)], 2, universe)
-    assert rep.cells[0]["witness_C"] == obj(inj4, "Inj", 3)
+    assert first_witness(inj4, a1, b2, universe) == obj(inj4, "Inj", 3)
     # a pair with a single endomorphism is its own witness
     l1 = obj(lo6, "LO", 1)
-    rep = ramsey_property_check(lo6, [(l1, l1)], 2, [l1])
-    assert rep.cells[0]["witness_C"] == l1
+    assert first_witness(lo6, l1, l1, [l1]) == l1

@@ -268,6 +268,38 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line_no, line", [(1, "objects:"), (2, "obj"), (3, "mor 0 0"), (4, "cmp 0 0")])
+def test_truncated_directive_is_a_usage_error(tmp_path, capsys, line_no, line):
+    lines = ["objects: 1", "obj 0 x", "mor 0 0 0 id", "cmp 0 0 0"]
+    lines[line_no - 1] = line
+    path = tmp_path / "truncated.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--cat", str(path)]) == 3
+    assert f"line {line_no}:" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ([1], "config"),
+        ({"lo_max": "7"}, "lo_max"),
+        ({"inj_max": 4.0}, "inj_max"),
+        ({"surj_max": None}, "surj_max"),
+        ({"lo_max": True}, "lo_max"),
+        ({"k_max": 2.5}, "k_max"),
+        ({"budget": "x"}, "budget"),
+        ({"expectations": [1]}, "expectations"),
+    ],
+)
+def test_malformed_matrix_config_is_a_usage_error(tmp_path, capsys, config, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["matrix", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in json.loads(captured.err)["error"]
+
+
 def test_cli_import_does_not_load_numpy():
     # the package has no numpy dependency; keep it from creeping back in
     src = str(Path(catio.__file__).resolve().parents[1])

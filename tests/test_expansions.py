@@ -1,28 +1,30 @@
+import hashlib
+import json
+
 import pytest
 
+from catramsey import io as catio
+from catramsey.cli import main
 from catramsey.core import CategoryError, FiniteCategory
 from catramsey.expansions import (
     ColoringExpansionSpec,
     ExpansionFunctor,
-    aut_decomposition,
     build_coloring_expansion,
     check_directed,
     check_disjoint_union,
     check_expansion_property,
-    check_min_expansions,
     check_precompact,
     check_reasonable,
     check_restriction_laws,
     check_separates_points,
     check_unique_restrictions,
     expected_fiber_size,
-    identity_expansion,
     restrict,
     verify_additivity,
     verify_ratio_formula,
 )
 from catramsey.generators import UniverseSpec, forgetful_LO_to_Inj, generate
-from conftest import obj
+from conftest import matrix_coloring_expansion, obj, surj3_coloring_expansion
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,30 @@ def _functor_with_duplicate_lift():
     return ExpansionFunctor(up, down, {0: 0, 1: 0, 2: 1}, {0: 0, 1: 0, 2: 1, 3: 2, 4: 2})
 
 
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (lambda: forgetful_LO_to_Inj(2), "d8e74e2348a5aba8d2390e3cef2c7a6a3aa75f48d73c76a4d66a62c215bed376"),
+        (lambda: forgetful_LO_to_Inj(3), "9839c58ae7687593fc2cfcf93318bd8210b24e4bbe874ce16013c34d484d44e5"),
+        (lambda: forgetful_LO_to_Inj(4), "f26f59bf0001487ac969c424d7fc725a84b1158c937a02418b943206b66260dd"),
+        (matrix_coloring_expansion, "88044fa8254fb232513a3bda5dec2bd5ab0e749ff625e0885dfa132ac45d8ba4"),
+        (surj3_coloring_expansion, "06cd4ad2de8e031b613923a60e8c20032d39038034ae9c5ec0378b31ffeddc10"),
+        (_functor_with_unlifted_edge, "46276400bbf6d61b67b78e3bb296dbe6c6757b7a708b986d1d45f0154a05cf20"),
+        (_functor_with_duplicate_lift, "42b0608b9cd9d91d06600e17a9a530d4f35f2e6d245c5c96a9070abe9082ee7e"),
+    ],
+    ids=["forgetful_2", "forgetful_3", "forgetful_4", "coloring_inj_2", "coloring_surj_3",
+         "unlifted_edge", "duplicate_lift"],
+)
+def test_expansion_check_report_is_pinned(build, digest, tmp_path, capsys):
+    # every axiom check of `catramsey expansion check`, violations and
+    # witnesses included, as sorted JSON
+    path = tmp_path / "functor.txt"
+    catio.dump_functor_file(build(), str(path))
+    main(["expansion", "check", "--functor", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+
+
 def test_forgetful_axioms(forgetful3):
     U = forgetful3
     assert U.validate_functor()["status"] == "ok"
@@ -89,18 +115,6 @@ def test_forgetful_expansion_property(forgetful3):
     assert rep["holds"] is True
     assert rep["routes_agree"]
     assert check_directed(forgetful3.upstairs)["status"] == "ok"
-
-
-def test_aut_decomposition(forgetful3):
-    U = forgetful3
-    a2 = obj(U.downstairs, "Inj", 2)
-    rep = aut_decomposition(U, a2)
-    assert rep["status"] == "ok"
-    assert rep["aut_down"] == 2
-    # linear orders are rigid; both fiber objects lie in one iso class
-    for entry in rep["entries"]:
-        assert entry["aut_up"] == 1
-        assert entry["iso_class_size"] == 2
 
 
 def test_additivity(forgetful3):
@@ -155,6 +169,13 @@ def test_duplicate_lift_breaks_uniqueness():
     assert rep["reason"] == "hypotheses fail"
 
 
+def test_restrict_refuses_a_morphism_not_into_the_object():
+    # hom(Inj_2, Inj_2) does not end at Inj_1, the image of the fiber object
+    U = forgetful_LO_to_Inj(2)
+    with pytest.raises(CategoryError, match="does not end at"):
+        restrict(U, U.fiber(0)[0], U.downstairs.hom(1, 1)[0])
+
+
 @pytest.mark.parametrize(
     "drop_object, expected",
     [
@@ -175,13 +196,12 @@ def test_partial_functor_map_reported_without_lookup(forgetful3, drop_object, ex
 
 
 def test_identity_expansion(lo4):
-    U = identity_expansion(lo4)
+    objects, morphisms = range(lo4.n_objects), range(lo4.n_morphisms)
+    U = ExpansionFunctor(lo4, lo4, dict(zip(objects, objects)), dict(zip(morphisms, morphisms)))
     assert U.validate_functor()["status"] == "ok"
     assert check_reasonable(U)["status"] == "ok"
     assert check_restriction_laws(U)["status"] == "ok"
     assert all(s == 1 for s in check_precompact(U)["fiber_sizes"].values())
-    for a in range(lo4.n_objects):
-        assert aut_decomposition(U, a)["status"] == "ok"
 
 
 def test_coloring_expansion_counts_and_axioms():
@@ -200,17 +220,6 @@ def test_coloring_expansion_counts_and_axioms():
     assert check_disjoint_union(U)["status"] == "ok"
 
 
-def test_coloring_expansion_min_expansions():
-    base = generate(UniverseSpec("Inj", 2))
-    a1 = obj(base, "Inj", 1)
-    U = build_coloring_expansion(ColoringExpansionSpec(base, (a1,), ((a1, 2),)))
-    rep = check_min_expansions(U, a1)
-    assert rep["status"] == "ok"
-    assert rep["ambients"]
-    for entry in rep["ambients"]:
-        assert entry["distinct_restrictions"] >= entry["required"] == 2
-
-
 def test_coloring_expansion_truncation_is_honest():
     # the 2-element base is too small to settle the expansion property
     base = generate(UniverseSpec("Inj", 2))
@@ -227,8 +236,3 @@ def test_coloring_expansion_caps():
     with pytest.raises(CategoryError):
         ColoringExpansionSpec(base, (a1,), ((a1, 0),))
         build_coloring_expansion(ColoringExpansionSpec(base, (a1,), ((a1, 0),)))
-
-
-def test_min_expansions_requires_coloring_expansion(forgetful3):
-    rep = check_min_expansions(forgetful3, 0)
-    assert rep["status"] == "inconclusive"

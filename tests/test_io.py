@@ -5,8 +5,8 @@ import pytest
 
 from catramsey import io as catio
 from catramsey.core import validate
-from catramsey.expansions import ColoringExpansionSpec, build_coloring_expansion
-from catramsey.generators import UniverseSpec, generate, forgetful_LO_to_Inj, object_of_size
+from catramsey.generators import UniverseSpec, generate, forgetful_LO_to_Inj
+from conftest import matrix_coloring_expansion, surj3_coloring_expansion
 
 
 def test_category_round_trip(lo4):
@@ -33,23 +33,12 @@ def test_dump_bytes_are_stable(family, size, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def _matrix_coloring_expansion():
-    inj = generate(UniverseSpec("Inj", 2))
-    a1, a2 = object_of_size(inj, "Inj", 1), object_of_size(inj, "Inj", 2)
-    return build_coloring_expansion(ColoringExpansionSpec(inj, (a1, a2), ((a1, 1), (a2, 2))))
-
-
-def _surj3_coloring_expansion():
-    surj = generate(UniverseSpec("Surj", 3))
-    return build_coloring_expansion(ColoringExpansionSpec(surj, (2,), ((2, 2),)))
-
-
 @pytest.mark.parametrize(
     "build, digest",
     [
         (lambda: forgetful_LO_to_Inj(3), "32a11a981191273fde381921c00b813d39755b0a4f1b03f782a00a5dd6285ae9"),
-        (_matrix_coloring_expansion, "d871400140c84983e52e36294276a7096c21b12ecaa6e11445b05f98717bb85f"),
-        (_surj3_coloring_expansion, "59628440a1855a48e3e3977093688dc47a5601fdab8424e4d40e494190e6d173"),
+        (matrix_coloring_expansion, "d871400140c84983e52e36294276a7096c21b12ecaa6e11445b05f98717bb85f"),
+        (surj3_coloring_expansion, "59628440a1855a48e3e3977093688dc47a5601fdab8424e4d40e494190e6d173"),
     ],
     ids=["forgetful_3", "coloring_inj_2", "coloring_surj_3"],
 )
@@ -86,6 +75,22 @@ def test_unknown_directive_rejected():
         catio.loads_category("objects: 1\nobj 0 x\nfrob 1 2\n")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("objects:\n", 1),
+        ("objects: 1\nobj\n", 2),
+        ("objects: 1\nobj 0 x\nmor 0 0\n", 3),
+        ("objects: 1\nobj 0 x\nmor 0 0 0 id\ncmp 0 0\n", 4),
+    ],
+    ids=["objects", "obj", "mor", "cmp"],
+)
+def test_truncated_directive_rejected(text, line):
+    with pytest.raises(catio.ParseError) as err:
+        catio.loads_category(text)
+    assert f"line {line}:" in str(err.value)
+
+
 def test_functor_round_trip(tmp_path):
     U = forgetful_LO_to_Inj(2)
     path = tmp_path / "functor.txt"
@@ -116,6 +121,12 @@ def _forgetful2_dump_with(old: str, new: str) -> str:
 def test_functor_map_must_cover_known_ids(old, new, message):
     with pytest.raises(catio.ParseError, match=message):
         catio.load_functor(io.StringIO(_forgetful2_dump_with(old, new)))
+
+
+def test_truncated_directive_in_a_functor_block_rejected():
+    # both category blocks of a functor file go through the category parser
+    with pytest.raises(catio.ParseError, match="line 7:"):
+        catio.load_functor(io.StringIO(_forgetful2_dump_with("mor 1 0 1 0", "mor 1 0")))
 
 
 def test_file_round_trip(tmp_path, surj3):
