@@ -21,7 +21,7 @@ class build_shared_library(build_ext):
         return os.path.join(*fullname.split(".")) + ".so"
 
     def get_export_symbols(self, ext):
-        return ext.export_symbols  # search_from_prefix only: there is no PyInit_
+        return ext.export_symbols  # the kernel's own entry points: there is no PyInit_
 
 
 setup(
@@ -30,7 +30,7 @@ setup(
             "catramsey.libcatramsey_kernel",
             ["src/catramsey/_kernel.c"],
             extra_compile_args=["-O3"],
-            export_symbols=["search_from_prefix"],
+            export_symbols=["search_from_prefix", "catramsey_kernel_abi"],
             optional=True,
         )
     ],

@@ -19,6 +19,18 @@
 
    Build: cc -O3 -shared -fPIC _kernel.c -o libcatramsey_kernel.so */
 
+/* The calling convention of search_from_prefix.  _kernel.py refuses a library
+   whose catramsey_kernel_abi() returns another value, or that has none, so a
+   library built from an older source is never called with arguments it would
+   misread.  Bump it whenever the signature or the meaning of an argument
+   changes. */
+#define KERNEL_ABI 2
+
+int catramsey_kernel_abi(void)
+{
+    return KERNEL_ABI;
+}
+
 typedef struct {
     int n_points, k, t;
     const int *bundle_sizes, *pb_off, *pb, *perms;
@@ -129,15 +141,19 @@ static void undo(State *s, int d)
 /* Explore the subtree under a restricted-growth prefix.  Returns 1 with the
    witness left in color, 0 when the subtree holds none, -1 when the search
    ended early: the node budget ran out, or another thread set *stop, which
-   is read at every node.  *nodes counts the assignments tried.  counts must
-   be zeroed, n_bundles * k long; distinct and assigned n_bundles long,
-   zeroed; color and head n_points long; pos, fresh and link n_perms long;
-   ren n_perms * k long; trail 3 * n_perms * n_points long; used, next and
-   top n_points + 1 long.  Only counts, distinct and assigned are read before
-   they are written. */
+   is read at every node.  *nodes counts the assignments tried at depth
+   count_from or deeper; those above are not charged to the budget, so the
+   empty prefix with count_from at the branch depth walks every branch prefix
+   in one call and returns what kernel.solve's branch fold adds up to.
+   counts must be zeroed, n_bundles * k long; distinct and assigned n_bundles
+   long, zeroed; color and head n_points long; pos, fresh and link n_perms
+   long; ren n_perms * k long; trail 3 * n_perms * n_points long; used, next
+   and top n_points + 1 long.  Only counts, distinct and assigned are read
+   before they are written. */
 int search_from_prefix(int n_points, int k, int t, const int *bundle_sizes,
                        const int *pb_off, const int *pb, int n_perms, const int *perms,
-                       int prefix_len, const int *prefix, long long budget, long long *nodes,
+                       int prefix_len, const int *prefix, int count_from,
+                       long long budget, long long *nodes,
                        int *counts, int *distinct, int *assigned, int *color,
                        int *pos, int *fresh, int *ren, int *link, int *head, int *trail,
                        int *used, int *next, int *top, const volatile int *stop)
@@ -191,7 +207,9 @@ int search_from_prefix(int n_points, int k, int t, const int *bundle_sizes,
             continue;
         }
         next[depth] = c + 1;
-        if (++*nodes > budget || *stop)
+        if (depth >= count_from && ++*nodes > budget)
+            return -1;
+        if (*stop)
             return -1;
         if (assign(&s, depth, c) && (head[depth] < 0 || canonical(&s, depth))) {
             depth++;

@@ -2,9 +2,11 @@
 
 The shared library is built next to this file by setup.py (build_ext).
 Importing this module raises ImportError when the library is missing or does
-not load, which selects the pure-Python kernel instead.  ctypes releases the
-GIL for the duration of each call, so branches searched on several threads
-run concurrently.
+not load, or was built from another version of _kernel.c, which selects the
+pure-Python kernel instead.  ctypes releases the GIL for the duration of each
+call, so branches searched on several threads run concurrently; kernel.solve
+uses threads only for a search that one serial call has not finished within
+kernel.PROBE nodes, and otherwise makes a serial search one call.
 """
 
 from __future__ import annotations
@@ -12,6 +14,12 @@ from __future__ import annotations
 from pathlib import Path
 
 IMPL = "compiled"
+# ctypes drops the GIL around each call, so branch searches on several
+# threads run at once
+RELEASES_GIL = True
+# the value _kernel.c's catramsey_kernel_abi() returns: the calling
+# convention of search_from_prefix this module speaks
+ABI = 2
 
 _LIBRARY = Path(__file__).with_name("libcatramsey_kernel.so")
 if not _LIBRARY.is_file():
@@ -25,6 +33,14 @@ try:
     _lib = ctypes.CDLL(str(_LIBRARY))
 except OSError as exc:
     raise ImportError(f"compiled kernel does not load: {exc}") from exc
+try:
+    _abi = _lib.catramsey_kernel_abi
+except AttributeError:
+    raise ImportError(f"compiled kernel {_LIBRARY} is stale: it has no catramsey_kernel_abi; rebuild it") from None
+_abi.restype = ctypes.c_int
+_abi.argtypes = []
+if (_built := _abi()) != ABI:
+    raise ImportError(f"compiled kernel {_LIBRARY} speaks ABI {_built}, not {ABI}; rebuild it")
 
 _int_p = ctypes.POINTER(ctypes.c_int)
 _search = _lib.search_from_prefix
@@ -32,7 +48,8 @@ _search.restype = ctypes.c_int
 _search.argtypes = [
     ctypes.c_int, ctypes.c_int, ctypes.c_int, _int_p,  # n_points, k, t, bundle_sizes
     _int_p, _int_p, ctypes.c_int, _int_p,  # pb_off, pb, n_perms, perms
-    ctypes.c_int, _int_p, ctypes.c_longlong, ctypes.POINTER(ctypes.c_longlong),  # prefix, budget, nodes
+    ctypes.c_int, _int_p, ctypes.c_int,  # prefix, count_from
+    ctypes.c_longlong, ctypes.POINTER(ctypes.c_longlong),  # budget, nodes
     _int_p, _int_p, _int_p, _int_p,  # counts, distinct, assigned, color
     _int_p, _int_p, _int_p, _int_p, _int_p, _int_p,  # pos, fresh, ren, link, head, trail
     _int_p, _int_p, _int_p, _int_p,  # used, next, top, stop
@@ -65,7 +82,7 @@ def _flag(stop):
     return ctypes.c_int.from_buffer(stop)
 
 
-def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop=None):
+def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop=None, count_from=0):
     """Same contract as _kernel_py.search_from_prefix; stop=None is a flag
     that is never set.
 
@@ -78,6 +95,8 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
         raise ValueError("need 1 <= k, with n_bundles * k and t in C int range")
     if len(prefix) > n_points or any(c < 0 for c in prefix):
         raise ValueError("prefix must be at most n_points nonnegative colors")
+    if not 0 <= count_from <= n_points:
+        raise ValueError(f"count_from must be in 0..n_points, got {count_from}")
     if len(pb_off) != n_points + 1 or pb_off[0] != 0 or pb_off[-1] != len(pb):
         raise ValueError("pb_off must have n_points + 1 offsets from 0 to len(pb)")
     if any(a > b for a, b in zip(pb_off, pb_off[1:])):
@@ -98,7 +117,7 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     r = _search(
         n_points, k, t, _ints(bundle_sizes),
         _ints(pb_off), _ints(pb), n_perms, _ints(flat),
-        len(prefix), _ints(prefix), max(0, min(budget, _BUDGET_CAP)), ctypes.byref(nodes),
+        len(prefix), _ints(prefix), count_from, max(0, min(budget, _BUDGET_CAP)), ctypes.byref(nodes),
         _zeros(n_bundles * k), _zeros(n_bundles), _zeros(n_bundles), color,
         _zeros(n_perms), _zeros(n_perms), _zeros(n_perms * k), _zeros(n_perms),
         _zeros(n_points), _zeros(3 * n_perms * n_points),

@@ -30,6 +30,11 @@ part-way through its rows, puts them back in bucket[d] in their saved state.
 The check is skipped when bucket[d] is empty and the undo when level d left
 no trail, so problems without permutations pay nothing for it.
 
+kernel.solve makes a serial search one call: the empty prefix, with count_from
+at the branch depth.  This kernel holds the GIL, so solve never hands its
+searches to threads; only the compiled kernel, which releases it, gains from
+them, and only on a search that needs more than kernel.PROBE nodes.
+
 The compiled kernel in _kernel.c implements the identical search as the same
 loop, line for line; both must visit the same tree.  The depth-first walk
 keeps its state in explicit arrays instead of recursion, so a problem with
@@ -39,9 +44,11 @@ thousands of points cannot exhaust the Python stack.
 from __future__ import annotations
 
 IMPL = "python"
+# the search holds the GIL throughout, so threads cannot run two at once
+RELEASES_GIL = False
 
 
-def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop=(0,)):
+def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop=(0,), count_from=0):
     """Explore the subtree under a restricted-growth prefix.
 
     Returns (witness, nodes, exhausted): witness is a full color list when a
@@ -49,6 +56,12 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     counts assignments tried, exhausted is False only when the search ended
     early: the node budget was hit, or another thread set stop[0] (a
     one-element array("i"); the default is a flag that is never set).
+
+    Assignments at depths below count_from are neither counted nor charged to
+    the budget; the stop flag is still read there.  So the empty prefix with
+    count_from at the branch depth walks every branch prefix in lex order,
+    and returns what searching those prefixes one by one, each with the
+    budget the earlier ones left, adds up to: one call for a serial search.
     """
     n_bundles = len(bundle_sizes)
     counts = [[0] * k for _ in range(n_bundles)]
@@ -183,8 +196,11 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
             unassign(depth)
             continue
         nxt[depth] = c + 1
-        nodes += 1
-        if nodes > budget or stop[0]:
+        if depth >= count_from:
+            nodes += 1
+            if nodes > budget:
+                return None, nodes, False
+        if stop[0]:
             return None, nodes, False
         if assign(depth, c) and (head[depth] < 0 or canonical(depth)):
             depth += 1

@@ -10,6 +10,7 @@ what the kernel searches for; an exhausted search certifies the relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import CategoryError, FiniteCategory
 from .kernel import DEFAULT_BUDGET, build_problem, solve
@@ -69,11 +70,14 @@ def _domain(cat: FiniteCategory, q: ArrowQuery) -> tuple[list[int], dict[int, in
 
 def _domain_bundles_perms(cat: FiniteCategory, q: ArrowQuery):
     """Colorable items and their index, per-w bundles (as item index sets) and
-    the Aut(C) action on items."""
+    a callable that builds the Aut(C) action on items."""
     items, index = _domain(cat, q)
     hom_ab = cat.hom(q.A, q.B)
     bundles = [frozenset(index[cat.compose(w, f)] for f in hom_ab) for w in cat.hom(q.B, q.C)]
-    perms = [tuple(index[cat.compose(alpha, m)] for m in items) for alpha in cat.automorphisms(q.C)]
+
+    def perms() -> list[tuple[int, ...]]:
+        return [tuple(index[cat.compose(alpha, m)] for m in items) for alpha in cat.automorphisms(q.C)]
+
     return items, index, bundles, perms
 
 
@@ -94,14 +98,15 @@ def _decide(
     q: ArrowQuery,
     items: list[int],
     bundles: list[frozenset[int]],
-    perms: list[tuple[int, ...]],
+    perms: Callable[[], list[tuple[int, ...]]],
     replay,
     budget: int,
     threads: int,
 ) -> ArrowVerdict:
     """The decision both routes share: the vacuous and trivial cases, the
-    search and the verdict.  `bundles` has one entry per w, and `replay` is
-    the route's own independent check of a witness coloring."""
+    search and the verdict.  `bundles` has one entry per w, `perms` builds
+    the route's Aut(C) rows, called only when the decision searches, and
+    `replay` is the route's own independent check of a witness coloring."""
     n = len(items)
     if not bundles:
         # no w exists; the relation degenerates to whether the domain can be
@@ -117,7 +122,7 @@ def _decide(
         if len(b) <= q.t:
             return ArrowVerdict(True, None, items, 0, note="trivial: some w has a bundle of size <= t")
 
-    problem = build_problem(n, bundles, q.k, q.t, perms)
+    problem = build_problem(n, bundles, q.k, q.t, perms())
     outcome = solve(problem, budget=budget, threads=threads)
     if outcome.witness is not None:
         if not replay(outcome.witness):
@@ -179,10 +184,9 @@ def check_arrow_native_dual(
     hom_ba = cat.hom(q.B, q.A)
     hom_cb = cat.hom(q.C, q.B)
     bundles = [frozenset(idx[cat.compose(h, w)] for h in hom_ba) for w in hom_cb]
-    perms = [
-        tuple(idx[cat.compose(m, alpha)] for m in items)
-        for alpha in cat.automorphisms(q.C)
-    ]
+
+    def perms() -> list[tuple[int, ...]]:
+        return [tuple(idx[cat.compose(m, alpha)] for m in items) for alpha in cat.automorphisms(q.C)]
 
     def replay(colors: list[int]) -> bool:
         # replay in place: every w must see more than t colors

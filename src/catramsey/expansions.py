@@ -36,9 +36,23 @@ class ExpansionFunctor:
     object_map: dict[int, int]
     morphism_map: dict[int, int]
 
+    def _require_total(self, *kinds: str) -> None:
+        """Raise CategoryError naming the first upstairs object or morphism
+        that object_map or morphism_map leaves out: the indices read every
+        entry of the maps they are built from."""
+        for kind in kinds:
+            mapping, n = {
+                "object": (self.object_map, self.upstairs.n_objects),
+                "morphism": (self.morphism_map, self.upstairs.n_morphisms),
+            }[kind]
+            missing = next((x for x in range(n) if x not in mapping), None)
+            if missing is not None:
+                raise CategoryError(f"{kind}_map has no entry for upstairs {kind} {missing}")
+
     @cached_property
     def fibers(self) -> dict[int, tuple[int, ...]]:
         """downstairs object -> the upstairs objects over it, in id order."""
+        self._require_total("object")
         fibers: dict[int, list[int]] = {}
         for o in range(self.upstairs.n_objects):
             fibers.setdefault(self.object_map[o], []).append(o)
@@ -47,6 +61,8 @@ class ExpansionFunctor:
     @cached_property
     def lifts(self) -> dict[tuple[int, int], dict[int, int]]:
         """(B_up, e) -> {A_up: the upstairs morphism A_up -> B_up over e}."""
+        # the checks that read it also map every A_up and B_up downstairs
+        self._require_total("object", "morphism")
         up = self.upstairs
         lifts: dict[tuple[int, int], dict[int, int]] = {}
         for m in range(up.n_morphisms):
@@ -58,6 +74,7 @@ class ExpansionFunctor:
         """The restriction table (B_up, e) -> the fiber object over A that
         e: A -> U(B_up) lifts from into B_up, and the (B_up, e) that lift from
         none or several, which unique restrictions forbids."""
+        self._require_total("object")
         down = self.downstairs
         table: dict[tuple[int, int], int] = {}
         violations = []

@@ -36,31 +36,38 @@ def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
     mors: dict[int, tuple[int, int, str]] = {}
     compose: dict[tuple[int, int], int] = {}
 
-    for ln, line in lines:
-        parts = line.split()
-        if parts[0] not in _FIELDS:
-            raise ParseError(ln, f"unknown directive {parts[0]!r}")
-        if len(parts) < _FIELDS[parts[0]]:
-            raise ParseError(ln, f"{parts[0]} needs {_FIELDS[parts[0]] - 1} fields, got {len(parts) - 1}")
-        if parts[0] == "objects:":
-            if n_objects is not None:
-                raise ParseError(ln, "duplicate objects header")
-            n_objects = int(parts[1])
-        elif parts[0] == "obj":
-            oid = int(parts[1])
-            if oid in labels:
-                raise ParseError(ln, f"duplicate object id {oid}")
-            labels[oid] = parts[2] if len(parts) > 2 else str(oid)
-        elif parts[0] == "mor":
-            mid = int(parts[1])
-            if mid in mors:
-                raise ParseError(ln, f"duplicate morphism id {mid}")
-            mors[mid] = (int(parts[2]), int(parts[3]), parts[4] if len(parts) > 4 else str(mid))
-        elif parts[0] == "cmp":
-            g, f, gf = int(parts[1]), int(parts[2]), int(parts[3])
-            if (g, f) in compose:
-                raise ParseError(ln, f"duplicate composition entry ({g},{f})")
-            compose[(g, f)] = gf
+    ln = 0
+    try:
+        for ln, line in lines:
+            parts = line.split()
+            if parts[0] not in _FIELDS:
+                raise ParseError(ln, f"unknown directive {parts[0]!r}")
+            if len(parts) < _FIELDS[parts[0]]:
+                raise ParseError(ln, f"{parts[0]} needs {_FIELDS[parts[0]] - 1} fields, got {len(parts) - 1}")
+            if parts[0] == "objects:":
+                if n_objects is not None:
+                    raise ParseError(ln, "duplicate objects header")
+                n_objects = int(parts[1])
+            elif parts[0] == "obj":
+                oid = int(parts[1])
+                if oid in labels:
+                    raise ParseError(ln, f"duplicate object id {oid}")
+                labels[oid] = parts[2] if len(parts) > 2 else str(oid)
+            elif parts[0] == "mor":
+                mid = int(parts[1])
+                if mid in mors:
+                    raise ParseError(ln, f"duplicate morphism id {mid}")
+                mors[mid] = (int(parts[2]), int(parts[3]), parts[4] if len(parts) > 4 else str(mid))
+            elif parts[0] == "cmp":
+                g, f, gf = int(parts[1]), int(parts[2]), int(parts[3])
+                if (g, f) in compose:
+                    raise ParseError(ln, f"duplicate composition entry ({g},{f})")
+                compose[(g, f)] = gf
+    except ValueError as exc:
+        if isinstance(exc, CategoryError):
+            raise
+        # int() of a field that is not an integer, on line ln
+        raise ParseError(ln, f"expected an integer field: {exc}") from None
 
     if n_objects is None:
         raise ParseError(lines[0][0] if lines else 0, "missing objects header")
@@ -71,6 +78,7 @@ def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
     n_mor = len(mors)
     if set(mors) != set(range(n_mor)):
         raise ParseError(0, "morphism ids must be 0..m-1 without gaps")
+    # every field was read as an integer above, so int() cannot fail here
     for ln, line in lines:
         parts = line.split()
         if parts[0] == "mor":
@@ -158,7 +166,10 @@ def load_functor(stream: TextIO):
         parts = line.split()
         if len(parts) != 4 or parts[1] not in ("obj", "mor"):
             raise ParseError(ln, "expected `umap obj|mor <up> <down>`")
-        kind, up, down = parts[1], int(parts[2]), int(parts[3])
+        try:
+            kind, up, down = parts[1], int(parts[2]), int(parts[3])
+        except ValueError as exc:
+            raise ParseError(ln, f"expected an integer field: {exc}") from None
         n_up, n_down = sizes[kind]
         if not (0 <= up < n_up):
             raise ParseError(ln, f"unknown upstairs {kind} {up}")

@@ -4,7 +4,10 @@ the deterministic parallel driver.
 The actual DFS lives in _kernel (compiled C, used when its library has been
 built) or _kernel_py (pure Python, used otherwise); both expose the same
 search_from_prefix and explore identical trees, so results and node counts
-match bit for bit.
+match bit for bit.  A serial search is one kernel call over the whole tree.
+Threads act only with a kernel that releases the GIL, the compiled one, and
+only on a search that needs more than PROBE nodes; the pure kernel runs every
+search serially, whatever the thread count.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ DEFAULT_BUDGET = 10**8
 # count reaches this, so parallel runs have enough independent work units
 MIN_BRANCHES = 33
 MAX_BRANCH_DEPTH = 8
+# with threads > 1 and a kernel that releases the GIL, a search goes to the
+# thread pool only when one serial call has not finished it within this many
+# nodes: about 9 ms of the compiled kernel, the pool's own cost per solve
+PROBE = 100_000
 
 
 @dataclass
@@ -140,14 +147,29 @@ class SearchOutcome:
     exhausted: bool
 
 
-def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1) -> SearchOutcome:
-    """Fold the branch results in prefix order, as the serial run does.
+def _outcome(problem: SearchProblem, witness: list[int] | None, nodes: int, exhausted: bool) -> SearchOutcome:
+    """A kernel result with the witness mapped back to original item ids."""
+    if witness is None:
+        return SearchOutcome(witness=None, nodes=nodes, exhausted=exhausted)
+    colors = [0] * problem.n_points
+    for i, it in enumerate(problem.order):
+        colors[it] = witness[i]
+    return SearchOutcome(witness=colors, nodes=nodes, exhausted=True)
 
-    `budget` bounds the node total of the serial run, which searches the
-    branches in order and stops at the first witness; the outcome is
+
+def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1) -> SearchOutcome:
+    """The serial run: the branches searched in prefix order, stopping at the
+    first witness.
+
+    `budget` bounds the node total of the serial run; the outcome is
     inconclusive, with nodes = budget + 1, exactly when it needs more.
-    threads > 1 only start later branches early, each capped at the budget
-    left then, and the stop flag ends them once the fold is decided.
+
+    A serial run is one kernel call over the whole tree.  Only a kernel that
+    releases the GIL can gain from threads, so only then, with threads > 1,
+    does that call stop at PROBE nodes: a search that needs more goes to the
+    pool, where threads start later branches early, each capped at the budget
+    left then, and the fold takes their results in prefix order as the
+    serial run would, setting the stop flag to end them once it is decided.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -155,7 +177,7 @@ def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1
     stop = array("i", [0])
     nodes = 0  # folded total: only grows, so a branch's cap is never below its serial one
 
-    def run(prefix: list[int]):
+    def run(prefix: list[int], cap: int, count_from: int = 0):
         return _impl.search_from_prefix(
             problem.n_points,
             problem.k,
@@ -165,23 +187,25 @@ def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1
             problem.pb,
             problem.perms,
             prefix,
-            budget - nodes,
+            cap,
             stop,
+            count_from,
         )
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    cap = min(budget, PROBE) if threads > 1 and _impl.RELEASES_GIL else budget
+    witness, walked, exhausted = run([], cap, len(prefixes[0]))
+    if exhausted or cap == budget:
+        return _outcome(problem, witness, walked, exhausted)
+
+    pool = ThreadPoolExecutor(max_workers=threads)
     try:
-        for witness, n, _ in (map if pool is None else pool.map)(run, prefixes):
+        for witness, n, _ in pool.map(lambda prefix: run(prefix, budget - nodes), prefixes):
             if n > budget - nodes:
                 return SearchOutcome(witness=None, nodes=budget + 1, exhausted=False)
             nodes += n
             if witness is not None:
-                colors = [0] * problem.n_points
-                for i, it in enumerate(problem.order):
-                    colors[it] = witness[i]
-                return SearchOutcome(witness=colors, nodes=nodes, exhausted=True)
+                return _outcome(problem, witness, nodes, True)
         return SearchOutcome(witness=None, nodes=nodes, exhausted=True)
     finally:
         stop[0] = 1
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)

@@ -92,6 +92,27 @@ def test_vacuous_edges(inj3):
     assert v.holds is True
 
 
+def test_aut_rows_are_built_only_for_decisions_that_search(inj3, monkeypatch):
+    # the vacuous and trivial exits never read Aut(C); a search reads it once
+    calls, real = [], inj3.automorphisms
+    monkeypatch.setattr(inj3, "automorphisms", lambda c: calls.append(c) or real(c))
+    a1, a2, a3 = (obj(inj3, "Inj", n) for n in (1, 2, 3))
+    seen = set()
+    for route in (check_arrow, check_arrow_native_dual):
+        for q in (
+            ArrowQuery(a2, a3, a2, 2, 1),  # no w: vacuous
+            ArrowQuery(a1, a2, a3, 2, 2),  # t >= k: trivial
+            ArrowQuery(a2, a2, a3, 2, 1),  # one-item bundles: trivial
+            ArrowQuery(a1, a2, a3, 2, 1),
+            ArrowQuery(a1, a1, a2, 2, 1),
+        ):
+            calls.clear()
+            searched = not route(inj3, q).note
+            assert len(calls) == searched, (route.__name__, q)
+            seen.add(searched)
+    assert seen == {False, True}
+
+
 def test_subobject_mode_needs_mono(surj3):
     with pytest.raises(CategoryError):
         check_arrow(surj3, ArrowQuery(1, 1, 2, 2, 1, "subobject"))

@@ -278,6 +278,16 @@ def test_truncated_directive_is_a_usage_error(tmp_path, capsys, line_no, line):
     assert f"line {line_no}:" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("line_no, line", [(1, "objects: x"), (2, "obj z x"), (3, "mor 0 0 z id"), (4, "cmp 0 z 0")])
+def test_non_integer_field_is_a_usage_error_naming_its_line(tmp_path, capsys, line_no, line):
+    lines = ["objects: 1", "obj 0 x", "mor 0 0 0 id", "cmp 0 0 0"]
+    lines[line_no - 1] = line
+    path = tmp_path / "non_integer.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["validate", "--cat", str(path)]) == 3
+    assert f"line {line_no}:" in json.loads(capsys.readouterr().err)["error"]
+
+
 @pytest.mark.parametrize(
     "config, field",
     [

@@ -195,6 +195,35 @@ def test_partial_functor_map_reported_without_lookup(forgetful3, drop_object, ex
     assert rep == {"status": "violation", "problems": expected}
 
 
+@pytest.mark.parametrize(
+    "index, drop, message",
+    [
+        ("fibers", "object", "upstairs object 0"),
+        ("lifts", "morphism", "upstairs morphism 0"),
+        ("lifts", "object", "upstairs object 0"),
+        ("restrictions", "object", "upstairs object 0"),
+    ],
+)
+def test_partial_functor_map_is_a_category_error_in_every_index(index, drop, message):
+    U = forgetful_LO_to_Inj(2)
+    object_map, morphism_map = dict(U.object_map), dict(U.morphism_map)
+    del (object_map if drop == "object" else morphism_map)[0]
+    partial = ExpansionFunctor(U.upstairs, U.downstairs, object_map, morphism_map)
+    with pytest.raises(CategoryError, match=message):
+        getattr(partial, index)
+
+
+def test_partial_object_map_is_a_category_error_in_the_axiom_checks():
+    U = forgetful_LO_to_Inj(2)
+    object_map = dict(U.object_map)
+    del object_map[0]
+    partial = ExpansionFunctor(U.upstairs, U.downstairs, object_map, dict(U.morphism_map))
+    for check in (check_reasonable, check_unique_restrictions, check_restriction_laws,
+                  check_disjoint_union, check_separates_points):
+        with pytest.raises(CategoryError, match="upstairs object 0"):
+            check(partial)
+
+
 def test_identity_expansion(lo4):
     objects, morphisms = range(lo4.n_objects), range(lo4.n_morphisms)
     U = ExpansionFunctor(lo4, lo4, dict(zip(objects, objects)), dict(zip(morphisms, morphisms)))

@@ -91,6 +91,26 @@ def test_truncated_directive_rejected(text, line):
     assert f"line {line}:" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "line_no, line",
+    [
+        (1, "objects: x"),
+        (2, "obj z x"),
+        (3, "mor z 0 0 id"),
+        (3, "mor 0 z 0 id"),
+        (3, "mor 0 0 z id"),
+        (4, "cmp z 0 0"),
+        (4, "cmp 0 0.5 0"),
+        (4, "cmp 0 0 z"),
+    ],
+)
+def test_non_integer_field_rejected_with_its_line(line_no, line):
+    lines = ["objects: 1", "obj 0 x", "mor 0 0 0 id", "cmp 0 0 0"]
+    lines[line_no - 1] = line
+    with pytest.raises(catio.ParseError, match=f"line {line_no}:"):
+        catio.loads_category("\n".join(lines) + "\n")
+
+
 def test_functor_round_trip(tmp_path):
     U = forgetful_LO_to_Inj(2)
     path = tmp_path / "functor.txt"
@@ -121,6 +141,14 @@ def _forgetful2_dump_with(old: str, new: str) -> str:
 def test_functor_map_must_cover_known_ids(old, new, message):
     with pytest.raises(catio.ParseError, match=message):
         catio.load_functor(io.StringIO(_forgetful2_dump_with(old, new)))
+
+
+@pytest.mark.parametrize("old, new", [("umap obj 2 1", "umap obj z 1"), ("umap mor 1 1", "umap mor 1 one")])
+def test_non_integer_umap_field_rejected_with_its_line(old, new):
+    text = _forgetful2_dump_with(old, new)
+    line_no = text.splitlines().index(new) + 1
+    with pytest.raises(catio.ParseError, match=f"line {line_no}:"):
+        catio.load_functor(io.StringIO(text))
 
 
 def test_truncated_directive_in_a_functor_block_rejected():

@@ -5,6 +5,7 @@ import subprocess
 import time
 from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -238,20 +239,24 @@ def searches(draw):
     return build_problem(n, bundles, k, t, perms), budget
 
 
-@given(search=searches(), stopped=st.booleans())
-@example(search=(build_problem(PATH_POINTS, PATH_BUNDLES, 2, 1, []), 10**6), stopped=False)
-@example(search=(build_problem(9, TRIPLES_9, 4, 1, []), 20_000), stopped=False)
-@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 20_000), stopped=False)
-@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 300), stopped=False)
-@example(search=(CYCLE_60, 20_000), stopped=False)
+@given(search=searches(), stopped=st.booleans(), cut=st.integers(min_value=0, max_value=PATH_POINTS))
+@example(search=(build_problem(PATH_POINTS, PATH_BUNDLES, 2, 1, []), 10**6), stopped=False, cut=600)
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, []), 20_000), stopped=False, cut=3)
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 20_000), stopped=False, cut=9)
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 300), stopped=False, cut=7)
+@example(search=(CYCLE_60, 20_000), stopped=False, cut=30)
 @settings(max_examples=100, deadline=None)
-def test_pure_and_compiled_agree(compiled_kernel, search, stopped):
-    # the empty prefix walks the whole tree; the branch prefixes are the
-    # subtrees solve() hands out; a set stop flag ends both at the first node
+def test_pure_and_compiled_agree(compiled_kernel, search, stopped, cut):
+    # the empty prefix walks the whole tree, counted from the root, from the
+    # branch depth as a serial solve() does, or from a drawn depth; the branch
+    # prefixes are the subtrees the thread pool hands out; a set stop flag
+    # ends every walk at its first node
     pr, budget = search
     stop = array("i", [int(stopped)])
-    for prefix in [[]] + branch_prefixes(pr.n_points, pr.k):
-        args = (pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, prefix, budget, stop)
+    prefixes = branch_prefixes(pr.n_points, pr.k)
+    walks = [([], count_from) for count_from in (0, len(prefixes[0]), cut % (pr.n_points + 1))]
+    for prefix, count_from in walks + [(prefix, 0) for prefix in prefixes]:
+        args = (pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, prefix, budget, stop, count_from)
         assert compiled_kernel.search_from_prefix(*args) == _kernel_py.search_from_prefix(*args)
 
 
@@ -286,7 +291,76 @@ def test_matrix_search_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(kernel, "_impl", type("Counting", (), {"search_from_prefix": staticmethod(search_from_prefix)}))
     run_matrix(threads=1)
-    assert (len(nodes), sum(nodes)) == (604, 1081)
+    assert (len(nodes), sum(nodes)) == (27, 1081)  # one call per solve
+
+
+def branch_fold(impl, pr, budget):
+    """The serial solve() as it was before a serial search became one kernel
+    call: one call per branch prefix, each with the budget the earlier ones
+    left.  Kept only as an oracle for the one-call walk and the thread pool."""
+    nodes = 0
+    for prefix in branch_prefixes(pr.n_points, pr.k):
+        witness, n, _ = impl.search_from_prefix(
+            pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, prefix, budget - nodes
+        )
+        if n > budget - nodes:
+            return None, budget + 1, False
+        nodes += n
+        if witness is not None:
+            return witness, nodes, True
+    return None, nodes, True
+
+
+def gil_free(impl):
+    """`impl` declaring that it releases the GIL, so that solve() hands a
+    search too big for PROBE to the thread pool."""
+    return SimpleNamespace(RELEASES_GIL=True, search_from_prefix=impl.search_from_prefix)
+
+
+@given(search=searches(), stopped=st.booleans())
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 20_000), stopped=False)
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 300), stopped=True)
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_the_branch_fold(compiled_kernel, search, stopped):
+    # the one-call walk, and the pool it hands a big search to, answer as the
+    # per-branch fold does, at every thread count, with either kernel; PROBE=0
+    # sends every search with a budget to the pool
+    pr, budget = search
+    depth = len(branch_prefixes(pr.n_points, pr.k)[0])
+    for impl in (gil_free(_kernel_py), compiled_kernel):
+        witness, nodes, exhausted = branch_fold(impl, pr, budget)
+        # the stop flag is read above count_from too: a set one ends the walk
+        # before it counts a node
+        stop = array("i", [int(stopped)])
+        walk = impl.search_from_prefix(
+            pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, [], budget, stop, depth
+        )
+        assert walk == ((None, 0, False) if stopped else (witness, nodes, exhausted))
+        if witness is not None:
+            witness = [witness[pr.order.index(it)] for it in range(pr.n_points)]
+        for probe in (0, kernel.PROBE):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(kernel, "_impl", impl)
+                mp.setattr(kernel, "PROBE", probe)
+                for threads in (1, 2, 4):
+                    out = solve(pr, budget=budget, threads=threads)
+                    assert (out.witness, out.nodes, out.exhausted) == (witness, nodes, exhausted), (probe, threads)
+
+
+def test_matrix_through_the_thread_pool_is_unchanged(monkeypatch):
+    # the default matrix with every search handed to the pool gives the same
+    # canonical bytes as the serial run
+    serial = run_matrix(threads=1).canonical_json()
+    impl, prefixes = kernel._impl, []
+
+    def search_from_prefix(*args):
+        prefixes.append(args[7])
+        return impl.search_from_prefix(*args)
+
+    monkeypatch.setattr(kernel, "_impl", gil_free(SimpleNamespace(search_from_prefix=search_from_prefix)))
+    monkeypatch.setattr(kernel, "PROBE", 0)
+    assert run_matrix(threads=4).canonical_json() == serial
+    assert any(prefixes)  # the pool searched branch prefixes
 
 
 def test_compiled_kernel_refuses_malformed_input(compiled_kernel):
@@ -311,6 +385,8 @@ def test_compiled_kernel_refuses_malformed_input(compiled_kernel):
         {"prefix": [0, 1, 0, 1, 0]},  # longer than n_points
         {"bundle_sizes": [2, 2**40]},  # would wrap in a C int
         {"k": 0},
+        {"count_from": -1},
+        {"count_from": 5},  # deeper than n_points
         {"stop": [0]},  # not a buffer: a copy would never see the flag set
         {"stop": bytes(4)},  # read-only
         {"stop": array("d", [0])},
@@ -328,6 +404,24 @@ def test_compiled_kernel_without_library_is_an_import_error(tmp_path):
     (tmp_path / "libcatramsey_kernel.so").write_bytes(b"not a shared library")
     with pytest.raises(ImportError):
         load_kernel(tmp_path)
+
+
+def test_compiled_kernel_of_another_abi_is_an_import_error(tmp_path):
+    # a library built from an older _kernel.c would misread count_from and
+    # silently change node counts, so kernel.py must fall back instead
+    compiler = shutil.which("cc")
+    if compiler is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    for source in (
+        "int search_from_prefix(void) { return 0; }",  # no ABI symbol at all
+        "int search_from_prefix(void) { return 0; }\nint catramsey_kernel_abi(void) { return 1; }",
+    ):
+        (tmp_path / "stale.c").write_text(source)
+        library = tmp_path / "libcatramsey_kernel.so"
+        subprocess.run([compiler, "-shared", "-fPIC", str(tmp_path / "stale.c"), "-o", str(library)], check=True)
+        with pytest.raises(ImportError, match="rebuild it"):
+            load_kernel(tmp_path)
+        library.unlink()
 
 
 def test_pure_kernel_solves_a_deep_path(monkeypatch):
@@ -387,7 +481,9 @@ def test_witness_stops_the_branches_still_running(monkeypatch):
     first = branch_prefixes(n, 2)[0]
     saw_stop = []
 
-    def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop):
+    def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop, count_from=0):
+        if prefix == []:
+            return None, budget + 1, False  # the whole-tree probe is cut off
         if prefix == first:
             return witness, 1, True
         deadline = time.monotonic() + 10
@@ -396,8 +492,9 @@ def test_witness_stops_the_branches_still_running(monkeypatch):
         saw_stop.append(bool(stop[0]))
         return None, 1, False
 
-    stub = type("Stub", (), {"search_from_prefix": staticmethod(search_from_prefix)})
+    stub = SimpleNamespace(RELEASES_GIL=True, search_from_prefix=search_from_prefix)
     monkeypatch.setattr(kernel, "_impl", stub)
+    monkeypatch.setattr(kernel, "PROBE", 0)
     out = solve(pr, threads=4)
     assert out.witness == [witness[pr.order.index(it)] for it in range(n)]
     assert (out.nodes, out.exhausted) == (1, True)
