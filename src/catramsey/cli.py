@@ -31,7 +31,7 @@ from .expansions import (
 )
 from .kernel import DEFAULT_BUDGET
 from .cache import ResultCache, cached_check_arrow
-from .matrix import DEFAULT_CONFIG, run_matrix
+from .matrix import DEFAULT_CONFIG, run_matrix, worst_status
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -271,8 +271,7 @@ def _dispatch_expansion(args, seed, budget, threads) -> int:
             "separates_points": check_separates_points(U),
             "expansion_property": check_expansion_property(U),
         }
-        statuses = [c["status"] for c in checks.values()]
-        status = "violation" if "violation" in statuses else ("inconclusive" if "inconclusive" in statuses else "ok")
+        status = worst_status(c["status"] for c in checks.values())
         _emit({"status": status, "checks": checks}, seed)
         return _status_exit(status)
 

@@ -30,7 +30,17 @@ class ParseError(CategoryError):
 _FIELDS = {"objects:": 2, "obj": 2, "mor": 4, "cmp": 4}
 
 
+def _content_lines(stream: TextIO) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line that is not blank or a comment."""
+    return [
+        (i, s) for i, raw in enumerate(stream.read().splitlines(), 1) if (s := raw.strip()) and not s.startswith("#")
+    ]
+
+
 def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
+    """One pass that splits and converts each line once.  References to
+    objects and morphisms are checked by FiniteCategory; only when it refuses
+    the category are the lines read again, to name the first bad one."""
     n_objects = None
     labels: dict[int, str] = {}
     mors: dict[int, tuple[int, int, str]] = {}
@@ -48,6 +58,8 @@ def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
                 if n_objects is not None:
                     raise ParseError(ln, "duplicate objects header")
                 n_objects = int(parts[1])
+                if n_objects < 0:
+                    raise ParseError(ln, f"negative object count {n_objects}")
             elif parts[0] == "obj":
                 oid = int(parts[1])
                 if oid in labels:
@@ -78,28 +90,23 @@ def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
     n_mor = len(mors)
     if set(mors) != set(range(n_mor)):
         raise ParseError(0, "morphism ids must be 0..m-1 without gaps")
-    # every field was read as an integer above, so int() cannot fail here
-    for ln, line in lines:
-        parts = line.split()
-        if parts[0] == "mor":
-            d, c = int(parts[2]), int(parts[3])
-            if not (0 <= d < n_objects and 0 <= c < n_objects):
-                raise ParseError(ln, "dangling object reference")
-        elif parts[0] == "cmp":
-            for tok in parts[1:4]:
-                if not (0 <= int(tok) < n_mor):
-                    raise ParseError(ln, f"dangling morphism reference {tok}")
-    morphisms = [mors[i] for i in range(n_mor)]
-    return FiniteCategory(object_labels, morphisms, compose)
+    try:
+        return FiniteCategory(object_labels, [mors[i] for i in range(n_mor)], compose)
+    except CategoryError:
+        # every field was read as an integer above, so int() cannot fail here
+        for ln, line in lines:
+            parts = line.split()
+            if parts[0] == "mor" and not (0 <= int(parts[2]) < n_objects and 0 <= int(parts[3]) < n_objects):
+                raise ParseError(ln, "dangling object reference") from None
+            if parts[0] == "cmp":
+                for tok in parts[1:4]:
+                    if not (0 <= int(tok) < n_mor):
+                        raise ParseError(ln, f"dangling morphism reference {tok}") from None
+        raise
 
 
 def load_category(stream: TextIO) -> FiniteCategory:
-    lines = [
-        (i + 1, s.strip())
-        for i, s in enumerate(stream.read().splitlines())
-        if s.strip() and not s.strip().startswith("#")
-    ]
-    return _parse_category_lines(lines)
+    return _parse_category_lines(_content_lines(stream))
 
 
 def loads_category(text: str) -> FiniteCategory:
@@ -117,7 +124,7 @@ def dump_category(cat: FiniteCategory, stream: TextIO) -> None:
         stream.write(f"obj {o} {cat.object_labels[o]}\n")
     for m in range(cat.n_morphisms):
         stream.write(f"mor {m} {cat.mor_dom[m]} {cat.mor_cod[m]} {cat.mor_labels[m]}\n")
-    for g, f, gf in sorted(cat.compose_entries()):
+    for g, f, gf in cat.compose_entries():
         stream.write(f"cmp {g} {f} {gf}\n")
 
 
@@ -135,14 +142,9 @@ def dump_category_file(cat: FiniteCategory, path: str) -> None:
 def load_functor(stream: TextIO):
     from .expansions import ExpansionFunctor
 
-    raw = [
-        (i + 1, s.strip())
-        for i, s in enumerate(stream.read().splitlines())
-        if s.strip() and not s.strip().startswith("#")
-    ]
     sections: dict[str, list[tuple[int, str]]] = {"upstairs": [], "downstairs": [], "umap": []}
     current: str | None = None
-    for ln, line in raw:
+    for ln, line in _content_lines(stream):
         if line == "upstairs:":
             current = "upstairs"
         elif line == "downstairs:":

@@ -103,7 +103,10 @@ def build_problem(
 
     return SearchProblem(
         n_points=n_items,
-        k=k,
+        # restricted growth never uses more colors than points, so a larger k
+        # changes no tree; the cap bounds the kernels' rows of length k, and
+        # keeps k >= 1, which the compiled kernel needs, when there are none
+        k=min(k, max(n_items, 1)),
         t=t,
         bundle_sizes=[len(b) for b in bundles],
         pb_off=pb_off,

@@ -54,8 +54,10 @@ class RunReport:
         return {"status": self.status, "report": self.report, "stats": self.stats}
 
 
-def _cell_status(data: dict) -> str:
-    return data.get("status", "ok")
+def worst_status(statuses) -> str:
+    """violation if any status is one, else inconclusive if any is, else ok."""
+    statuses = set(statuses)
+    return "violation" if "violation" in statuses else ("inconclusive" if "inconclusive" in statuses else "ok")
 
 
 _INT_FIELDS = ("lo_max", "inj_max", "surj_max", "k_max", "budget")
@@ -83,25 +85,18 @@ def run_matrix(config: dict | None = None, threads: int = 1, cache: ResultCache 
     cells: dict[str, dict] = {}
 
     if config:
-        expectations = config.get("expectations", DEFAULT_CONFIG["expectations"])
-        budget = config.get("budget", DEFAULT_BUDGET)
-        k_max = config.get("k_max", 2)
+        # a missing field takes its DEFAULT_CONFIG value; the report echoes the config as given
+        full = {**DEFAULT_CONFIG, **config}
+        budget = full["budget"]
+        _lo_arrow_cells(cells, full, budget, threads, cache)
+        _inj_bridge_cell(cells, full, budget, threads)
+        _expansion_cells(cells, full, budget, threads)
+        _product_cell(cells, full, budget, threads)
+        _dual_cells(cells, full, budget, threads)
+        _essential_arrow_cells(cells, full, budget, threads)
+        _coloring_expansion_cell(cells, full)
 
-        _lo_arrow_cells(cells, config, expectations, budget, threads, cache)
-        _inj_bridge_cell(cells, config, budget, threads)
-        _expansion_cells(cells, config, budget, threads)
-        _product_cell(cells, config, budget, threads)
-        _dual_cells(cells, config, budget, threads)
-        _essential_arrow_cells(cells, config, budget, threads)
-        _coloring_expansion_cell(cells, config)
-
-    statuses = [_cell_status(c) for c in cells.values()]
-    if any(s == "violation" for s in statuses):
-        status = "violation"
-    elif any(s == "inconclusive" for s in statuses):
-        status = "inconclusive"
-    else:
-        status = "ok"
+    status = worst_status(c.get("status", "ok") for c in cells.values())
     report = {"config": config, "cells": cells, "status": status}
     stats = {
         "elapsed_ms": int((time.monotonic() - t_start) * 1000),
@@ -111,11 +106,10 @@ def run_matrix(config: dict | None = None, threads: int = 1, cache: ResultCache 
     return RunReport(report=report, stats=stats, status=status)
 
 
-def _lo_arrow_cells(cells, config, expectations, budget, threads, cache):
-    lo_max = config.get("lo_max", 6)
-    if lo_max < 6:
+def _lo_arrow_cells(cells, config, budget, threads, cache):
+    if config["lo_max"] < 6:
         return
-    lo = generate(UniverseSpec("LO", lo_max))
+    lo = generate(UniverseSpec("LO", config["lo_max"]))
     digest = category_digest(lo)
     A = object_of_size(lo, "LO", 2)
     B = object_of_size(lo, "LO", 3)
@@ -124,7 +118,7 @@ def _lo_arrow_cells(cells, config, expectations, budget, threads, cache):
         v = cached_check_arrow(
             cache, lo, ArrowQuery(A, B, C, 2, 1), budget=budget, threads=threads, cat_digest=digest
         )
-        expected = expectations.get(name)
+        expected = config["expectations"].get(name)
         if v.holds is None:
             status = "inconclusive"
         elif expected is None or v.holds == expected:
@@ -138,13 +132,12 @@ def _lo_arrow_cells(cells, config, expectations, budget, threads, cache):
 
 
 def _inj_bridge_cell(cells, config, budget, threads):
-    inj_max = config.get("inj_max", 4)
-    if inj_max < 4:
+    if config["inj_max"] < 4:
         return
-    inj = generate(UniverseSpec("Inj", inj_max))
+    inj = generate(UniverseSpec("Inj", config["inj_max"]))
     A2 = object_of_size(inj, "Inj", 2)
-    dm = degree_bounds(inj, A2, "morphism", config.get("k_max", 2), budget=budget, threads=threads)
-    ds = degree_bounds(inj, A2, "subobject", config.get("k_max", 2), budget=budget, threads=threads)
+    dm = degree_bounds(inj, A2, "morphism", config["k_max"], budget=budget, threads=threads)
+    ds = degree_bounds(inj, A2, "subobject", config["k_max"], budget=budget, threads=threads)
     bridge = verify_aut_bridge(inj, A2, dm, ds)
     cells["aut_bridge_inj_2"] = {
         "status": bridge["status"],
@@ -155,7 +148,7 @@ def _inj_bridge_cell(cells, config, budget, threads):
 
 
 def _expansion_cells(cells, config, budget, threads):
-    size = min(config.get("inj_max", 4), 3)
+    size = min(config["inj_max"], 3)
     if size < 3:
         return
     U = forgetful_LO_to_Inj(size)
@@ -182,13 +175,13 @@ def _expansion_cells(cells, config, budget, threads):
 
 
 def _product_cell(cells, config, budget, threads):
-    if config.get("inj_max", 4) < 3:
+    if config["inj_max"] < 3:
         return
-    inj = generate(UniverseSpec("Inj", min(config.get("inj_max", 4), 4)))
+    inj = generate(UniverseSpec("Inj", min(config["inj_max"], 4)))
     lo = generate(UniverseSpec("LO", 2))
     A2 = object_of_size(inj, "Inj", 2)
     A1 = object_of_size(lo, "LO", 1)
-    rep = verify_product(inj, lo, A2, A1, k_max=config.get("k_max", 2), budget=budget, threads=threads)
+    rep = verify_product(inj, lo, A2, A1, k_max=config["k_max"], budget=budget, threads=threads)
     cells["product_inj2_lo1"] = {
         "status": rep["status"],
         "factor_degrees": rep.get("factor_degrees"),
@@ -199,10 +192,9 @@ def _product_cell(cells, config, budget, threads):
 
 
 def _dual_cells(cells, config, budget, threads):
-    surj_max = config.get("surj_max", 3)
-    if surj_max < 2:
+    if config["surj_max"] < 2:
         return
-    surj = generate(UniverseSpec("Surj", surj_max))
+    surj = generate(UniverseSpec("Surj", config["surj_max"]))
     mismatches = []
     checked = 0
     inconclusive = False
@@ -226,8 +218,7 @@ def _dual_cells(cells, config, budget, threads):
 
 def _essential_arrow_cells(cells, config, budget, threads):
     entries = []
-    status = "ok"
-    if config.get("lo_max", 6) >= 6:
+    if config["lo_max"] >= 6:
         lo = generate(UniverseSpec("LO", 6))
         A = object_of_size(lo, "LO", 2)
         B = object_of_size(lo, "LO", 3)
@@ -235,7 +226,7 @@ def _essential_arrow_cells(cells, config, budget, threads):
         for t in (2, 3):
             rep = crosscheck_essential_arrow(lo, A, B, F, t, budget=budget, threads=threads)
             entries.append({"family": "LO", "t": t, **rep})
-    if config.get("inj_max", 4) >= 3:
+    if config["inj_max"] >= 3:
         inj = generate(UniverseSpec("Inj", 3))
         A1 = object_of_size(inj, "Inj", 1)
         B2 = object_of_size(inj, "Inj", 2)
@@ -243,17 +234,12 @@ def _essential_arrow_cells(cells, config, budget, threads):
         for t in (2, 3):
             rep = crosscheck_essential_arrow(inj, A1, B2, F3, t, budget=budget, threads=threads)
             entries.append({"family": "Inj", "t": t, **rep})
-    for e in entries:
-        if e["status"] == "violation":
-            status = "violation"
-        elif e["status"] == "inconclusive" and status == "ok":
-            status = "inconclusive"
     if entries:
-        cells["essential_arrow_crosscheck"] = {"status": status, "entries": entries}
+        cells["essential_arrow_crosscheck"] = {"status": worst_status(e["status"] for e in entries), "entries": entries}
 
 
 def _coloring_expansion_cell(cells, config):
-    if config.get("inj_max", 4) < 2:
+    if config["inj_max"] < 2:
         return
     inj = generate(UniverseSpec("Inj", 2))
     A1 = object_of_size(inj, "Inj", 1)

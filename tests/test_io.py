@@ -62,12 +62,41 @@ def test_duplicate_morphism_id_rejected():
 
 
 def test_dangling_reference_rejected():
-    text = "objects: 1\nobj 0 x\nmor 0 0 5 f\ncmp 0 0 0\n"
-    with pytest.raises(catio.ParseError):
-        catio.loads_category(text)
-    text = "objects: 1\nobj 0 x\nmor 0 0 0 id\ncmp 0 3 0\n"
-    with pytest.raises(catio.ParseError):
-        catio.loads_category(text)
+    # FiniteCategory refuses these; the parser then names the first bad line
+    for text, message in (
+        ("objects: 1\nobj 0 x\nmor 0 0 5 f\ncmp 0 0 0\n", "line 3: dangling object reference"),
+        ("objects: 1\nobj 0 x\nmor 0 0 0 id\ncmp 0 3 0\n", "line 4: dangling morphism reference 3"),
+        ("objects: 1\nobj 0 x\ncmp 0 3 0\nmor 0 0 5 f\n", "line 3: dangling morphism reference 3"),
+    ):
+        with pytest.raises(catio.ParseError) as err:
+            catio.loads_category(text)
+        assert str(err.value) == message
+
+
+def test_objects_header_may_follow_its_lines():
+    cat = catio.loads_category("obj 0 x\nmor 0 0 0 id\ncmp 0 0 0\nobjects: 1\n")
+    assert cat.object_labels == ("x",) and cat.identities == (0,)
+
+
+def test_zero_objects_is_the_empty_category():
+    cat = catio.loads_category("objects: 0\n")
+    assert (cat.n_objects, cat.n_morphisms) == (0, 0)
+
+
+class _CountingLine(str):
+    """A line that counts its split() calls."""
+
+    splits = 0
+
+    def split(self, *args, **kwargs):
+        self.splits += 1
+        return super().split(*args, **kwargs)
+
+
+def test_parser_splits_each_line_once(surj3):
+    lines = [(i, _CountingLine(s)) for i, s in enumerate(catio.dumps_category(surj3).splitlines(), 1)]
+    assert catio._parse_category_lines(lines).structurally_equal(surj3)
+    assert [line.splits for _, line in lines] == [1] * len(lines)
 
 
 def test_unknown_directive_rejected():
@@ -82,8 +111,9 @@ def test_unknown_directive_rejected():
         ("objects: 1\nobj\n", 2),
         ("objects: 1\nobj 0 x\nmor 0 0\n", 3),
         ("objects: 1\nobj 0 x\nmor 0 0 0 id\ncmp 0 0\n", 4),
+        ("objects: -1\n", 1),
     ],
-    ids=["objects", "obj", "mor", "cmp"],
+    ids=["objects", "obj", "mor", "cmp", "negative_objects"],
 )
 def test_truncated_directive_rejected(text, line):
     with pytest.raises(catio.ParseError) as err:

@@ -396,6 +396,19 @@ def test_compiled_kernel_refuses_malformed_input(compiled_kernel):
             compiled_kernel.search_from_prefix(**{**good, **bad})
 
 
+def test_build_problem_caps_k_at_the_points(compiled_kernel):
+    # restricted growth colors n points with at most n colors, so a huge k
+    # builds the problem of k = n: the pure kernel's rows of length k stay
+    # small, and the compiled kernel, which refuses n_bundles * k beyond a C
+    # int, answers the same query
+    huge = build_problem(9, TRIPLES_9, 10**9, 1, ROTATIONS_9)
+    assert huge.k == 9
+    assert huge == build_problem(9, TRIPLES_9, 9, 1, ROTATIONS_9)
+    args = (huge.n_points, huge.k, huge.t, huge.bundle_sizes, huge.pb_off, huge.pb, huge.perms, [], 20_000)
+    assert compiled_kernel.search_from_prefix(*args) == _kernel_py.search_from_prefix(*args)
+    assert build_problem(0, [], 5, 1, []).k == 1  # the compiled kernel needs k >= 1
+
+
 def test_compiled_kernel_without_library_is_an_import_error(tmp_path):
     # kernel.py selects the pure kernel on ImportError: the library is
     # missing, or it is there but does not load
