@@ -81,14 +81,21 @@ def _domain_bundles_perms(cat: FiniteCategory, q: ArrowQuery):
     return items, index, bundles, perms
 
 
+def _is_coloring(q: ArrowQuery, items: list[int], colors) -> bool:
+    """Whether `colors` is a k-coloring of `items`: one int in range(k) per item."""
+    return (
+        isinstance(colors, list)
+        and len(colors) == len(items)
+        and all(type(c) is int and 0 <= c < q.k for c in colors)
+    )
+
+
 def _replay_witness(
     cat: FiniteCategory, q: ArrowQuery, items: list[int], index: dict[int, int], colors: list[int]
 ) -> bool:
     """Independent check that `colors` is a k-coloring of `items` under which
     every w sees more than t colors."""
-    if not isinstance(colors, list) or len(colors) != len(items):
-        return False
-    if not all(type(c) is int and 0 <= c < q.k for c in colors):
+    if not _is_coloring(q, items, colors):
         return False
     hom_ab = cat.hom(q.A, q.B)
     return all(len({colors[index[cat.compose(w, f)]] for f in hom_ab}) > q.t for w in cat.hom(q.B, q.C))
@@ -189,7 +196,9 @@ def check_arrow_native_dual(
         return [tuple(idx[cat.compose(m, alpha)] for m in items) for alpha in cat.automorphisms(q.C)]
 
     def replay(colors: list[int]) -> bool:
-        # replay in place: every w must see more than t colors
+        # replay in place: a k-coloring under which every w sees more than t colors
+        if not _is_coloring(q, items, colors):
+            return False
         return all(len({colors[idx[cat.compose(h, w)]] for h in hom_ba}) > q.t for w in hom_cb)
 
     return _decide(q, items, bundles, perms, replay, budget, threads)

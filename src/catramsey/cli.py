@@ -281,7 +281,7 @@ def _dispatch_expansion(args, seed, budget, threads) -> int:
         for pair in args.degrees.split(","):
             obj, t = pair.split("=")
             degree_map.append((int(obj), int(t)))
-        spec = ColoringExpansionSpec(base=base, small_objects=tuple(o for o, _ in degree_map), degree_map=tuple(degree_map))
+        spec = ColoringExpansionSpec(base=base, degree_map=tuple(degree_map))
         U = build_coloring_expansion(spec)
         doc = {
             "upstairs_objects": U.upstairs.n_objects,

@@ -5,15 +5,22 @@ such that for every B in B_pool and every k <= k_max some C in C_universe
 satisfies the arrow, lower is the greatest t for which some (B, k) defeats
 every C at t - 1.  Both are evidence relative to the pools, never global
 claims; reports carry the label "universe-relative" for that reason.
+
+On finite pools with conclusive verdicts the two coincide: one scan over
+t = 1, 2, ... stops at the first t every (B, k) meets, and each smaller t
+it passes is defeated by some (B, k), the last of which is kept as the
+lower-bound evidence.  An inconclusive verdict on the (B, k) that stops a t
+leaves both bounds unset.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .core import CategoryError, FiniteCategory, product
 from .kernel import DEFAULT_BUDGET
-from .arrows import ArrowQuery, ArrowVerdict, check_arrow, check_arrow_native_dual
+from .arrows import ArrowQuery, check_arrow, check_arrow_native_dual
 
 
 @dataclass
@@ -53,35 +60,6 @@ def default_pool(cat: FiniteCategory, A: int) -> list[int]:
     return [x for x in range(cat.n_objects) if cat.hom(A, x)]
 
 
-class _ArrowMemo:
-    """Per-computation verdict memo exploiting monotonicity in t."""
-
-    def __init__(self, cat, mode, evaluator, budget, threads):
-        self.cat = cat
-        self.mode = mode
-        self.evaluator = evaluator
-        self.budget = budget
-        self.threads = threads
-        self.memo: dict[tuple[int, int, int, int], ArrowVerdict] = {}
-        # (B, C, k) -> [(t, verdict)], in the memo's insertion order
-        self.cells: dict[tuple[int, int, int], list[tuple[int, ArrowVerdict]]] = {}
-
-    def verdict(self, A, B, C, k, t) -> ArrowVerdict:
-        key = (B, C, k, t)
-        if key not in self.memo:
-            cell = self.cells.setdefault((B, C, k), [])
-            # holds at smaller t, or fails at larger t, settles this cell
-            for t2, v in cell:
-                if (v.holds is True and t2 <= t) or (v.holds is False and t2 >= t):
-                    break
-            else:
-                q = ArrowQuery(A, B, C, k, t, self.mode)
-                v = self.evaluator(self.cat, q, budget=self.budget, threads=self.threads)
-            self.memo[key] = v
-            cell.append((t, v))
-        return self.memo[key]
-
-
 def degree_bounds(
     cat: FiniteCategory,
     A: int,
@@ -94,83 +72,41 @@ def degree_bounds(
     evaluator=check_arrow,
 ) -> DegreeBound:
     cat.check_object(A)
-    if B_pool is None:
-        B_pool = default_pool(cat, A)
-    if C_universe is None:
-        C_universe = default_pool(cat, A)
+    B_pool = default_pool(cat, A) if B_pool is None else list(B_pool)
+    C_universe = default_pool(cat, A) if C_universe is None else list(C_universe)
     if not B_pool or not C_universe:
         raise CategoryError("empty B_pool or C_universe")
     if k_max < 2:
         raise CategoryError("k_max must be >= 2")
 
-    memo = _ArrowMemo(cat, mode, evaluator, budget, threads)
-
-    # upper bound: least t covering every (B, k); t = k_max always works
-    # because k <= k_max colors can never exceed k_max
-    upper = None
-    upper_witnesses: dict = {}
-    for t in range(1, k_max + 1):
-        ok = True
-        witnesses = {}
-        inconclusive = False
-        for B in B_pool:
-            for k in range(2, k_max + 1):
-                found = None
-                cell_inconclusive = False
-                for C in C_universe:
-                    v = memo.verdict(A, B, C, k, t)
-                    if v.holds is True:
-                        found = C
-                        break
-                    if v.holds is None:
-                        cell_inconclusive = True
-                if found is None:
-                    ok = False
-                    inconclusive = inconclusive or cell_inconclusive
-                    break
-                witnesses[(B, k)] = found
-            if not ok:
-                break
-        if ok:
-            upper = t
-            upper_witnesses = witnesses
-            break
-        if inconclusive:
-            # cannot certify failure at this t, so no smaller upper bound
-            # can be claimed either
-            return DegreeBound(A, mode, None, None, k_max, list(B_pool), list(C_universe))
-
-    # lower bound: greatest t such that some (B, k) defeats every C at t - 1;
-    # t = 1 holds by the positive-degree convention (t = 0 is never queried)
-    lower = 1
+    held: set[tuple[int, int, int]] = set()  # (B, C, k) that held at a smaller t
     lower_witness = None
-    ceiling = upper if upper is not None else k_max
-    for t in range(2, ceiling + 1):
-        evidence = None
-        for B in B_pool:
-            for k in range(2, k_max + 1):
-                per_c = {}
-                all_fail = True
-                for C in C_universe:
-                    v = memo.verdict(A, B, C, k, t - 1)
-                    if v.holds is False:
-                        per_c[C] = dict(zip(v.domain, v.witness)) if v.witness else {}
-                    else:
-                        all_fail = False
-                        break
-                if all_fail:
-                    evidence = {"B": B, "k": k, "per_C": per_c}
-                    break
-            if evidence:
+    # t = k_max always works because k <= k_max colors can never exceed k_max
+    for t in range(1, k_max + 1):
+        witnesses = {}
+        for B, k in itertools.product(dict.fromkeys(B_pool), range(2, k_max + 1)):
+            failed = {}
+            for C in dict.fromkeys(C_universe):
+                if (B, C, k) not in held:
+                    v = evaluator(cat, ArrowQuery(A, B, C, k, t, mode), budget=budget, threads=threads)
+                    if v.holds is not True:
+                        failed[C] = v
+                        continue
+                    held.add((B, C, k))
+                witnesses[(B, k)] = C
                 break
-        if evidence:
-            lower = t
-            lower_witness = evidence
+            else:
+                break  # no C holds for this (B, k)
         else:
-            break
-    return DegreeBound(
-        A, mode, lower, upper, k_max, list(B_pool), list(C_universe), upper_witnesses, lower_witness
-    )
+            return DegreeBound(A, mode, t, t, k_max, B_pool, C_universe, witnesses, lower_witness)
+        if any(v.holds is None for v in failed.values()):
+            # cannot certify failure at this t, so no bound can be claimed
+            return DegreeBound(A, mode, None, None, k_max, B_pool, C_universe)
+        if t < k_max:
+            # (B, k) defeats every C at t, so the degree is at least t + 1
+            per_c = {C: dict(zip(v.domain, v.witness)) if v.witness else {} for C, v in failed.items()}
+            lower_witness = {"B": B, "k": k, "per_C": per_c}
+    return DegreeBound(A, mode, k_max, None, k_max, B_pool, C_universe, {}, lower_witness)
 
 
 def verify_aut_bridge(cat: FiniteCategory, A: int, bounds_m: DegreeBound, bounds_s: DegreeBound) -> dict:
@@ -184,8 +120,8 @@ def verify_aut_bridge(cat: FiniteCategory, A: int, bounds_m: DegreeBound, bounds
         return {"status": "inconclusive", "reason": "k_max below |Aut(A)|", "aut": n_aut}
     lhs = bounds_m.upper
     rhs = n_aut * bounds_s.upper
-    report = {
-        "status": "ok" if lhs == rhs else "violation",
+    return {
+        "status": "ok" if lhs == rhs and lhs >= n_aut else "violation",
         "morphism_degree": lhs,
         "aut": n_aut,
         "subobject_degree": bounds_s.upper,
@@ -193,9 +129,6 @@ def verify_aut_bridge(cat: FiniteCategory, A: int, bounds_m: DegreeBound, bounds
         "aut_lower_bound_ok": lhs >= n_aut,
         "scope": "universe-relative",
     }
-    if lhs < n_aut:
-        report["status"] = "violation"
-    return report
 
 
 def verify_product(
@@ -204,16 +137,12 @@ def verify_product(
     A1: int,
     A2: int,
     k_max: int = 2,
-    B_pool1: list[int] | None = None,
-    B_pool2: list[int] | None = None,
-    C_universe1: list[int] | None = None,
-    C_universe2: list[int] | None = None,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> dict:
     """Product-category degree bound against the product of factor degrees."""
-    d1 = degree_bounds(cat1, A1, "morphism", k_max, B_pool1, C_universe1, budget, threads)
-    d2 = degree_bounds(cat2, A2, "morphism", k_max, B_pool2, C_universe2, budget, threads)
+    d1 = degree_bounds(cat1, A1, "morphism", k_max, budget=budget, threads=threads)
+    d2 = degree_bounds(cat2, A2, "morphism", k_max, budget=budget, threads=threads)
     if not (d1.tight and d2.tight):
         return {"status": "inconclusive", "reason": "factor bounds not tight"}
 
@@ -262,11 +191,8 @@ def dual_degree_bounds(
     if route == "native":
         if mode != "morphism":
             raise CategoryError("native dual route supports morphism mode only")
-        if B_pool is None:
-            B_pool = [x for x in range(cat.n_objects) if cat.hom(x, A)]
-        if C_universe is None:
-            C_universe = [x for x in range(cat.n_objects) if cat.hom(x, A)]
-        return degree_bounds(
-            cat, A, mode, k_max, B_pool, C_universe, budget, threads, evaluator=check_arrow_native_dual
-        )
+        into_A = [x for x in range(cat.n_objects) if cat.hom(x, A)]
+        B_pool = into_A if B_pool is None else B_pool
+        C_universe = into_A if C_universe is None else C_universe
+        return degree_bounds(cat, A, mode, k_max, B_pool, C_universe, budget, threads, check_arrow_native_dual)
     raise CategoryError(f"unknown route {route!r}")

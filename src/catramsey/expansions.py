@@ -456,8 +456,18 @@ def lifted_expansion(
 @dataclass(frozen=True)
 class ColoringExpansionSpec:
     base: FiniteCategory
-    small_objects: tuple[int, ...]
-    degree_map: tuple[tuple[int, int], ...]  # (small object, t) pairs
+    degree_map: tuple[tuple[int, int], ...]  # (small object, t) pairs, one per small object
+
+    def __post_init__(self):
+        seen = set()
+        for a in self.small_objects:
+            if a in seen:
+                raise CategoryError(f"degree_map names small object {a} twice")
+            seen.add(a)
+
+    @property
+    def small_objects(self) -> tuple[int, ...]:
+        return tuple(a for a, _ in self.degree_map)
 
     def degrees(self) -> dict[int, int]:
         return dict(self.degree_map)
@@ -475,7 +485,7 @@ def build_coloring_expansion(spec: ColoringExpansionSpec) -> ExpansionFunctor:
     degs = spec.degrees()
     for a in spec.small_objects:
         base.check_object(a)
-        if degs.get(a, 0) < 1:
+        if degs[a] < 1:
             raise CategoryError(f"degree_map must be >= 1 on small object {a}")
 
     # enumerate fibers: theta as a tuple of color tuples, one per small object

@@ -67,12 +67,21 @@ def _check_config(config) -> None:
     """Refuse a config of the wrong shape before any cell runs."""
     if not isinstance(config, dict):
         raise CategoryError(f"config must be a JSON object, got {type(config).__name__}")
+    _check_known(config, DEFAULT_CONFIG, "config field")
     for name in _INT_FIELDS:
         # bool is an int subclass, but JSON true is no size or budget
         if name in config and type(config[name]) is not int:
             raise CategoryError(f"config field {name!r} must be an integer, got {config[name]!r}")
     if not isinstance(config.get("expectations", {}), dict):
         raise CategoryError("config field 'expectations' must be a JSON object")
+    _check_known(config.get("expectations", {}), DEFAULT_CONFIG["expectations"], "expectation")
+
+
+def _check_known(given: dict, known: dict, what: str) -> None:
+    # a misspelt key would otherwise be ignored and its default used in silence
+    for name in given:
+        if name not in known:
+            raise CategoryError(f"unknown {what} {name!r}; known: {', '.join(sorted(known))}")
 
 
 def run_matrix(config: dict | None = None, threads: int = 1, cache: ResultCache | None = None) -> RunReport:
@@ -84,17 +93,16 @@ def run_matrix(config: dict | None = None, threads: int = 1, cache: ResultCache 
     t_start = time.monotonic()
     cells: dict[str, dict] = {}
 
-    if config:
-        # a missing field takes its DEFAULT_CONFIG value; the report echoes the config as given
-        full = {**DEFAULT_CONFIG, **config}
-        budget = full["budget"]
-        _lo_arrow_cells(cells, full, budget, threads, cache)
-        _inj_bridge_cell(cells, full, budget, threads)
-        _expansion_cells(cells, full, budget, threads)
-        _product_cell(cells, full, budget, threads)
-        _dual_cells(cells, full, budget, threads)
-        _essential_arrow_cells(cells, full, budget, threads)
-        _coloring_expansion_cell(cells, full)
+    # a missing field takes its DEFAULT_CONFIG value; the report echoes the config as given
+    full = {**DEFAULT_CONFIG, **config}
+    budget = full["budget"]
+    _lo_arrow_cells(cells, full, budget, threads, cache)
+    _inj_bridge_cell(cells, full, budget, threads)
+    _expansion_cells(cells, full, budget, threads)
+    _product_cell(cells, full, budget, threads)
+    _dual_cells(cells, full, budget, threads)
+    _essential_arrow_cells(cells, full, budget, threads)
+    _coloring_expansion_cell(cells, full)
 
     status = worst_status(c.get("status", "ok") for c in cells.values())
     report = {"config": config, "cells": cells, "status": status}
@@ -244,7 +252,7 @@ def _coloring_expansion_cell(cells, config):
     inj = generate(UniverseSpec("Inj", 2))
     A1 = object_of_size(inj, "Inj", 1)
     A2 = object_of_size(inj, "Inj", 2)
-    spec = ColoringExpansionSpec(base=inj, small_objects=(A1, A2), degree_map=((A1, 1), (A2, 2)))
+    spec = ColoringExpansionSpec(base=inj, degree_map=((A1, 1), (A2, 2)))
     try:
         U = build_coloring_expansion(spec)
     except CategoryError as exc:

@@ -59,6 +59,23 @@ def oracle_degree_upper(cat, A, mode, k_max, B_pool, C_universe):
     return None
 
 
+def oracle_degree_lower(cat, A, mode, k_max, B_pool, C_universe):
+    """Greatest t such that some (B, k) defeats every C at t - 1, by raw
+    enumeration; 1 when no (B, k) defeats every C at any t < k_max."""
+    return max(
+        [1]
+        + [
+            t
+            for t in range(2, k_max + 1)
+            if any(
+                not any(oracle_arrow(cat, A, B, C, k, t - 1, mode)[0] for C in C_universe)
+                for B in B_pool
+                for k in range(2, k_max + 1)
+            )
+        ]
+    )
+
+
 @pytest.fixture(scope="session")
 def lo6():
     return generate(UniverseSpec("LO", 6))
@@ -92,10 +109,10 @@ def matrix_coloring_expansion():
     """The matrix's coloring expansion: Inj_2, degree 1 on Inj_1 and 2 on Inj_2."""
     inj = generate(UniverseSpec("Inj", 2))
     a1, a2 = object_of_size(inj, "Inj", 1), object_of_size(inj, "Inj", 2)
-    return build_coloring_expansion(ColoringExpansionSpec(inj, (a1, a2), ((a1, 1), (a2, 2))))
+    return build_coloring_expansion(ColoringExpansionSpec(inj, ((a1, 1), (a2, 2))))
 
 
 def surj3_coloring_expansion():
     """The Surj_3 coloring expansion with degree 2 on object 2."""
     surj = generate(UniverseSpec("Surj", 3))
-    return build_coloring_expansion(ColoringExpansionSpec(surj, (2,), ((2, 2),)))
+    return build_coloring_expansion(ColoringExpansionSpec(surj, ((2, 2),)))

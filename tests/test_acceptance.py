@@ -134,7 +134,7 @@ def test_08_coloring_expansion_axioms():
     # checks and its fiber sizes match the product counting formula
     base = generate(UniverseSpec("Inj", 2))
     a1, a2 = obj(base, "Inj", 1), obj(base, "Inj", 2)
-    spec = ColoringExpansionSpec(base, (a1, a2), ((a1, 1), (a2, 2)))
+    spec = ColoringExpansionSpec(base, ((a1, 1), (a2, 2)))
     U = build_coloring_expansion(spec)
     assert check_reasonable(U)["status"] == "ok"
     assert check_unique_restrictions(U)["status"] == "ok"

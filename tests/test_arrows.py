@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catramsey import arrows
 from catramsey.arrows import (
     ArrowQuery,
     check_arrow,
@@ -213,3 +214,23 @@ def test_ramsey_property_check(lo6, inj4):
     # a pair with a single endomorphism is its own witness
     l1 = obj(lo6, "LO", 1)
     assert first_witness(lo6, l1, l1, [l1]) == l1
+
+
+@pytest.mark.parametrize("route", [check_arrow_native_dual, check_arrow_dual])
+def test_witness_outside_range_k_fails_replay_on_both_dual_routes(route, monkeypatch):
+    # a kernel whose witness colors lie outside range(k) must be caught by
+    # each route's own replay, not returned as a failing verdict
+    real = arrows.solve
+
+    def shifted(problem, budget, threads):
+        outcome = real(problem, budget=budget, threads=threads)
+        if outcome.witness is not None:
+            outcome.witness = [c + 5 for c in outcome.witness]
+        return outcome
+
+    surj4 = generate(UniverseSpec("Surj", 4))
+    q = ArrowQuery(1, 1, 3, 2, 1)
+    assert route(surj4, q).holds is False
+    monkeypatch.setattr(arrows, "solve", shifted)
+    with pytest.raises(RuntimeError, match="witness failed replay"):
+        route(surj4, q)

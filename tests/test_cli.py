@@ -8,6 +8,7 @@ import pytest
 
 from catramsey.cli import main
 from catramsey.generators import UniverseSpec, generate
+from catramsey.matrix import run_matrix
 from catramsey import io as catio
 from conftest import obj
 
@@ -178,6 +179,14 @@ def test_expansion_build_coloring(tmp_path, capsys):
     assert U.validate_functor()["status"] == "ok"
 
 
+def test_build_coloring_with_a_repeated_object_is_a_usage_error(inj3_file, capsys):
+    code = main(["expansion", "build-coloring", "--base", inj3_file, "--degrees", "0=1,0=2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "small object 0 twice" in json.loads(captured.err)["error"]
+
+
 def test_build_coloring_on_a_tampered_base_is_a_usage_error(tmp_path, capsys):
     # Inj_2 with 4*1 rewritten: it loads, validate reports associativity
     # violation [4, 4, 2], and a lifted composite then has no upstairs morphism
@@ -299,6 +308,8 @@ def test_non_integer_field_is_a_usage_error_naming_its_line(tmp_path, capsys, li
         ({"k_max": 2.5}, "k_max"),
         ({"budget": "x"}, "budget"),
         ({"expectations": [1]}, "expectations"),
+        ({"lo_mx": 7}, "lo_mx"),
+        ({"expectations": {"arrow_lo6": False}}, "arrow_lo6"),
     ],
 )
 def test_malformed_matrix_config_is_a_usage_error(tmp_path, capsys, config, field):
@@ -308,6 +319,11 @@ def test_malformed_matrix_config_is_a_usage_error(tmp_path, capsys, config, fiel
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in json.loads(captured.err)["error"]
+
+
+def test_empty_matrix_config_runs_the_default_cells():
+    # every missing field takes its default, so {} is the default config
+    assert run_matrix({}).report["cells"] == run_matrix().report["cells"]
 
 
 def test_cli_import_does_not_load_numpy():

@@ -1,10 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from catramsey.arrows import ArrowVerdict
 from catramsey.core import CategoryError, one_object_category
 from catramsey.degrees import (
-    _ArrowMemo,
     default_pool,
     degree_bounds,
     dual_degree_bounds,
@@ -12,7 +13,7 @@ from catramsey.degrees import (
     verify_product,
 )
 from catramsey.generators import UniverseSpec, generate
-from conftest import obj, oracle_degree_upper
+from conftest import obj, oracle_degree_lower, oracle_degree_upper
 
 
 def test_lo_degree_is_one(lo6):
@@ -37,9 +38,10 @@ def test_inj_degrees(inj4):
 def test_degree_against_oracle(lo4, inj3):
     for cat, a in ((lo4, obj(lo4, "LO", 2)), (inj3, obj(inj3, "Inj", 2))):
         pool = default_pool(cat, a)
-        for mode in ("morphism", "subobject"):
-            d = degree_bounds(cat, a, mode, 2, pool, pool)
-            assert d.upper == oracle_degree_upper(cat, a, mode, 2, pool, pool)
+        for mode, k_max in itertools.product(("morphism", "subobject"), (2, 3)):
+            d = degree_bounds(cat, a, mode, k_max, pool, pool)
+            assert d.upper == oracle_degree_upper(cat, a, mode, k_max, pool, pool)
+            assert d.lower == oracle_degree_lower(cat, a, mode, k_max, pool, pool)
 
 
 def test_aut_bridge(inj4, lo6):
@@ -158,36 +160,41 @@ def test_empty_pool_rejected(inj4):
 
 
 
-cells = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(2, 3), st.integers(1, 3))
+cells = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(2, 3), st.integers(1, 3))
 
 
 @given(
     outcomes=st.dictionaries(cells, st.sampled_from([True, False, None])),
-    queries=st.lists(cells, max_size=40),
+    B_pool=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+    C_universe=st.lists(st.integers(0, 2), min_size=1, max_size=4),
 )
-@settings(max_examples=150, deadline=None)
-def test_arrow_memo_settles_like_a_full_scan(outcomes, queries):
-    # scripted verdicts need not be monotone in t, so the test sees which
-    # earlier entry settled a query; the reference scans the whole memo in
-    # insertion order for the first entry of the same (B, C, k) that does
+@settings(max_examples=200, deadline=None)
+def test_degree_scan_evaluates_each_cell_once(outcomes, B_pool, C_universe):
+    # scripted verdicts need not be monotone in t, and the pools may repeat
+    # objects; a cell is never asked twice, and never once its (B, C, k) held
     calls = []
 
     def evaluate(cat, q, budget, threads):
         calls.append((q.B, q.C, q.k, q.t))
-        return ArrowVerdict(outcomes.get((q.B, q.C, q.k, q.t)), None, [], 0)
+        holds = outcomes.get((q.B, q.C, q.k, q.t), False)
+        return ArrowVerdict(holds, [q.t] if holds is False else None, [q.C], 0)
 
-    memo = _ArrowMemo(None, "morphism", evaluate, 0, 1)
-    ref: dict = {}
-    ref_calls = []
-    for key in queries:
-        B, C, k, t = key
-        if key not in ref:
-            for (b2, c2, k2, t2), h2 in ref.items():
-                if (b2, c2, k2) == (B, C, k) and (h2 is True and t2 <= t or h2 is False and t2 >= t):
-                    ref[key] = h2
-                    break
-            else:
-                ref_calls.append(key)
-                ref[key] = outcomes.get(key)
-        assert memo.verdict(0, B, C, k, t).holds == ref[key]
-    assert calls == ref_calls
+    d = degree_bounds(one_object_category(), 0, "morphism", 3, B_pool, C_universe, evaluator=evaluate)
+    assert len(calls) == len(set(calls))
+    held = {(B, C, k, t) for (B, C, k, t) in calls if outcomes.get((B, C, k, t)) is True}
+    for B, C, k, t in calls:
+        assert not any((B, C, k) == (b, c, kk) and t2 < t for b, c, kk, t2 in held)
+    if d.upper is not None:
+        assert d.lower == d.upper
+        # every (B, k) has a C that held at the upper bound or below
+        for (B, k), C in d.upper_witnesses.items():
+            assert any((B, C, k, t) in held for t in range(1, d.upper + 1))
+    if d.lower_witness is not None:
+        # the evidence defeats every C at lower - 1, each by its own coloring
+        w = d.lower_witness
+        assert set(w["per_C"]) == set(C_universe)
+        for C, coloring in w["per_C"].items():
+            assert (w["B"], C, w["k"], d.lower - 1) in calls
+            assert coloring == {C: d.lower - 1}
+    else:
+        assert d.lower in (1, None)

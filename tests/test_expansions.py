@@ -236,7 +236,7 @@ def test_identity_expansion(lo4):
 def test_coloring_expansion_counts_and_axioms():
     base = generate(UniverseSpec("Inj", 2))
     a1 = obj(base, "Inj", 1)
-    spec = ColoringExpansionSpec(base, (a1,), ((a1, 2),))
+    spec = ColoringExpansionSpec(base, ((a1, 2),))
     U = build_coloring_expansion(spec)
     assert U.validate_functor()["status"] == "ok"
     for c in range(base.n_objects):
@@ -253,7 +253,7 @@ def test_coloring_expansion_truncation_is_honest():
     # the 2-element base is too small to settle the expansion property
     base = generate(UniverseSpec("Inj", 2))
     a1 = obj(base, "Inj", 1)
-    U = build_coloring_expansion(ColoringExpansionSpec(base, (a1,), ((a1, 2),)))
+    U = build_coloring_expansion(ColoringExpansionSpec(base, ((a1, 2),)))
     assert check_expansion_property(U)["status"] == "inconclusive"
 
 
@@ -261,7 +261,14 @@ def test_coloring_expansion_caps():
     base = generate(UniverseSpec("Inj", 3))
     a1 = obj(base, "Inj", 1)
     with pytest.raises(CategoryError):
-        build_coloring_expansion(ColoringExpansionSpec(base, (a1,), ((a1, 7),)))
+        build_coloring_expansion(ColoringExpansionSpec(base, ((a1, 7),)))
     with pytest.raises(CategoryError):
-        ColoringExpansionSpec(base, (a1,), ((a1, 0),))
-        build_coloring_expansion(ColoringExpansionSpec(base, (a1,), ((a1, 0),)))
+        build_coloring_expansion(ColoringExpansionSpec(base, ((a1, 0),)))
+
+
+def test_coloring_spec_derives_its_small_objects_and_refuses_a_repeat():
+    base = generate(UniverseSpec("Inj", 2))
+    a1, a2 = obj(base, "Inj", 1), obj(base, "Inj", 2)
+    assert ColoringExpansionSpec(base, ((a2, 2), (a1, 1))).small_objects == (a2, a1)
+    with pytest.raises(CategoryError, match=f"small object {a1} twice"):
+        ColoringExpansionSpec(base, ((a1, 1), (a2, 2), (a1, 2)))
