@@ -73,10 +73,10 @@ def _domain_bundles_perms(cat: FiniteCategory, q: ArrowQuery):
     a callable that builds the Aut(C) action on items."""
     items, index = _domain(cat, q)
     hom_ab = cat.hom(q.A, q.B)
-    bundles = [frozenset(index[cat.compose(w, f)] for f in hom_ab) for w in cat.hom(q.B, q.C)]
+    bundles = [frozenset(map(index.__getitem__, cat.post(w, hom_ab))) for w in cat.hom(q.B, q.C)]
 
     def perms() -> list[tuple[int, ...]]:
-        return [tuple(index[cat.compose(alpha, m)] for m in items) for alpha in cat.automorphisms(q.C)]
+        return [tuple(map(index.__getitem__, cat.post(alpha, items))) for alpha in cat.automorphisms(q.C)]
 
     return items, index, bundles, perms
 
@@ -98,7 +98,7 @@ def _replay_witness(
     if not _is_coloring(q, items, colors):
         return False
     hom_ab = cat.hom(q.A, q.B)
-    return all(len({colors[index[cat.compose(w, f)]] for f in hom_ab}) > q.t for w in cat.hom(q.B, q.C))
+    return all(len({colors[index[wf]] for wf in cat.post(w, hom_ab)}) > q.t for w in cat.hom(q.B, q.C))
 
 
 def _decide(
@@ -190,15 +190,15 @@ def check_arrow_native_dual(
     idx = {m: i for i, m in enumerate(items)}
     hom_ba = cat.hom(q.B, q.A)
     hom_cb = cat.hom(q.C, q.B)
-    bundles = [frozenset(idx[cat.compose(h, w)] for h in hom_ba) for w in hom_cb]
+    bundles = [frozenset(map(idx.__getitem__, cat.pre(hom_ba, w))) for w in hom_cb]
 
     def perms() -> list[tuple[int, ...]]:
-        return [tuple(idx[cat.compose(m, alpha)] for m in items) for alpha in cat.automorphisms(q.C)]
+        return [tuple(map(idx.__getitem__, cat.pre(items, alpha))) for alpha in cat.automorphisms(q.C)]
 
     def replay(colors: list[int]) -> bool:
         # replay in place: a k-coloring under which every w sees more than t colors
         if not _is_coloring(q, items, colors):
             return False
-        return all(len({colors[idx[cat.compose(h, w)]] for h in hom_ba}) > q.t for w in hom_cb)
+        return all(len({colors[idx[hw]] for hw in cat.pre(hom_ba, w)}) > q.t for w in hom_cb)
 
     return _decide(q, items, bundles, perms, replay, budget, threads)

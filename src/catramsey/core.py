@@ -6,6 +6,17 @@ row-major ``array("i")`` of m*m cells where cell ``g * m + f`` holds g*f, or -1
 where the composite is undefined.  Everything downstream (arrow search, degree
 computation, expansion checks) reads these tables; after construction a
 category is treated as immutable and is safe to share between worker threads.
+
+The table is filled and read in whole rows where it can be.  A concrete
+category numbers each hom-set with consecutive ids, so concrete_category
+writes each row of an (a, b, c) block, g*f for g in hom(b, c) and every f in
+hom(a, b), with one slice assignment.  opposite() transposes the table with
+one strided slice per column, since the opposite's row f is column f here.
+A finished table handed to the constructor is checked at C speed: min, max
+and a -1 count over each row's composable runs, and one -1 count of the
+whole table, find unknown ids and entries on non-composable pairs.
+post(g, fs) and pre(gs, f) read g*f along a row or a column, and raise, as
+compose does, on an undefined composite.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 # The composition table takes 4*m*m bytes, 256 MB at this many morphisms;
@@ -29,12 +41,14 @@ class FiniteCategory:
         self,
         object_labels: Sequence[str],
         morphisms: Sequence[tuple[int, int, str]],
-        compose: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]],
+        compose: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] | array,
         identities: Sequence[int] | None = None,
     ):
         """`compose` maps (g, f) to g*f, as a mapping or as a one-pass
         iterable of its items; a large category can then stream its
-        composition straight into the table."""
+        composition straight into the table.  It may also be the finished
+        table, an array("i") of m*m cells with -1 where g*f is undefined,
+        which the category takes over without copying."""
         self.object_labels: tuple[str, ...] = tuple(str(s) for s in object_labels)
         self.n_objects = len(self.object_labels)
         self.mor_dom: tuple[int, ...] = tuple(m[0] for m in morphisms)
@@ -61,15 +75,21 @@ class FiniteCategory:
         self._out: tuple[tuple[int, ...], ...] = tuple(map(tuple, out))
 
         m = self.n_morphisms
-        table = array("i", [-1]) * (m * m)
-        stray = []
-        for (g, f), gf in compose.items() if isinstance(compose, Mapping) else compose:
-            if not (0 <= g < m and 0 <= f < m and 0 <= gf < m):
-                raise CategoryError(f"composition entry ({g},{f}) -> {gf} names an unknown morphism")
-            table[g * m + f] = gf
-            if self.mor_cod[f] != self.mor_dom[g]:
-                stray.append((g, f, gf))
-        self._table = table
+        if isinstance(compose, array):
+            if compose.typecode != "i" or len(compose) != m * m:
+                raise CategoryError(f"a composition table needs {m * m} cells of type 'i'")
+            self._table = compose
+            stray = self._table_strays()
+        else:
+            table = array("i", [-1]) * (m * m)
+            stray = []
+            for (g, f), gf in compose.items() if isinstance(compose, Mapping) else compose:
+                if not (0 <= g < m and 0 <= f < m and 0 <= gf < m):
+                    raise CategoryError(f"composition entry ({g},{f}) -> {gf} names an unknown morphism")
+                table[g * m + f] = gf
+                if self.mor_cod[f] != self.mor_dom[g]:
+                    stray.append((g, f, gf))
+            self._table = table
         # entries defined on non-composable pairs: malformed input, kept so
         # that validate() reports it and dump_category() writes it back
         self._stray: list[tuple[int, int, int]] = sorted(stray)
@@ -87,6 +107,35 @@ class FiniteCategory:
 
     # -- basic structure ---------------------------------------------------
 
+    def _table_strays(self) -> list[tuple[int, int, int]]:
+        """Check a finished table, in which every cell must be -1 or a
+        morphism id, and return its entries on non-composable pairs.  The
+        composable cells are read one run of consecutive ids at a time with
+        min, max and count, at C speed; only a row holding more entries than
+        those is then read entry by entry."""
+        table, m = self._table, self.n_morphisms
+        runs = [_runs(fs) for fs in self._into]
+        composable = [0] * m  # per row, the composable cells that hold an entry
+        for g in range(m):
+            for lo, hi in runs[self.mor_dom[g]]:
+                cells = table[g * m + lo : g * m + hi]
+                if min(cells) < -1 or max(cells) >= m:
+                    raise CategoryError(f"row {g} of the composition table names an unknown morphism")
+                composable[g] += hi - lo - cells.count(-1)
+        if m * m - table.count(-1) == sum(composable):
+            return []
+        stray = []
+        for g in range(m):
+            row = table[g * m : g * m + m]
+            if m - row.count(-1) == composable[g]:
+                continue
+            for f, gf in enumerate(row):
+                if gf != -1 and self.mor_cod[f] != self.mor_dom[g]:
+                    if not 0 <= gf < m:
+                        raise CategoryError(f"row {g} of the composition table names an unknown morphism")
+                    stray.append((g, f, gf))
+        return stray
+
     def check_object(self, a: int) -> None:
         if not (0 <= a < self.n_objects):
             raise CategoryError(f"unknown object id {a}")
@@ -97,6 +146,23 @@ class FiniteCategory:
         if gf < 0:
             raise CategoryError(f"morphisms {g} and {f} are not composable")
         return gf
+
+    def post(self, g: int, fs: Sequence[int]) -> list[int]:
+        """The composites g*f for f in fs, read from g's row of the table;
+        raises like compose if one is undefined."""
+        m = self.n_morphisms
+        gfs = list(map(self._table[g * m : g * m + m].__getitem__, fs))
+        if -1 in gfs:
+            raise CategoryError(f"morphisms {g} and {fs[gfs.index(-1)]} are not composable")
+        return gfs
+
+    def pre(self, gs: Sequence[int], f: int) -> list[int]:
+        """The composites g*f for g in gs, read from f's column of the table;
+        raises like compose if one is undefined."""
+        gfs = list(map(self._table[f :: self.n_morphisms].__getitem__, gs))
+        if -1 in gfs:
+            raise CategoryError(f"morphisms {gs[gfs.index(-1)]} and {f} are not composable")
+        return gfs
 
     def composable(self, g: int, f: int) -> bool:
         return self.mor_cod[f] == self.mor_dom[g]
@@ -149,12 +215,10 @@ class FiniteCategory:
     def iso(self, a: int, b: int) -> tuple[int, ...]:
         """Invertible morphisms a -> b."""
         out = []
+        id_a, id_b = self.identity(a), self.identity(b)
         for f in self.hom(a, b):
             for g in self.hom(b, a):
-                if (
-                    self.compose(g, f) == self.identity(a)
-                    and self.compose(f, g) == self.identity(b)
-                ):
+                if self.compose(g, f) == id_a and self.compose(f, g) == id_b:
                     out.append(f)
                     break
         return tuple(out)
@@ -172,7 +236,7 @@ class FiniteCategory:
         d = self.mor_dom[f]
         for x in range(self.n_objects):
             arrows = self.hom(x, d)
-            if len({self.compose(f, u) for u in arrows}) != len(arrows):
+            if len(set(self.post(f, arrows))) != len(arrows):
                 return False
         return True
 
@@ -181,7 +245,7 @@ class FiniteCategory:
         c = self.mor_cod[f]
         for x in range(self.n_objects):
             arrows = self.hom(c, x)
-            if len({self.compose(u, f) for u in arrows}) != len(arrows):
+            if len(set(self.pre(arrows, f))) != len(arrows):
                 return False
         return True
 
@@ -204,7 +268,7 @@ class FiniteCategory:
         for f in self.hom(a, b):
             if f in seen:
                 continue
-            members = frozenset(self.compose(f, alpha) for alpha in auts)
+            members = frozenset(self.post(f, auts))
             seen.update(members)
             classes.append(SubobjectClass(representative=f, members=members))
         return tuple(classes)
@@ -223,8 +287,11 @@ class FiniteCategory:
             morphisms = [
                 (self.mor_cod[i], self.mor_dom[i], self.mor_labels[i]) for i in range(self.n_morphisms)
             ]
-            compose = (((f, g), gf) for g, f, gf in self.compose_entries())
-            self._opposite = FiniteCategory(self.object_labels, morphisms, compose, self.identities)
+            # the opposite's row f is this table's column f
+            m, table = self.n_morphisms, array("i")
+            for f in range(m):
+                table.extend(self._table[f::m])
+            self._opposite = FiniteCategory(self.object_labels, morphisms, table, self.identities)
         return self._opposite
 
     # -- canonical form ----------------------------------------------------
@@ -372,23 +439,35 @@ def concrete_category(
                 index[(a, b)] = ids
                 out[a].append((b, range(start, len(values))))
 
-    def entries():
-        for a in range(n):
-            for b, fs in out[a]:
-                for c, gs in out[b]:
-                    ids = index.get((a, c), {})
-                    for g in gs:
-                        gv = values[g]
-                        for f in fs:
-                            gf = ids.get(compose(gv, values[f]))
-                            if gf is None:
-                                raise CategoryError(f"the composite {g}*{f} is not a morphism {a} -> {c}")
-                            yield (g, f), gf
-
     identities = [index.get((a, a), {}).get(identity(a)) for a in range(n)]
     if None in identities:
         raise CategoryError(f"the identity of object {identities.index(None)} is not a morphism")
-    return FiniteCategory(object_labels, morphisms, entries(), identities), values
+    m = len(values)
+    table = array("i", [-1]) * (m * m)
+    for a in range(n):
+        for b, fs in out[a]:
+            f_values = values[fs.start : fs.stop]
+            for c, gs in out[b]:
+                ids = index.get((a, c), {})
+                for g in gs:
+                    # row g of the (a, b, c) block: g*f for every f in hom(a, b)
+                    row = list(map(ids.get, map(compose, repeat(values[g]), f_values)))
+                    if None in row:
+                        f = fs[row.index(None)]
+                        raise CategoryError(f"the composite {g}*{f} is not a morphism {a} -> {c}")
+                    table[g * m + fs.start : g * m + fs.stop] = array("i", row)
+    return FiniteCategory(object_labels, morphisms, table, identities), values
+
+
+def _runs(ids: Sequence[int]) -> list[tuple[int, int]]:
+    """Sorted ids as maximal runs of consecutive ids, each a [lo, hi) pair."""
+    runs: list[tuple[int, int]] = []
+    for i in ids:
+        if runs and runs[-1][1] == i:
+            runs[-1] = (runs[-1][0], i + 1)
+        else:
+            runs.append((i, i + 1))
+    return runs
 
 
 def product(cat1: FiniteCategory, cat2: FiniteCategory) -> FiniteCategory:

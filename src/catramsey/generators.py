@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import CategoryError, FiniteCategory, concrete_category
 
@@ -52,10 +53,20 @@ def generate(spec: UniverseSpec) -> FiniteCategory:
     Object i (0-based) has size i+1 and label "<family>_<size>".
     """
     family, n = spec.family, spec.max_size
+    getters: dict[tuple[int, ...], itemgetter] = {}
+
+    def compose(g: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
+        # g*f is the image tuple of x -> g[f[x]]: f's positions read from g
+        get = getters.get(f)
+        if get is None:
+            # a slice keeps the one-point image a tuple
+            get = getters[f] = itemgetter(*f) if len(f) > 1 else itemgetter(slice(f[0], f[0] + 1))
+        return get(g)
+
     cat, _ = concrete_category(
         [f"{family}_{s}" for s in range(1, n + 1)],
         lambda a, b: ((img, ",".join(map(str, img))) for img in _functions(family, a + 1, b + 1)),
-        lambda g, f: tuple([g[x] for x in f]),
+        compose,
         lambda a: tuple(range(a + 1)),
     )
     return cat

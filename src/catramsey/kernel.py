@@ -65,8 +65,12 @@ def build_problem(
     """Translate a bundle problem over original item ids into search order.
 
     Points are ordered to finish small bundles first, which lets the
-    cannot-exceed-t prune fire as early as possible.
+    cannot-exceed-t prune fire as early as possible.  A bundle listed more
+    than once is kept once, at its first place: a repeat adds no point to
+    the order and prunes exactly where its first copy does, so the tree and
+    its node count are the same.
     """
+    bundles = list(dict.fromkeys(bundles))
     remaining = sorted(range(len(bundles)), key=lambda b: (len(bundles[b]), b))
     order: list[int] = []
     placed: set[int] = set()
@@ -79,7 +83,9 @@ def build_problem(
         if it not in placed:
             placed.add(it)
             order.append(it)
-    pos = {it: i for i, it in enumerate(order)}
+    pos = [0] * n_items
+    for i, it in enumerate(order):
+        pos[it] = i
 
     point_bundles: list[list[int]] = [[] for _ in range(n_items)]
     for b, items in enumerate(bundles):
@@ -91,15 +97,12 @@ def build_problem(
         pb.extend(sorted(point_bundles[p]))
         pb_off.append(len(pb))
 
-    perms = []
-    seen = set()
-    for p in item_perms:
-        row = tuple(pos[p[order[i]]] for i in range(n_items))
-        if row == tuple(range(n_items)) or row in seen:
-            continue
-        seen.add(row)
-        perms.append(list(row))
-    perms.sort()
+    # each item permutation conjugated into search order; the identity and
+    # repeats are dropped
+    identity = tuple(range(n_items))
+    rows = {tuple(map(pos.__getitem__, map(p.__getitem__, order))) for p in item_perms}
+    rows.discard(identity)
+    perms = sorted(map(list, rows))
 
     return SearchProblem(
         n_points=n_items,
@@ -134,13 +137,24 @@ def restricted_growth(length: int, k: int):
     yield from rec(0, 0)
 
 
+def branch_depth(n_points: int, k: int) -> int:
+    """The prefix depth of the branch decomposition: the smallest one whose
+    restricted-growth strings number at least MIN_BRANCHES, capped at
+    MAX_BRANCH_DEPTH and at n_points.  Counted, not enumerated: blocks[j]
+    is the number of strings of the current length that use j values."""
+    deepest = min(n_points, MAX_BRANCH_DEPTH)
+    blocks = [1] + [0] * k
+    for depth in range(deepest):
+        if sum(blocks) >= MIN_BRANCHES:
+            return depth
+        # a string using j values grows by any of them, or by value j if j < k
+        blocks = [j * blocks[j] + (blocks[j - 1] if j else 0) for j in range(k + 1)]
+    return deepest
+
+
 def branch_prefixes(n_points: int, k: int) -> list[list[int]]:
     """Fixed branch decomposition, independent of thread count."""
-    deepest = min(n_points, MAX_BRANCH_DEPTH)
-    for depth in range(deepest + 1):
-        prefixes = list(restricted_growth(depth, k))
-        if len(prefixes) >= MIN_BRANCHES or depth == deepest:
-            return prefixes
+    return list(restricted_growth(branch_depth(n_points, k), k))
 
 
 @dataclass
@@ -176,7 +190,6 @@ def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    prefixes = branch_prefixes(problem.n_points, problem.k)
     stop = array("i", [0])
     nodes = 0  # folded total: only grows, so a branch's cap is never below its serial one
 
@@ -196,10 +209,11 @@ def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1
         )
 
     cap = min(budget, PROBE) if threads > 1 and _impl.RELEASES_GIL else budget
-    witness, walked, exhausted = run([], cap, len(prefixes[0]))
+    witness, walked, exhausted = run([], cap, branch_depth(problem.n_points, problem.k))
     if exhausted or cap == budget:
         return _outcome(problem, witness, walked, exhausted)
 
+    prefixes = branch_prefixes(problem.n_points, problem.k)
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         for witness, n, _ in pool.map(lambda prefix: run(prefix, budget - nodes), prefixes):

@@ -72,9 +72,14 @@ def _check_config(config) -> None:
         # bool is an int subclass, but JSON true is no size or budget
         if name in config and type(config[name]) is not int:
             raise CategoryError(f"config field {name!r} must be an integer, got {config[name]!r}")
-    if not isinstance(config.get("expectations", {}), dict):
+    expectations = config.get("expectations", {})
+    if not isinstance(expectations, dict):
         raise CategoryError("config field 'expectations' must be a JSON object")
-    _check_known(config.get("expectations", {}), DEFAULT_CONFIG["expectations"], "expectation")
+    _check_known(expectations, DEFAULT_CONFIG["expectations"], "expectation")
+    for name, value in expectations.items():
+        # an expected verdict is JSON true, false or null; 1 is no verdict
+        if value is not None and type(value) is not bool:
+            raise CategoryError(f"expectation {name!r} must be true, false or null, got {value!r}")
 
 
 def _check_known(given: dict, known: dict, what: str) -> None:

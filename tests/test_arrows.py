@@ -13,6 +13,7 @@ from catramsey.arrows import (
 from catramsey.core import CategoryError, FiniteCategory
 from catramsey.degrees import degree_bounds
 from catramsey.generators import UniverseSpec, generate
+from catramsey.io import dumps_category, loads_category
 from conftest import obj, oracle_arrow
 
 
@@ -234,3 +235,17 @@ def test_witness_outside_range_k_fails_replay_on_both_dual_routes(route, monkeyp
     monkeypatch.setattr(arrows, "solve", shifted)
     with pytest.raises(RuntimeError, match="witness failed replay"):
         route(surj4, q)
+
+
+def test_missing_composite_is_a_category_error_on_both_row_routes():
+    # a file that lacks one cmp line inside hom(B, C) * hom(A, B): the row
+    # reads must refuse the -1 cell, not index with it
+    lo = generate(UniverseSpec("LO", 3))
+    A, B, C = (obj(lo, "LO", s) for s in (1, 2, 3))
+    g, f = lo.hom(B, C)[1], lo.hom(A, B)[0]
+    cat = loads_category(dumps_category(lo).replace(f"cmp {g} {f} {lo.compose(g, f)}\n", ""))
+    with pytest.raises(CategoryError, match=f"{g} and {f} are not composable"):
+        check_arrow(cat, ArrowQuery(A, B, C, 2, 1))
+    # in place, the dual query (C, B, A) composes hom(B, C) after hom(A, B)
+    with pytest.raises(CategoryError, match=f"{g} and {f} are not composable"):
+        check_arrow_native_dual(cat, ArrowQuery(C, B, A, 2, 1))

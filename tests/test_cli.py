@@ -310,6 +310,8 @@ def test_non_integer_field_is_a_usage_error_naming_its_line(tmp_path, capsys, li
         ({"expectations": [1]}, "expectations"),
         ({"lo_mx": 7}, "lo_mx"),
         ({"expectations": {"arrow_lo6": False}}, "arrow_lo6"),
+        ({"expectations": {"arrow_lo_6": "yes"}}, "arrow_lo_6"),
+        ({"expectations": {"arrow_lo_6": 1}}, "arrow_lo_6"),
     ],
 )
 def test_malformed_matrix_config_is_a_usage_error(tmp_path, capsys, config, field):

@@ -1,5 +1,6 @@
 import itertools
 import weakref
+from array import array
 
 import pytest
 
@@ -12,7 +13,8 @@ from catramsey.core import (
     product,
     validate,
 )
-from catramsey.generators import UniverseSpec, generate
+from catramsey.generators import UniverseSpec, forgetful_LO_to_Inj, generate
+from catramsey.io import dumps_category, loads_category
 from conftest import obj
 
 
@@ -246,3 +248,107 @@ def test_surj_morphisms_epi_not_all_mono(surj3):
 def test_unknown_object_rejected(lo4):
     with pytest.raises(CategoryError):
         lo4.hom(0, 99)
+
+
+def _morphisms(cat):
+    return [(cat.mor_dom[i], cat.mor_cod[i], cat.mor_labels[i]) for i in range(cat.n_morphisms)]
+
+
+def _function_entries(cat):
+    """g*f on every composable pair of a generated family, composing the
+    image tuples that the labels spell out."""
+    ids = {(cat.mor_dom[i], cat.mor_cod[i], label): i for i, label in enumerate(cat.mor_labels)}
+    image = [tuple(map(int, label.split(","))) for label in cat.mor_labels]
+    for g in range(cat.n_morphisms):
+        for f in range(cat.n_morphisms):
+            if cat.mor_cod[f] == cat.mor_dom[g]:
+                gf = ",".join(str(image[g][x]) for x in image[f])
+                yield (g, f), ids[(cat.mor_dom[f], cat.mor_cod[g], gf)]
+
+
+def _lifted_entries(functor):
+    """g*f on every composable upstairs pair: the upstairs morphism between
+    the right objects that lies over the base composite."""
+    up, down, over = functor.upstairs, functor.downstairs, functor.morphism_map
+    for g in range(up.n_morphisms):
+        for f in range(up.n_morphisms):
+            if up.mor_cod[f] == up.mor_dom[g]:
+                base = down.compose(over[g], over[f])
+                (gf,) = [h for h in up.hom(up.mor_dom[f], up.mor_cod[g]) if over[h] == base]
+                yield (g, f), gf
+
+
+def _assert_same_tables(block, entries):
+    assert list(block.compose_entries()) == list(entries.compose_entries())
+    assert dumps_category(block) == dumps_category(entries)
+
+
+def _generated(family, size):
+    cat = generate(UniverseSpec(family, size))
+    return cat, _function_entries(cat)
+
+
+def _forgetful_upstairs(size):
+    functor = forgetful_LO_to_Inj(size)
+    return functor.upstairs, _lifted_entries(functor)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: _generated("LO", 7), lambda: _generated("Inj", 5), lambda: _generated("Surj", 5), lambda: _forgetful_upstairs(3)],
+    ids=["LO_7", "Inj_5", "Surj_5", "forgetful_3"],
+)
+def test_block_built_tables_match_entry_built_ones(build):
+    cat, entries = build()
+    _assert_same_tables(cat, FiniteCategory(cat.object_labels, _morphisms(cat), entries, cat.identities))
+    # the transposed opposite against the opposite streamed entry by entry
+    swapped = [(c, d, label) for d, c, label in _morphisms(cat)]
+    op_entries = (((f, g), gf) for g, f, gf in cat.compose_entries())
+    _assert_same_tables(cat.opposite(), FiniteCategory(cat.object_labels, swapped, op_entries, cat.identities))
+
+
+def test_opposite_of_a_loaded_category_keeps_its_faults_swapped():
+    lo = generate(UniverseSpec("LO", 3))
+    g, f = lo.hom(obj(lo, "LO", 2), obj(lo, "LO", 3))[0], lo.hom(obj(lo, "LO", 1), obj(lo, "LO", 2))[0]
+    e = lo.hom(obj(lo, "LO", 1), obj(lo, "LO", 2))[1]  # e*f is no composable pair
+    text = dumps_category(lo).replace(f"cmp {g} {f} {lo.compose(g, f)}\n", "") + f"cmp {e} {f} {g}\n"
+    cat = loads_category(text)
+    assert (validate(cat).missing_compositions, validate(cat).closure_violations) == ([(g, f)], [(e, f)])
+    op = cat.opposite()
+    report = validate(op)
+    assert (report.missing_compositions, report.closure_violations) == ([(f, g)], [(f, e)])
+    assert (f, e, g) in list(op.compose_entries())
+    assert op.opposite().structurally_equal(cat)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [(array("i", [0, 0]), "cells"), (array("l", [0]), "cells"), (array("i", [1]), "unknown"), (array("i", [-2]), "unknown")],
+)
+def test_a_finished_table_naming_unknown_ids_is_refused(table, message):
+    with pytest.raises(CategoryError, match=message):
+        FiniteCategory(["x"], [(0, 0, "id")], table, identities=[0])
+
+
+def test_a_finished_table_with_an_unknown_id_off_the_composable_pairs_is_refused():
+    # cell (0, 1) is idx*idy, which is no composable pair
+    objects, morphisms = ["x", "y"], [(0, 0, "idx"), (1, 1, "idy")]
+    for stray in (9, -3):
+        with pytest.raises(CategoryError, match="unknown"):
+            FiniteCategory(objects, morphisms, array("i", [0, stray, -1, 1]), identities=[0, 1])
+    cat = FiniteCategory(objects, morphisms, array("i", [0, 1, -1, 1]), identities=[0, 1])
+    assert validate(cat).closure_violations == [(0, 1)]
+
+
+def test_row_reads_match_compose_and_refuse_a_missing_composite(surj3):
+    ids = range(surj3.n_morphisms)
+    for g in ids:
+        fs = [f for f in ids if surj3.mor_cod[f] == surj3.mor_dom[g]]
+        assert surj3.post(g, fs) == [surj3.compose(g, f) for f in fs]
+        hs = [h for h in ids if surj3.mor_dom[h] == surj3.mor_cod[g]]
+        assert surj3.pre(hs, g) == [surj3.compose(h, g) for h in hs]
+    cat = FiniteCategory(["x"], [(0, 0, "id"), (0, 0, "e")], {(0, 0): 0, (0, 1): 1, (1, 0): 1}, identities=[0])
+    with pytest.raises(CategoryError, match="1 and 1"):
+        cat.post(1, [0, 1])
+    with pytest.raises(CategoryError, match="1 and 1"):
+        cat.pre([0, 1], 1)

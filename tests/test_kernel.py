@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import itertools
 import shutil
@@ -538,3 +539,52 @@ def test_branch_prefixes_cover_and_are_disjoint():
         return out
 
     assert sorted(prefixes) == sorted(rgs(depth, 2))
+
+
+def _doubled(pr: SearchProblem) -> SearchProblem:
+    """pr with every bundle listed twice, the copies numbered after the originals."""
+    n_bundles = len(pr.bundle_sizes)
+    pb, pb_off = [], [0]
+    for p in range(pr.n_points):
+        own = pr.pb[pr.pb_off[p] : pr.pb_off[p + 1]]
+        pb.extend(own + [b + n_bundles for b in own])
+        pb_off.append(len(pb))
+    return dataclasses.replace(pr, bundle_sizes=pr.bundle_sizes * 2, pb_off=pb_off, pb=pb)
+
+
+@pytest.mark.parametrize("k, t", [(2, 1), (3, 2)])
+def test_repeated_bundles_are_kept_once_and_search_the_same_tree(inj4, k, t):
+    # w and w*sigma, for sigma in Aut(B), have the same bundle: on Inj_4,
+    # hom(3, 4) lists each of its four point sets six times
+    A, B, C = obj(inj4, "Inj", 2), obj(inj4, "Inj", 3), obj(inj4, "Inj", 4)
+    items = inj4.hom(A, C)
+    index = {m: i for i, m in enumerate(items)}
+    bundles = [frozenset(index[inj4.compose(w, f)] for f in inj4.hom(A, B)) for w in inj4.hom(B, C)]
+    distinct = list(dict.fromkeys(bundles))
+    assert (len(bundles), len(distinct)) == (24, 4)
+    perms = [tuple(index[inj4.compose(a, m)] for m in items) for a in inj4.automorphisms(C)]
+    repeated, plain = (build_problem(len(items), bs, k, t, perms) for bs in (bundles, distinct))
+    assert (repeated.order, repeated.perms) == (plain.order, plain.perms)
+    assert len(repeated.bundle_sizes) == 4
+    out = solve(repeated)
+    assert out == solve(plain) and out.witness is not None and out.nodes > 0
+    # the kernel walks the same tree with the repeats kept
+    assert solve(_doubled(plain)) == out
+
+
+def test_repeated_triples_search_the_same_tree():
+    repeated = build_problem(9, TRIPLES_9 + TRIPLES_9[::3], 4, 1, ROTATIONS_9)
+    plain = build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9)
+    assert repeated == plain
+    out = solve(plain)
+    assert out.witness is None and out.nodes > 0
+    assert solve(_doubled(plain)) == out
+
+
+def test_branch_depth_counts_what_enumeration_lists():
+    for n in range(12):
+        for k in range(1, 7):
+            deepest = min(n, kernel.MAX_BRANCH_DEPTH)
+            sizes = [sum(1 for _ in kernel.restricted_growth(d, k)) for d in range(deepest + 1)]
+            expected = next((d for d, size in enumerate(sizes) if size >= kernel.MIN_BRANCHES), deepest)
+            assert kernel.branch_depth(n, k) == expected
