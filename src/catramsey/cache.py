@@ -66,7 +66,7 @@ class ResultCache:
             warnings.warn(f"discarding corrupt cache entry {key}")
             self.evict(key)
             return None
-        if not isinstance(value, dict) or not _ENTRY_FIELDS <= value.keys():
+        if not (isinstance(value, dict) and _ENTRY_FIELDS <= value.keys() and _values_well_formed(value)):
             warnings.warn(f"discarding malformed cache entry {key}")
             self.evict(key)
             return None
@@ -95,6 +95,14 @@ class ResultCache:
 
 
 _ENTRY_FIELDS = {"holds", "witness", "domain", "nodes"}
+
+
+def _values_well_formed(entry: dict) -> bool:
+    # a verdict is JSON true, false or null (1 is none), only a failing one
+    # carries a witness, and a node count is a non-negative integer
+    holds, nodes = entry["holds"], entry["nodes"]
+    typed = type(holds) in (bool, type(None)) and type(nodes) is int and nodes >= 0
+    return typed and (entry["witness"] is None or holds is False)
 
 
 def _verdict_to_entry(v: ArrowVerdict) -> dict:

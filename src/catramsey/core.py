@@ -12,9 +12,11 @@ category numbers each hom-set with consecutive ids, so concrete_category
 writes each row of an (a, b, c) block, g*f for g in hom(b, c) and every f in
 hom(a, b), with one slice assignment.  opposite() transposes the table with
 one strided slice per column, since the opposite's row f is column f here.
-A finished table handed to the constructor is checked at C speed: min, max
-and a -1 count over each row's composable runs, and one -1 count of the
-whole table, find unknown ids and entries on non-composable pairs.
+The finished table is the constructor's only composition input: a file
+fills one cell per line, products and the generated families go through
+concrete_category.  The constructor checks it at C speed: min, max and a -1
+count over each row's composable runs, and one -1 count of the whole table,
+find unknown ids and entries on non-composable pairs.
 post(g, fs) and pre(gs, f) read g*f along a row or a column, and raise, as
 compose does, on an undefined composite.
 """
@@ -25,10 +27,10 @@ import heapq
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 # The composition table takes 4*m*m bytes, 256 MB at this many morphisms;
-# larger categories are refused before anything is allocated.
+# larger categories are refused before their table is allocated.
 MAX_MORPHISMS = 8192
 
 
@@ -41,14 +43,13 @@ class FiniteCategory:
         self,
         object_labels: Sequence[str],
         morphisms: Sequence[tuple[int, int, str]],
-        compose: Mapping[tuple[int, int], int] | Iterable[tuple[tuple[int, int], int]] | array,
+        table: array,
         identities: Sequence[int] | None = None,
     ):
-        """`compose` maps (g, f) to g*f, as a mapping or as a one-pass
-        iterable of its items; a large category can then stream its
-        composition straight into the table.  It may also be the finished
-        table, an array("i") of m*m cells with -1 where g*f is undefined,
-        which the category takes over without copying."""
+        """`table` is the finished composition table: an array("i") of m*m
+        cells in which cell g*m + f holds g*f, or -1 where it is undefined.
+        The category takes it over without copying, and refuses a table of
+        another type or size, or one naming an unknown morphism."""
         self.object_labels: tuple[str, ...] = tuple(str(s) for s in object_labels)
         self.n_objects = len(self.object_labels)
         self.mor_dom: tuple[int, ...] = tuple(m[0] for m in morphisms)
@@ -75,24 +76,12 @@ class FiniteCategory:
         self._out: tuple[tuple[int, ...], ...] = tuple(map(tuple, out))
 
         m = self.n_morphisms
-        if isinstance(compose, array):
-            if compose.typecode != "i" or len(compose) != m * m:
-                raise CategoryError(f"a composition table needs {m * m} cells of type 'i'")
-            self._table = compose
-            stray = self._table_strays()
-        else:
-            table = array("i", [-1]) * (m * m)
-            stray = []
-            for (g, f), gf in compose.items() if isinstance(compose, Mapping) else compose:
-                if not (0 <= g < m and 0 <= f < m and 0 <= gf < m):
-                    raise CategoryError(f"composition entry ({g},{f}) -> {gf} names an unknown morphism")
-                table[g * m + f] = gf
-                if self.mor_cod[f] != self.mor_dom[g]:
-                    stray.append((g, f, gf))
-            self._table = table
+        if not isinstance(table, array) or table.typecode != "i" or len(table) != m * m:
+            raise CategoryError(f"a composition table needs {m * m} cells of type 'i'")
+        self._table = table
         # entries defined on non-composable pairs: malformed input, kept so
         # that validate() reports it and dump_category() writes it back
-        self._stray: list[tuple[int, int, int]] = sorted(stray)
+        self._stray: list[tuple[int, int, int]] = self._table_strays()
 
         if identities is not None:
             self.identities: tuple[int, ...] = tuple(identities)
@@ -471,43 +460,27 @@ def _runs(ids: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def product(cat1: FiniteCategory, cat2: FiniteCategory) -> FiniteCategory:
-    """Product category: pair objects, pair morphisms, componentwise composition."""
+    """Product category: object (o1, o2) has id o1 * n2 + o2, a morphism is a
+    pair (f1, f2), and composition is componentwise."""
     n2 = cat2.n_objects
-    m2 = cat2.n_morphisms
+    objects = [f"({a1}*{a2})" for a1 in cat1.object_labels for a2 in cat2.object_labels]
 
-    def obj(o1: int, o2: int) -> int:
-        return o1 * n2 + o2
+    def arrows(a: int, b: int):
+        (a1, a2), (b1, b2) = divmod(a, n2), divmod(b, n2)
+        for f1 in cat1.hom(a1, b1):
+            for f2 in cat2.hom(a2, b2):
+                yield (f1, f2), f"({cat1.mor_labels[f1]}*{cat2.mor_labels[f2]})"
 
-    def mor(f1: int, f2: int) -> int:
-        return f1 * m2 + f2
+    def compose(g, f):
+        return cat1.compose(g[0], f[0]), cat2.compose(g[1], f[1])
 
-    objects = [
-        f"({cat1.object_labels[o1]}*{cat2.object_labels[o2]})"
-        for o1 in range(cat1.n_objects)
-        for o2 in range(n2)
-    ]
-    morphisms = []
-    for f1 in range(cat1.n_morphisms):
-        for f2 in range(m2):
-            morphisms.append(
-                (
-                    obj(cat1.mor_dom[f1], cat2.mor_dom[f2]),
-                    obj(cat1.mor_cod[f1], cat2.mor_cod[f2]),
-                    f"({cat1.mor_labels[f1]}*{cat2.mor_labels[f2]})",
-                )
-            )
-    compose = {}
-    for g1, f1, gf1 in cat1.compose_entries():
-        for g2, f2, gf2 in cat2.compose_entries():
-            compose[(mor(g1, g2), mor(f1, f2))] = mor(gf1, gf2)
-    identities = [
-        mor(cat1.identities[o1], cat2.identities[o2])
-        for o1 in range(cat1.n_objects)
-        for o2 in range(n2)
-    ]
-    return FiniteCategory(objects, morphisms, compose, identities)
+    def identity(a: int):
+        a1, a2 = divmod(a, n2)
+        return cat1.identities[a1], cat2.identities[a2]
+
+    return concrete_category(objects, arrows, compose, identity)[0]
 
 
 def one_object_category() -> FiniteCategory:
     """The terminal-style category with one object and only its identity."""
-    return FiniteCategory(["pt"], [(0, 0, "id")], {(0, 0): 0}, [0])
+    return FiniteCategory(["pt"], [(0, 0, "id")], array("i", [0]), [0])

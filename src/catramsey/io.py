@@ -15,9 +15,10 @@ followed by `umap obj <up> <down>` and `umap mor <up> <down>` lines.
 from __future__ import annotations
 
 import io as _io
+from array import array
 from typing import TextIO
 
-from .core import CategoryError, FiniteCategory
+from .core import MAX_MORPHISMS, CategoryError, FiniteCategory
 
 
 class ParseError(CategoryError):
@@ -38,13 +39,14 @@ def _content_lines(stream: TextIO) -> list[tuple[int, str]]:
 
 
 def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
-    """One pass that splits and converts each line once.  References to
-    objects and morphisms are checked by FiniteCategory; only when it refuses
-    the category are the lines read again, to name the first bad one."""
+    """One pass that splits and converts each line once; the cmp lines then
+    fill the composition table, one cell each.  References to objects and
+    morphisms are checked by FiniteCategory; only when it refuses the
+    category are the lines read again, to name the first bad one."""
     n_objects = None
     labels: dict[int, str] = {}
     mors: dict[int, tuple[int, int, str]] = {}
-    compose: dict[tuple[int, int], int] = {}
+    cmps: list[tuple[int, int, int, int]] = []  # (line, g, f, gf)
 
     ln = 0
     try:
@@ -58,8 +60,9 @@ def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
                 if n_objects is not None:
                     raise ParseError(ln, "duplicate objects header")
                 n_objects = int(parts[1])
-                if n_objects < 0:
-                    raise ParseError(ln, f"negative object count {n_objects}")
+                # each object needs its own identity morphism, within the morphism cap
+                if not 0 <= n_objects <= MAX_MORPHISMS:
+                    raise ParseError(ln, f"object count {n_objects} is outside 0..{MAX_MORPHISMS}")
             elif parts[0] == "obj":
                 oid = int(parts[1])
                 if oid in labels:
@@ -71,10 +74,7 @@ def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
                     raise ParseError(ln, f"duplicate morphism id {mid}")
                 mors[mid] = (int(parts[2]), int(parts[3]), parts[4] if len(parts) > 4 else str(mid))
             elif parts[0] == "cmp":
-                g, f, gf = int(parts[1]), int(parts[2]), int(parts[3])
-                if (g, f) in compose:
-                    raise ParseError(ln, f"duplicate composition entry ({g},{f})")
-                compose[(g, f)] = gf
+                cmps.append((ln, int(parts[1]), int(parts[2]), int(parts[3])))
     except ValueError as exc:
         if isinstance(exc, CategoryError):
             raise
@@ -90,8 +90,19 @@ def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
     n_mor = len(mors)
     if set(mors) != set(range(n_mor)):
         raise ParseError(0, "morphism ids must be 0..m-1 without gaps")
+    if n_mor > MAX_MORPHISMS:
+        raise ParseError(0, f"{n_mor} morphisms exceed the cap of {MAX_MORPHISMS}")
+    table = array("i", [-1]) * (n_mor * n_mor)
     try:
-        return FiniteCategory(object_labels, [mors[i] for i in range(n_mor)], compose)
+        for ln, g, f, gf in cmps:
+            if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= gf < n_mor):
+                raise CategoryError("dangling morphism reference")  # the re-scan names the line
+            if table[g * n_mor + f] >= 0:
+                raise ParseError(ln, f"duplicate composition entry ({g},{f})")
+            table[g * n_mor + f] = gf
+        return FiniteCategory(object_labels, [mors[i] for i in range(n_mor)], table)
+    except ParseError:
+        raise
     except CategoryError:
         # every field was read as an integer above, so int() cannot fail here
         for ln, line in lines:

@@ -72,6 +72,11 @@ def _check_config(config) -> None:
         # bool is an int subclass, but JSON true is no size or budget
         if name in config and type(config[name]) is not int:
             raise CategoryError(f"config field {name!r} must be an integer, got {config[name]!r}")
+    # as with the CLI's --budget, a node budget is never negative; k_max is
+    # the largest colour count tried, and colourings start at 2 colours
+    for name, least in (("budget", 0), ("k_max", 2)):
+        if config.get(name, least) < least:
+            raise CategoryError(f"config field {name!r} must be at least {least}, got {config[name]}")
     expectations = config.get("expectations", {})
     if not isinstance(expectations, dict):
         raise CategoryError("config field 'expectations' must be a JSON object")

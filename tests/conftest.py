@@ -8,12 +8,22 @@ engine they check.
 from __future__ import annotations
 
 import itertools
+from array import array
 
 import pytest
 
 from catramsey.core import FiniteCategory
 from catramsey.expansions import ColoringExpansionSpec, build_coloring_expansion
 from catramsey.generators import UniverseSpec, generate, object_of_size
+
+
+def composition_table(m: int, entries) -> array:
+    """The finished m*m table of a category given by its (g, f) -> g*f
+    entries, as a mapping or as an iterable of ((g, f), gf) items."""
+    table = array("i", [-1]) * (m * m)
+    for (g, f), gf in entries.items() if isinstance(entries, dict) else entries:
+        table[g * m + f] = gf
+    return table
 
 
 def oracle_arrow(cat: FiniteCategory, A: int, B: int, C: int, k: int, t: int, mode: str = "morphism"):

@@ -14,7 +14,7 @@ from catramsey.core import CategoryError, FiniteCategory
 from catramsey.degrees import degree_bounds
 from catramsey.generators import UniverseSpec, generate
 from catramsey.io import dumps_category, loads_category
-from conftest import obj, oracle_arrow
+from conftest import composition_table, obj, oracle_arrow
 
 
 def test_classical_lo_instances(lo6):
@@ -144,7 +144,7 @@ def test_dual_route_on_shared_opposite_matches_fresh_opposite():
     fresh = FiniteCategory(
         surj4.object_labels,
         [(surj4.mor_cod[i], surj4.mor_dom[i], surj4.mor_labels[i]) for i in range(surj4.n_morphisms)],
-        {(f, g): gf for g, f, gf in surj4.compose_entries()},
+        composition_table(surj4.n_morphisms, {(f, g): gf for g, f, gf in surj4.compose_entries()}),
         surj4.identities,
     )
     queries = [(1, 1, 3, 1), (2, 2, 3, 1), (2, 3, 3, 1), (3, 3, 3, 1), (0, 1, 2, 1), (1, 2, 3, 2)]

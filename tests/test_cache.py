@@ -116,6 +116,34 @@ def test_forged_failing_verdict_is_evicted(tmp_path, lo6, forgery):
     assert cache.stats() == {"hits": 0, "misses": 2, "evictions": 1}
 
 
+@pytest.mark.parametrize(
+    "forgery",
+    [
+        {"holds": lambda e: "yes"},
+        {"holds": lambda e: 1},
+        {"witness": lambda e: [i % 2 for i in range(len(e["domain"]))]},
+        {"holds": lambda e: None, "witness": lambda e: [0] * len(e["domain"])},
+        {"nodes": lambda e: "many"},
+        {"nodes": lambda e: -1},
+        {"nodes": lambda e: True},
+    ],
+    ids=["holds-string", "holds-one", "holding-with-witness", "inconclusive-with-witness", "nodes-string",
+         "nodes-negative", "nodes-bool"],
+)
+def test_malformed_verdict_values_are_evicted(tmp_path, lo6, forgery):
+    # LO_6 -> (LO_3)^{LO_2}_{2,1} holds, and its key is outside the recomputed sample
+    cache = ResultCache(str(tmp_path))
+    q = ArrowQuery(obj(lo6, "LO", 2), obj(lo6, "LO", 3), obj(lo6, "LO", 6), 2, 1)
+    fresh = cached_check_arrow(cache, lo6, q)
+    key = _key_for(cache, lo6, q)
+    assert int(key[:8], 16) % cache_module.VERIFY_SAMPLE_MOD != 0
+    _forge(os.path.join(str(tmp_path), key + ".json"), **forgery)
+    with pytest.warns(UserWarning, match="malformed"):
+        v = cached_check_arrow(cache, lo6, q)
+    assert (v.holds, v.witness, v.nodes) == (True, None, fresh.nodes)
+    assert cache.stats() == {"hits": 0, "misses": 2, "evictions": 1}
+
+
 def test_reordered_failing_entry_is_evicted(tmp_path, lo6):
     # the same coloring listed against a reordered domain still replays, but
     # the domain no longer matches what the category gives for the query

@@ -312,6 +312,8 @@ def test_non_integer_field_is_a_usage_error_naming_its_line(tmp_path, capsys, li
         ({"expectations": {"arrow_lo6": False}}, "arrow_lo6"),
         ({"expectations": {"arrow_lo_6": "yes"}}, "arrow_lo_6"),
         ({"expectations": {"arrow_lo_6": 1}}, "arrow_lo_6"),
+        ({"budget": -1, "lo_max": 5, "inj_max": 2, "surj_max": 1}, "budget"),
+        ({"k_max": 1}, "k_max"),
     ],
 )
 def test_malformed_matrix_config_is_a_usage_error(tmp_path, capsys, config, field):

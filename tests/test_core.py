@@ -15,7 +15,7 @@ from catramsey.core import (
 )
 from catramsey.generators import UniverseSpec, forgetful_LO_to_Inj, generate
 from catramsey.io import dumps_category, loads_category
-from conftest import obj
+from conftest import composition_table, obj
 
 
 def test_one_object_category_valid():
@@ -29,12 +29,7 @@ def test_oversized_category_refused_before_allocating():
     # the composition table is quadratic in the morphism count
     morphisms = [(0, 0, str(i)) for i in range(MAX_MORPHISMS + 1)]
     with pytest.raises(CategoryError, match="exceed the cap"):
-        FiniteCategory(["x"], morphisms, {}, identities=[0])
-
-
-def test_composition_entry_naming_unknown_morphism_refused():
-    with pytest.raises(CategoryError, match="unknown morphism"):
-        FiniteCategory(["x"], [(0, 0, "id")], {(0, 0): 0, (0, 1): 0}, identities=[0])
+        FiniteCategory(["x"], morphisms, array("i"), identities=[0])
 
 
 def _two_point_maps(compose=lambda g, f: tuple(g[x] for x in f), identity=lambda a: (0, 1)):
@@ -74,7 +69,8 @@ def test_concrete_category_stops_at_the_morphism_cap():
 def test_closure_violation_reported_and_kept():
     # (idx, e) and (e, idy) are defined although neither pair is composable
     compose = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2, (0, 2): 2, (2, 1): 2}
-    cat = FiniteCategory(["x", "y"], [(0, 0, "idx"), (1, 1, "idy"), (0, 1, "e")], compose, identities=[0, 1])
+    morphisms = [(0, 0, "idx"), (1, 1, "idy"), (0, 1, "e")]
+    cat = FiniteCategory(["x", "y"], morphisms, composition_table(3, compose), identities=[0, 1])
     assert validate(cat).closure_violations == [(0, 2), (2, 1)]
     entries = list(cat.compose_entries())
     assert entries == sorted((g, f, gf) for (g, f), gf in compose.items())
@@ -92,7 +88,7 @@ def test_identity_law_violation_flagged():
     cat = FiniteCategory(
         ["x"],
         [(0, 0, "id"), (0, 0, "e")],
-        {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1},
+        composition_table(2, {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 1}),
         identities=[0],
     )
     report = validate(cat)
@@ -100,8 +96,14 @@ def test_identity_law_violation_flagged():
     assert 1 in report.identity_violations
 
 
+def _missing_e_e():
+    # e*e is left undefined
+    table = composition_table(2, {(0, 0): 0, (0, 1): 1, (1, 0): 1})
+    return FiniteCategory(["x"], [(0, 0, "id"), (0, 0, "e")], table, identities=[0])
+
+
 def test_missing_composition_detected():
-    cat = FiniteCategory(["x"], [(0, 0, "id"), (0, 0, "e")], {(0, 0): 0, (0, 1): 1, (1, 0): 1}, identities=[0])
+    cat = _missing_e_e()
     report = validate(cat)
     assert report.missing_compositions == [(1, 1)]
 
@@ -228,6 +230,38 @@ def test_product_with_unit():
     assert validate(prod).ok
 
 
+def test_product_composes_componentwise(inj3):
+    lo3 = generate(UniverseSpec("LO", 3))
+    prod = product(inj3, lo3)
+    assert prod.n_morphisms == inj3.n_morphisms * lo3.n_morphisms
+    n2 = lo3.n_objects
+
+    def factors(h):
+        # "(l1*l2)" over objects o1 * n2 + o2 names one morphism of each factor
+        l1, l2 = prod.mor_labels[h][1:-1].split("*")
+        (d1, d2), (c1, c2) = divmod(prod.mor_dom[h], n2), divmod(prod.mor_cod[h], n2)
+        (f1,) = [f for f in inj3.hom(d1, c1) if inj3.mor_labels[f] == l1]
+        (f2,) = [f for f in lo3.hom(d2, c2) if lo3.mor_labels[f] == l2]
+        return f1, f2
+
+    assert validate(prod).ok
+    for g, f, gf in prod.compose_entries():
+        (g1, g2), (f1, f2) = factors(g), factors(f)
+        assert factors(gf) == (inj3.compose(g1, f1), lo3.compose(g2, f2))
+    assert [factors(e) for e in prod.identities] == [
+        (inj3.identities[a1], lo3.identities[a2]) for a1 in range(inj3.n_objects) for a2 in range(n2)
+    ]
+
+
+def test_oversized_product_refused_before_composing(inj4, lo6, monkeypatch):
+    # Inj_4 x LO_6 has 10,080 morphisms
+    calls = []
+    monkeypatch.setattr(FiniteCategory, "compose", lambda self, g, f: calls.append((g, f)))
+    with pytest.raises(CategoryError, match="cap"):
+        product(inj4, lo6)
+    assert calls == []
+
+
 def test_product_aut_multiplies():
     inj2 = generate(UniverseSpec("Inj", 2))
     lo2 = generate(UniverseSpec("LO", 2))
@@ -300,11 +334,12 @@ def _forgetful_upstairs(size):
 )
 def test_block_built_tables_match_entry_built_ones(build):
     cat, entries = build()
-    _assert_same_tables(cat, FiniteCategory(cat.object_labels, _morphisms(cat), entries, cat.identities))
-    # the transposed opposite against the opposite streamed entry by entry
+    table = composition_table(cat.n_morphisms, entries)
+    _assert_same_tables(cat, FiniteCategory(cat.object_labels, _morphisms(cat), table, cat.identities))
+    # the transposed opposite against the opposite filled entry by entry
     swapped = [(c, d, label) for d, c, label in _morphisms(cat)]
-    op_entries = (((f, g), gf) for g, f, gf in cat.compose_entries())
-    _assert_same_tables(cat.opposite(), FiniteCategory(cat.object_labels, swapped, op_entries, cat.identities))
+    op_table = composition_table(cat.n_morphisms, (((f, g), gf) for g, f, gf in cat.compose_entries()))
+    _assert_same_tables(cat.opposite(), FiniteCategory(cat.object_labels, swapped, op_table, cat.identities))
 
 
 def test_opposite_of_a_loaded_category_keeps_its_faults_swapped():
@@ -323,7 +358,16 @@ def test_opposite_of_a_loaded_category_keeps_its_faults_swapped():
 
 @pytest.mark.parametrize(
     "table, message",
-    [(array("i", [0, 0]), "cells"), (array("l", [0]), "cells"), (array("i", [1]), "unknown"), (array("i", [-2]), "unknown")],
+    [
+        (array("i", [0, 0]), "cells"),
+        (array("l", [0]), "cells"),
+        (array("i", [1]), "unknown"),
+        (array("i", [-2]), "unknown"),
+        # the finished table is the only composition format
+        ({(0, 0): 0}, "cells"),
+        ([((0, 0), 0)], "cells"),
+        ([0], "cells"),
+    ],
 )
 def test_a_finished_table_naming_unknown_ids_is_refused(table, message):
     with pytest.raises(CategoryError, match=message):
@@ -347,7 +391,7 @@ def test_row_reads_match_compose_and_refuse_a_missing_composite(surj3):
         assert surj3.post(g, fs) == [surj3.compose(g, f) for f in fs]
         hs = [h for h in ids if surj3.mor_dom[h] == surj3.mor_cod[g]]
         assert surj3.pre(hs, g) == [surj3.compose(h, g) for h in hs]
-    cat = FiniteCategory(["x"], [(0, 0, "id"), (0, 0, "e")], {(0, 0): 0, (0, 1): 1, (1, 0): 1}, identities=[0])
+    cat = _missing_e_e()
     with pytest.raises(CategoryError, match="1 and 1"):
         cat.post(1, [0, 1])
     with pytest.raises(CategoryError, match="1 and 1"):

@@ -24,7 +24,7 @@ from catramsey.expansions import (
     verify_ratio_formula,
 )
 from catramsey.generators import UniverseSpec, forgetful_LO_to_Inj, generate
-from conftest import matrix_coloring_expansion, obj, surj3_coloring_expansion
+from conftest import composition_table, matrix_coloring_expansion, obj, surj3_coloring_expansion
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def _arrow_category():
     return FiniteCategory(
         ["X", "Y"],
         [(0, 0, "id_X"), (1, 1, "id_Y"), (0, 1, "e")],
-        {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2},
+        composition_table(3, {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2}),
         [0, 1],
     )
 
@@ -48,7 +48,7 @@ def _functor_with_unlifted_edge():
     up = FiniteCategory(
         ["X1", "X2", "Y1"],
         [(0, 0, "id"), (1, 1, "id"), (2, 2, "id"), (0, 2, "e1")],
-        {(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 0): 3, (2, 3): 3},
+        composition_table(4, {(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 0): 3, (2, 3): 3}),
         [0, 1, 2],
     )
     return ExpansionFunctor(up, down, {0: 0, 1: 0, 2: 1}, {0: 0, 1: 0, 2: 1, 3: 2})
@@ -60,7 +60,7 @@ def _functor_with_duplicate_lift():
     up = FiniteCategory(
         ["X1", "X2", "Y1"],
         [(0, 0, "id"), (1, 1, "id"), (2, 2, "id"), (0, 2, "e1"), (1, 2, "e2")],
-        {(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 0): 3, (2, 3): 3, (4, 1): 4, (2, 4): 4},
+        composition_table(5, {(0, 0): 0, (1, 1): 1, (2, 2): 2, (3, 0): 3, (2, 3): 3, (4, 1): 4, (2, 4): 4}),
         [0, 1, 2],
     )
     return ExpansionFunctor(up, down, {0: 0, 1: 0, 2: 1}, {0: 0, 1: 0, 2: 1, 3: 2, 4: 2})

@@ -4,7 +4,7 @@ import io
 import pytest
 
 from catramsey import io as catio
-from catramsey.core import validate
+from catramsey.core import MAX_MORPHISMS, validate
 from catramsey.generators import UniverseSpec, generate, forgetful_LO_to_Inj
 from conftest import matrix_coloring_expansion, surj3_coloring_expansion
 
@@ -71,6 +71,25 @@ def test_dangling_reference_rejected():
         with pytest.raises(catio.ParseError) as err:
             catio.loads_category(text)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("repeat", ["cmp 0 0 0", "cmp 0 0 1"])
+def test_duplicate_composition_entry_rejected_with_its_line(repeat):
+    text = f"objects: 1\nobj 0 x\nmor 0 0 0 id\nmor 1 0 0 e\ncmp 0 0 0\n{repeat}\ncmp 0 1 1\n"
+    with pytest.raises(catio.ParseError, match=r"line 6: duplicate composition entry \(0,0\)"):
+        catio.loads_category(text)
+
+
+def test_object_count_above_the_morphism_cap_refused_at_its_header():
+    # every object needs its own identity morphism
+    with pytest.raises(catio.ParseError, match="line 1:"):
+        catio.loads_category(f"objects: {MAX_MORPHISMS + 1}\n")
+
+
+def test_morphism_count_above_the_cap_refused_before_the_table():
+    text = "objects: 1\n" + "".join(f"mor {i} 0 0 {i}\n" for i in range(MAX_MORPHISMS + 1))
+    with pytest.raises(catio.ParseError, match="exceed the cap"):
+        catio.loads_category(text)
 
 
 def test_objects_header_may_follow_its_lines():
