@@ -154,11 +154,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         # checked here, not only in solve(): a query that never searches
-        # would otherwise accept it
+        # would otherwise accept them
         if args.budget < 0:
             raise ValueError(f"budget must be >= 0, got {args.budget}")
+        if args.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {args.threads}")
         return _dispatch(args)
-    except (CategoryError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    # an unreadable input, an unwritable output or cache directory is the
+    # caller's to fix, not a violation
+    except (CategoryError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,14 +16,14 @@ The finished table is the constructor's only composition input: a file
 fills one cell per line, products and the generated families go through
 concrete_category.  The constructor checks it at C speed: min, max and a -1
 count over each row's composable runs, and one -1 count of the whole table,
-find unknown ids and entries on non-composable pairs.
+refuse an unknown id and any entry on a non-composable pair, so every entry
+of a category's table lies on a composable pair.
 post(g, fs) and pre(gs, f) read g*f along a row or a column, and raise, as
 compose does, on an undefined composite.
 """
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -49,7 +49,8 @@ class FiniteCategory:
         """`table` is the finished composition table: an array("i") of m*m
         cells in which cell g*m + f holds g*f, or -1 where it is undefined.
         The category takes it over without copying, and refuses a table of
-        another type or size, or one naming an unknown morphism."""
+        another type or size, one naming an unknown morphism, or one with an
+        entry on a pair that is not composable."""
         self.object_labels: tuple[str, ...] = tuple(str(s) for s in object_labels)
         self.n_objects = len(self.object_labels)
         self.mor_dom: tuple[int, ...] = tuple(m[0] for m in morphisms)
@@ -79,9 +80,7 @@ class FiniteCategory:
         if not isinstance(table, array) or table.typecode != "i" or len(table) != m * m:
             raise CategoryError(f"a composition table needs {m * m} cells of type 'i'")
         self._table = table
-        # entries defined on non-composable pairs: malformed input, kept so
-        # that validate() reports it and dump_category() writes it back
-        self._stray: list[tuple[int, int, int]] = self._table_strays()
+        self._check_table()
 
         if identities is not None:
             self.identities: tuple[int, ...] = tuple(identities)
@@ -96,34 +95,25 @@ class FiniteCategory:
 
     # -- basic structure ---------------------------------------------------
 
-    def _table_strays(self) -> list[tuple[int, int, int]]:
-        """Check a finished table, in which every cell must be -1 or a
-        morphism id, and return its entries on non-composable pairs.  The
-        composable cells are read one run of consecutive ids at a time with
-        min, max and count, at C speed; only a row holding more entries than
-        those is then read entry by entry."""
+    def _check_table(self) -> None:
+        """Refuse a finished table unless every cell on a composable pair is
+        -1 or a morphism id and every other cell is -1.  The composable cells
+        are read one run of consecutive ids at a time with min, max and count,
+        at C speed; one count of the whole table then finds an entry off
+        them, and only then is a row read entry by entry, to name it."""
         table, m = self._table, self.n_morphisms
         runs = [_runs(fs) for fs in self._into]
-        composable = [0] * m  # per row, the composable cells that hold an entry
+        defined = [0] * m  # per row, the composable cells that hold an entry
         for g in range(m):
             for lo, hi in runs[self.mor_dom[g]]:
                 cells = table[g * m + lo : g * m + hi]
                 if min(cells) < -1 or max(cells) >= m:
                     raise CategoryError(f"row {g} of the composition table names an unknown morphism")
-                composable[g] += hi - lo - cells.count(-1)
-        if m * m - table.count(-1) == sum(composable):
-            return []
-        stray = []
-        for g in range(m):
-            row = table[g * m : g * m + m]
-            if m - row.count(-1) == composable[g]:
-                continue
-            for f, gf in enumerate(row):
-                if gf != -1 and self.mor_cod[f] != self.mor_dom[g]:
-                    if not 0 <= gf < m:
-                        raise CategoryError(f"row {g} of the composition table names an unknown morphism")
-                    stray.append((g, f, gf))
-        return stray
+                defined[g] += hi - lo - cells.count(-1)
+        if m * m - table.count(-1) != sum(defined):
+            g = next(g for g in range(m) if m - table[g * m : g * m + m].count(-1) != defined[g])
+            f = next(f for f in range(m) if table[g * m + f] != -1 and not self.composable(g, f))
+            raise CategoryError(f"cell {g}*{f} holds {table[g * m + f]}, but {g} and {f} are not composable")
 
     def check_object(self, a: int) -> None:
         if not (0 <= a < self.n_objects):
@@ -158,10 +148,6 @@ class FiniteCategory:
 
     def compose_entries(self) -> Iterable[tuple[int, int, int]]:
         """All defined (g, f, g*f) entries, in (g, f) order."""
-        entries = self._composable_entries()
-        return heapq.merge(entries, self._stray) if self._stray else entries
-
-    def _composable_entries(self) -> Iterable[tuple[int, int, int]]:
         table, m, into = self._table, self.n_morphisms, self._into
         for g in range(m):
             row = g * m
@@ -357,19 +343,16 @@ def validate(cat: FiniteCategory) -> ValidationReport:
     """Check the category axioms exhaustively.
 
     Violations are collected in the report rather than raised: associativity
-    on every composable triple, both identity laws, dom/cod closure of the
-    composition table, totality on composable pairs, and the mono property of
-    each morphism.
+    on every composable triple, both identity laws, dom/cod closure of each
+    composite, totality on composable pairs, and the mono property of each
+    morphism.  An entry on a non-composable pair never gets this far: the
+    constructor refuses it.
     """
     report = ValidationReport()
     m = cat.n_morphisms
 
     for g, f, gf in cat.compose_entries():
-        if (
-            not cat.composable(g, f)
-            or cat.mor_dom[gf] != cat.mor_dom[f]
-            or cat.mor_cod[gf] != cat.mor_cod[g]
-        ):
+        if cat.mor_dom[gf] != cat.mor_dom[f] or cat.mor_cod[gf] != cat.mor_cod[g]:
             report.closure_violations.append((g, f))
     for g in range(m):
         for f in cat._into[cat.mor_dom[g]]:

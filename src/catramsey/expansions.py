@@ -11,7 +11,9 @@ Every axiom check is a pure read of indices the functor derives once, on
 first use: its fibers, its lift index (B_up, e) -> {A_up: the upstairs
 morphism A_up -> B_up over e}, and the restriction table read off the lift
 index together with the (B_up, e) that violate unique restrictions.  No check
-writes to the functor.
+writes to the functor, and none meets a partial map: the functor refuses,
+when it is built, an object or morphism map that leaves out an upstairs id or
+names an id outside its category.
 """
 
 from __future__ import annotations
@@ -31,28 +33,35 @@ TOTAL_OBJECT_CAP = 512
 
 @dataclass
 class ExpansionFunctor:
+    """U: upstairs -> downstairs, given by total maps of object ids and of
+    morphism ids; validate_functor checks the functor laws."""
+
     upstairs: FiniteCategory
     downstairs: FiniteCategory
     object_map: dict[int, int]
     morphism_map: dict[int, int]
 
-    def _require_total(self, *kinds: str) -> None:
-        """Raise CategoryError naming the first upstairs object or morphism
-        that object_map or morphism_map leaves out: the indices read every
-        entry of the maps they are built from."""
-        for kind in kinds:
-            mapping, n = {
-                "object": (self.object_map, self.upstairs.n_objects),
-                "morphism": (self.morphism_map, self.upstairs.n_morphisms),
-            }[kind]
-            missing = next((x for x in range(n) if x not in mapping), None)
+    def __post_init__(self):
+        """Refuse an object or morphism map that misses an upstairs id or
+        names an id outside its category, so that every index and check can
+        look up every entry."""
+        up, down = self.upstairs, self.downstairs
+        for kind, mapping, n_up, n_down in (
+            ("object", self.object_map, up.n_objects, down.n_objects),
+            ("morphism", self.morphism_map, up.n_morphisms, down.n_morphisms),
+        ):
+            missing = next((x for x in range(n_up) if x not in mapping), None)
             if missing is not None:
                 raise CategoryError(f"{kind}_map has no entry for upstairs {kind} {missing}")
+            for x, y in mapping.items():
+                if not 0 <= x < n_up:
+                    raise CategoryError(f"{kind}_map names unknown upstairs {kind} {x}")
+                if not 0 <= y < n_down:
+                    raise CategoryError(f"{kind}_map sends upstairs {kind} {x} to unknown downstairs {kind} {y}")
 
     @cached_property
     def fibers(self) -> dict[int, tuple[int, ...]]:
         """downstairs object -> the upstairs objects over it, in id order."""
-        self._require_total("object")
         fibers: dict[int, list[int]] = {}
         for o in range(self.upstairs.n_objects):
             fibers.setdefault(self.object_map[o], []).append(o)
@@ -61,8 +70,6 @@ class ExpansionFunctor:
     @cached_property
     def lifts(self) -> dict[tuple[int, int], dict[int, int]]:
         """(B_up, e) -> {A_up: the upstairs morphism A_up -> B_up over e}."""
-        # the checks that read it also map every A_up and B_up downstairs
-        self._require_total("object", "morphism")
         up = self.upstairs
         lifts: dict[tuple[int, int], dict[int, int]] = {}
         for m in range(up.n_morphisms):
@@ -74,7 +81,6 @@ class ExpansionFunctor:
         """The restriction table (B_up, e) -> the fiber object over A that
         e: A -> U(B_up) lifts from into B_up, and the (B_up, e) that lift from
         none or several, which unique restrictions forbids."""
-        self._require_total("object")
         down = self.downstairs
         table: dict[tuple[int, int], int] = {}
         violations = []
@@ -96,20 +102,10 @@ class ExpansionFunctor:
         return list(self.fibers.get(a_down, ()))
 
     def validate_functor(self) -> dict:
-        """Functoriality, object surjectivity and hom-set injectivity."""
+        """Functoriality, object surjectivity and hom-set injectivity; the
+        maps are total, as construction made sure."""
         up, down = self.upstairs, self.downstairs
         problems = []
-        for name, mapping, n_up, n_down in (
-            ("object_map", self.object_map, up.n_objects, down.n_objects),
-            ("morphism_map", self.morphism_map, up.n_morphisms, down.n_morphisms),
-        ):
-            if set(mapping) != set(range(n_up)):
-                problems.append(f"{name} not total")
-            if not set(mapping.values()) <= set(range(n_down)):
-                problems.append(f"{name} names an unknown downstairs id")
-        if problems:
-            # the checks below look up every entry of both maps
-            return {"status": "violation", "problems": problems}
         if set(self.object_map.values()) != set(range(down.n_objects)):
             problems.append("object_map not surjective")
         for m in range(up.n_morphisms):
@@ -256,37 +252,20 @@ def check_expansion_property(U: ExpansionFunctor) -> dict:
     the truncation runs out of candidate Bs.
     """
     down, up = U.downstairs, U.upstairs
+    targets = sorted(U.fibers.items())
 
-    def all_fiber_pairs_map(a_objs: list[int], b: int) -> bool:
-        return all(
-            up.hom(a_up, b_up)
-            for a_up in a_objs
-            for b_up in U.fiber(b)
-        )
+    def witnesses(sources: dict) -> dict:
+        # source -> the first B whose every fiber object receives a morphism
+        # from every one of the source's upstairs objects, or None
+        return {
+            s: next((b for b, b_objs in targets if all(up.hom(x, y) for x in objs for y in b_objs)), None)
+            for s, objs in sources.items()
+        }
 
-    per_a = {}
-    definition_ok = True
-    for a in range(down.n_objects):
-        witness = None
-        for b in range(down.n_objects):
-            if U.fiber(b) and all_fiber_pairs_map(U.fiber(a), b):
-                witness = b
-                break
-        per_a[a] = witness
-        if witness is None:
-            definition_ok = False
-
-    per_d = {}
-    single_ok = True
-    for d_up in range(up.n_objects):
-        witness = None
-        for b in range(down.n_objects):
-            if U.fiber(b) and all_fiber_pairs_map([d_up], b):
-                witness = b
-                break
-        per_d[d_up] = witness
-        if witness is None:
-            single_ok = False
+    per_a = witnesses({a: U.fiber(a) for a in range(down.n_objects)})
+    per_d = witnesses({d: [d] for d in range(up.n_objects)})
+    definition_ok = None not in per_a.values()
+    single_ok = None not in per_d.values()
 
     # a route with no B may only have run out of the truncation, and the
     # routes are equivalent only via directedness arguments that can leave

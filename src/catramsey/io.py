@@ -10,6 +10,13 @@ Category format:
 Identities are not stored; they are inferred on load.  A functor file holds
 two category blocks introduced by `upstairs:` and `downstairs:` headers,
 followed by `umap obj <up> <down>` and `umap mor <up> <down>` lines.
+
+A malformed file is refused with a ParseError that names the first bad line
+in file order: an object id out of range, a gap in the morphism ids, a
+morphism past MAX_MORPHISMS, a dangling or repeated reference, or a cmp line
+on a pair that is not composable.  A fault that no single line carries, such
+as a missing header, an object without an identity, or a umap that leaves
+out an upstairs id (ExpansionFunctor refuses that), is a CategoryError.
 """
 
 from __future__ import annotations
@@ -39,13 +46,14 @@ def _content_lines(stream: TextIO) -> list[tuple[int, str]]:
 
 
 def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
-    """One pass that splits and converts each line once; the cmp lines then
-    fill the composition table, one cell each.  References to objects and
-    morphisms are checked by FiniteCategory; only when it refuses the
-    category are the lines read again, to name the first bad one."""
+    """One pass that splits and converts each line once, keeping the line of
+    each record; the cmp lines then fill the composition table, one cell
+    each.  References to objects and morphisms are checked by FiniteCategory;
+    only when the ids or the category are refused are the records read
+    again, to name the first bad line."""
     n_objects = None
-    labels: dict[int, str] = {}
-    mors: dict[int, tuple[int, int, str]] = {}
+    labels: dict[int, tuple[int, str]] = {}  # id -> (line, label)
+    mors: dict[int, tuple[int, int, int, str]] = {}  # id -> (line, dom, cod, label)
     cmps: list[tuple[int, int, int, int]] = []  # (line, g, f, gf)
 
     ln = 0
@@ -67,12 +75,12 @@ def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
                 oid = int(parts[1])
                 if oid in labels:
                     raise ParseError(ln, f"duplicate object id {oid}")
-                labels[oid] = parts[2] if len(parts) > 2 else str(oid)
+                labels[oid] = (ln, parts[2] if len(parts) > 2 else str(oid))
             elif parts[0] == "mor":
                 mid = int(parts[1])
                 if mid in mors:
                     raise ParseError(ln, f"duplicate morphism id {mid}")
-                mors[mid] = (int(parts[2]), int(parts[3]), parts[4] if len(parts) > 4 else str(mid))
+                mors[mid] = (ln, int(parts[2]), int(parts[3]), parts[4] if len(parts) > 4 else str(mid))
             elif parts[0] == "cmp":
                 cmps.append((ln, int(parts[1]), int(parts[2]), int(parts[3])))
     except ValueError as exc:
@@ -82,38 +90,46 @@ def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
         raise ParseError(ln, f"expected an integer field: {exc}") from None
 
     if n_objects is None:
-        raise ParseError(lines[0][0] if lines else 0, "missing objects header")
-    for oid in labels:
-        if not (0 <= oid < n_objects):
-            raise ParseError(0, f"object id {oid} out of range")
-    object_labels = [labels.get(i, str(i)) for i in range(n_objects)]
+        # no line is at fault: the header is what is missing
+        raise CategoryError("missing objects header")
     n_mor = len(mors)
-    if set(mors) != set(range(n_mor)):
-        raise ParseError(0, "morphism ids must be 0..m-1 without gaps")
-    if n_mor > MAX_MORPHISMS:
-        raise ParseError(0, f"{n_mor} morphisms exceed the cap of {MAX_MORPHISMS}")
-    table = array("i", [-1]) * (n_mor * n_mor)
     try:
+        if any(not 0 <= oid < n_objects for oid in labels) or set(mors) != set(range(n_mor)) or n_mor > MAX_MORPHISMS:
+            raise CategoryError("malformed ids")  # the scan below names the line
+        table = array("i", [-1]) * (n_mor * n_mor)
         for ln, g, f, gf in cmps:
-            if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= gf < n_mor):
-                raise CategoryError("dangling morphism reference")  # the re-scan names the line
-            if table[g * n_mor + f] >= 0:
-                raise ParseError(ln, f"duplicate composition entry ({g},{f})")
+            if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= gf < n_mor) or table[g * n_mor + f] >= 0:
+                raise CategoryError("malformed cmp line")  # the scan below names the line
             table[g * n_mor + f] = gf
-        return FiniteCategory(object_labels, [mors[i] for i in range(n_mor)], table)
-    except ParseError:
-        raise
-    except CategoryError:
-        # every field was read as an integer above, so int() cannot fail here
-        for ln, line in lines:
-            parts = line.split()
-            if parts[0] == "mor" and not (0 <= int(parts[2]) < n_objects and 0 <= int(parts[3]) < n_objects):
-                raise ParseError(ln, "dangling object reference") from None
-            if parts[0] == "cmp":
-                for tok in parts[1:4]:
-                    if not (0 <= int(tok) < n_mor):
-                        raise ParseError(ln, f"dangling morphism reference {tok}") from None
-        raise
+        object_labels = [labels[i][1] if i in labels else str(i) for i in range(n_objects)]
+        return FiniteCategory(object_labels, [mors[i][1:] for i in range(n_mor)], table)
+    except CategoryError as exc:
+        raise (_first_bad_line(n_objects, labels, mors, cmps) or exc) from None
+
+
+def _first_bad_line(n_objects: int, labels: dict, mors: dict, cmps: list) -> ParseError | None:
+    """The fault on the first line, in file order, that makes the parsed
+    records no category; None if no single line is at fault."""
+    n_mor = len(mors)
+    faults = [(ln, f"object id {oid} out of range") for oid, (ln, _) in labels.items() if not 0 <= oid < n_objects]
+    for mid, (ln, dom, cod, _) in mors.items():
+        if not 0 <= mid < n_mor:
+            faults.append((ln, f"morphism id {mid} leaves a gap: ids must be 0..{n_mor - 1}"))
+        elif mid >= MAX_MORPHISMS:
+            faults.append((ln, f"morphism {mid} would exceed the cap of {MAX_MORPHISMS} morphisms"))
+        elif not (0 <= dom < n_objects and 0 <= cod < n_objects):
+            faults.append((ln, "dangling object reference"))
+    filled = set()
+    for ln, g, f, gf in cmps:
+        dangling = next((x for x in (g, f, gf) if not 0 <= x < n_mor), None)
+        if dangling is not None:
+            faults.append((ln, f"dangling morphism reference {dangling}"))
+        elif (g, f) in filled:
+            faults.append((ln, f"duplicate composition entry ({g},{f})"))
+        elif g in mors and f in mors and mors[f][2] != mors[g][1]:
+            faults.append((ln, f"{g}*{f} is defined, but {g} and {f} are not composable"))
+        filled.add((g, f))
+    return ParseError(*min(faults)) if faults else None
 
 
 def load_category(stream: TextIO) -> FiniteCategory:
@@ -167,7 +183,7 @@ def load_functor(stream: TextIO):
         else:
             sections[current].append((ln, line))
     if not sections["upstairs"] or not sections["downstairs"]:
-        raise ParseError(0, "functor file needs both category blocks")
+        raise CategoryError("functor file needs both category blocks")
     upstairs = _parse_category_lines(sections["upstairs"])
     downstairs = _parse_category_lines(sections["downstairs"])
     maps: dict[str, dict[int, int]] = {"obj": {}, "mor": {}}
@@ -191,10 +207,7 @@ def load_functor(stream: TextIO):
         if up in maps[kind]:
             raise ParseError(ln, f"duplicate umap entry for {kind} {up}")
         maps[kind][up] = down
-    for kind, target in maps.items():
-        if len(target) != sizes[kind][0]:
-            missing = min(set(range(sizes[kind][0])) - set(target))
-            raise ParseError(0, f"no umap entry for upstairs {kind} {missing}")
+    # ExpansionFunctor refuses a map that misses an upstairs id
     return ExpansionFunctor(upstairs=upstairs, downstairs=downstairs, object_map=maps["obj"], morphism_map=maps["mor"])
 
 

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .core import CategoryError
-from .generators import UniverseSpec, generate, forgetful_LO_to_Inj, object_of_size
+from .generators import DEFAULT_CAPS, UniverseSpec, generate, forgetful_LO_to_Inj, object_of_size
 from .arrows import ArrowQuery, check_arrow, check_arrow_dual, check_arrow_native_dual
 from .degrees import degree_bounds, verify_aut_bridge, verify_product
 from .essential import crosscheck_essential_arrow
@@ -77,6 +77,11 @@ def _check_config(config) -> None:
     for name, least in (("budget", 0), ("k_max", 2)):
         if config.get(name, least) < least:
             raise CategoryError(f"config field {name!r} must be at least {least}, got {config[name]}")
+    # a family's size is its generation cap at most; 0, like any size below a
+    # cell's threshold, skips that family's cells
+    for name, family in (("lo_max", "LO"), ("inj_max", "Inj"), ("surj_max", "Surj")):
+        if not 0 <= config.get(name, 0) <= DEFAULT_CAPS[family]:
+            raise CategoryError(f"config field {name!r} must be in 0..{DEFAULT_CAPS[family]}, got {config[name]}")
     expectations = config.get("expectations", {})
     if not isinstance(expectations, dict):
         raise CategoryError("config field 'expectations' must be a JSON object")

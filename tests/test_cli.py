@@ -214,7 +214,7 @@ def test_expansion_check_on_a_malformed_functor_is_a_usage_error(tmp_path, capsy
 
     text = catio.dumps_functor(forgetful_LO_to_Inj(2))
     cases = [
-        ("\numap mor 0 0\n", "\n", "no umap entry for upstairs mor 0"),
+        ("\numap mor 0 0\n", "\n", "morphism_map has no entry for upstairs morphism 0"),
         ("\numap mor 1 1\n", "\numap mor 1 999\n", "unknown downstairs mor 999"),
     ]
     for old, new, message in cases:
@@ -314,6 +314,13 @@ def test_non_integer_field_is_a_usage_error_naming_its_line(tmp_path, capsys, li
         ({"expectations": {"arrow_lo_6": 1}}, "arrow_lo_6"),
         ({"budget": -1, "lo_max": 5, "inj_max": 2, "surj_max": 1}, "budget"),
         ({"k_max": 1}, "k_max"),
+        # a family size runs from 0 (no cells) up to its generation cap
+        ({"lo_max": -1}, "lo_max"),
+        ({"inj_max": -1}, "inj_max"),
+        ({"surj_max": -3}, "surj_max"),
+        ({"lo_max": 8}, "lo_max"),
+        ({"inj_max": 7}, "inj_max"),
+        ({"surj_max": 6}, "surj_max"),
     ],
 )
 def test_malformed_matrix_config_is_a_usage_error(tmp_path, capsys, config, field):
@@ -323,6 +330,28 @@ def test_malformed_matrix_config_is_a_usage_error(tmp_path, capsys, config, fiel
     captured = capsys.readouterr()
     assert captured.out == ""
     assert field in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize(
+    "case", ["cat_is_a_directory", "out_under_a_file", "cache_dir_under_a_file", "zero_threads", "negative_threads"]
+)
+def test_os_errors_and_thread_counts_below_one_are_usage_errors(tmp_path, monkeypatch, capsys, lo6_file, case):
+    regular = tmp_path / "regular.txt"
+    regular.write_text("")
+    query = ["arrow", "--cat", lo6_file, "--A", "0", "--B", "1", "--C", "2"]
+    argv = {
+        "cat_is_a_directory": ["validate", "--cat", str(tmp_path)],
+        "out_under_a_file": ["gen", "--family", "lo", "--max", "2", "--out", str(regular / "x.txt")],
+        "cache_dir_under_a_file": query,
+        "zero_threads": ["--threads", "0", *query],
+        "negative_threads": ["--threads", "-4", *query],
+    }[case]
+    monkeypatch.setenv("CATRAMSEY_CACHE_DIR", str(regular / "cache") if case == "cache_dir_under_a_file" else "")
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert "threads must be >= 1" in error if case.endswith("threads") else error
 
 
 def test_empty_matrix_config_runs_the_default_cells():

@@ -67,11 +67,12 @@ def test_concrete_category_stops_at_the_morphism_cap():
 
 
 def test_closure_violation_reported_and_kept():
-    # (idx, e) and (e, idy) are defined although neither pair is composable
-    compose = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2, (0, 2): 2, (2, 1): 2}
+    # e*idx and idy*e are composable pairs, but their composites x -> x and
+    # y -> y do not run from dom f to cod g
+    compose = {(0, 0): 0, (1, 1): 1, (2, 0): 0, (1, 2): 1}
     morphisms = [(0, 0, "idx"), (1, 1, "idy"), (0, 1, "e")]
     cat = FiniteCategory(["x", "y"], morphisms, composition_table(3, compose), identities=[0, 1])
-    assert validate(cat).closure_violations == [(0, 2), (2, 1)]
+    assert validate(cat).closure_violations == [(1, 2), (2, 0)]
     entries = list(cat.compose_entries())
     assert entries == sorted((g, f, gf) for (g, f), gf in compose.items())
 
@@ -345,14 +346,17 @@ def test_block_built_tables_match_entry_built_ones(build):
 def test_opposite_of_a_loaded_category_keeps_its_faults_swapped():
     lo = generate(UniverseSpec("LO", 3))
     g, f = lo.hom(obj(lo, "LO", 2), obj(lo, "LO", 3))[0], lo.hom(obj(lo, "LO", 1), obj(lo, "LO", 2))[0]
-    e = lo.hom(obj(lo, "LO", 1), obj(lo, "LO", 2))[1]  # e*f is no composable pair
-    text = dumps_category(lo).replace(f"cmp {g} {f} {lo.compose(g, f)}\n", "") + f"cmp {e} {f} {g}\n"
+    e = lo.hom(obj(lo, "LO", 1), obj(lo, "LO", 2))[1]
+    # g*f goes missing, and g*e, a composable pair, runs LO_1 -> LO_1 instead of into LO_3
+    wrong = lo.identity(obj(lo, "LO", 1))
+    text = dumps_category(lo).replace(f"cmp {g} {f} {lo.compose(g, f)}\n", "")
+    text = text.replace(f"cmp {g} {e} {lo.compose(g, e)}\n", f"cmp {g} {e} {wrong}\n")
     cat = loads_category(text)
-    assert (validate(cat).missing_compositions, validate(cat).closure_violations) == ([(g, f)], [(e, f)])
+    assert (validate(cat).missing_compositions, validate(cat).closure_violations) == ([(g, f)], [(g, e)])
     op = cat.opposite()
     report = validate(op)
-    assert (report.missing_compositions, report.closure_violations) == ([(f, g)], [(f, e)])
-    assert (f, e, g) in list(op.compose_entries())
+    assert (report.missing_compositions, report.closure_violations) == ([(f, g)], [(e, g)])
+    assert (e, g, wrong) in list(op.compose_entries())
     assert op.opposite().structurally_equal(cat)
 
 
@@ -375,13 +379,15 @@ def test_a_finished_table_naming_unknown_ids_is_refused(table, message):
 
 
 def test_a_finished_table_with_an_unknown_id_off_the_composable_pairs_is_refused():
-    # cell (0, 1) is idx*idy, which is no composable pair
+    # cell (0, 1) is idx*idy, which is no composable pair: any entry there is
+    # refused, a known id as well as an unknown one
     objects, morphisms = ["x", "y"], [(0, 0, "idx"), (1, 1, "idy")]
-    for stray in (9, -3):
-        with pytest.raises(CategoryError, match="unknown"):
+    for stray in (9, -3, 1, 0):
+        with pytest.raises(CategoryError, match=f"cell 0\\*1 holds {stray}, but 0 and 1 are not composable"):
             FiniteCategory(objects, morphisms, array("i", [0, stray, -1, 1]), identities=[0, 1])
-    cat = FiniteCategory(objects, morphisms, array("i", [0, 1, -1, 1]), identities=[0, 1])
-    assert validate(cat).closure_violations == [(0, 1)]
+    # the offending cell is named in a row whose composable cells are full too
+    with pytest.raises(CategoryError, match="cell 1\\*0 holds 1"):
+        FiniteCategory(objects, morphisms, array("i", [0, -1, 1, 1]), identities=[0, 1])
 
 
 def test_row_reads_match_compose_and_refuse_a_missing_composite(surj3):

@@ -177,51 +177,33 @@ def test_restrict_refuses_a_morphism_not_into_the_object():
 
 
 @pytest.mark.parametrize(
-    "drop_object, expected",
+    "kind, up, down, message",
     [
-        (True, ["object_map not total"]),
-        (False, ["morphism_map not total", "morphism_map names an unknown downstairs id"]),
+        ("object", 0, None, "object_map has no entry for upstairs object 0"),
+        ("morphism", 0, None, "morphism_map has no entry for upstairs morphism 0"),
+        ("morphism", 1, 999, "morphism_map sends upstairs morphism 1 to unknown downstairs morphism 999"),
+        ("object", 2, 7, "object_map sends upstairs object 2 to unknown downstairs object 7"),
+        ("object", 9, 1, "object_map names unknown upstairs object 9"),
+    ],
+    ids=[
+        "object_dropped",
+        "morphism_dropped",
+        "unknown_downstairs_morphism",
+        "unknown_downstairs_object",
+        "unknown_upstairs_object",
     ],
 )
-def test_partial_functor_map_reported_without_lookup(forgetful3, drop_object, expected):
-    U = forgetful3
-    object_map, morphism_map = dict(U.object_map), dict(U.morphism_map)
-    if drop_object:
-        del object_map[0]
+def test_partial_functor_map_is_refused_when_built(kind, up, down, message):
+    # a map that misses an upstairs id (down None drops its entry), or names
+    # an id outside its category, never reaches an index or a check
+    U = forgetful_LO_to_Inj(2)
+    maps = {"object": dict(U.object_map), "morphism": dict(U.morphism_map)}
+    if down is None:
+        del maps[kind][up]
     else:
-        del morphism_map[0]
-        morphism_map[1] = 999
-    rep = ExpansionFunctor(U.upstairs, U.downstairs, object_map, morphism_map).validate_functor()
-    assert rep == {"status": "violation", "problems": expected}
-
-
-@pytest.mark.parametrize(
-    "index, drop, message",
-    [
-        ("fibers", "object", "upstairs object 0"),
-        ("lifts", "morphism", "upstairs morphism 0"),
-        ("lifts", "object", "upstairs object 0"),
-        ("restrictions", "object", "upstairs object 0"),
-    ],
-)
-def test_partial_functor_map_is_a_category_error_in_every_index(index, drop, message):
-    U = forgetful_LO_to_Inj(2)
-    object_map, morphism_map = dict(U.object_map), dict(U.morphism_map)
-    del (object_map if drop == "object" else morphism_map)[0]
-    partial = ExpansionFunctor(U.upstairs, U.downstairs, object_map, morphism_map)
+        maps[kind][up] = down
     with pytest.raises(CategoryError, match=message):
-        getattr(partial, index)
-
-
-def test_partial_object_map_is_a_category_error_in_the_axiom_checks():
-    U = forgetful_LO_to_Inj(2)
-    object_map = dict(U.object_map)
-    del object_map[0]
-    partial = ExpansionFunctor(U.upstairs, U.downstairs, object_map, dict(U.morphism_map))
-    for check in (check_reasonable, check_unique_restrictions, check_restriction_laws,
-                  check_disjoint_union, check_separates_points):
-        with pytest.raises(CategoryError, match="upstairs object 0"):
-            check(partial)
+        ExpansionFunctor(U.upstairs, U.downstairs, maps["object"], maps["morphism"])
 
 
 def test_identity_expansion(lo4):

@@ -1,10 +1,12 @@
 import hashlib
 import io
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catramsey import io as catio
-from catramsey.core import MAX_MORPHISMS, validate
+from catramsey.core import MAX_MORPHISMS, CategoryError, validate
 from catramsey.generators import UniverseSpec, generate, forgetful_LO_to_Inj
 from conftest import matrix_coloring_expansion, surj3_coloring_expansion
 
@@ -88,8 +90,64 @@ def test_object_count_above_the_morphism_cap_refused_at_its_header():
 
 def test_morphism_count_above_the_cap_refused_before_the_table():
     text = "objects: 1\n" + "".join(f"mor {i} 0 0 {i}\n" for i in range(MAX_MORPHISMS + 1))
-    with pytest.raises(catio.ParseError, match="exceed the cap"):
+    # the first mor line past the cap is named
+    message = f"line {MAX_MORPHISMS + 2}: morphism {MAX_MORPHISMS} would exceed the cap"
+    with pytest.raises(catio.ParseError, match=message):
         catio.loads_category(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("objects: 1\nobj 0 x\nobj 5 y\nmor 0 0 0 id\ncmp 0 0 0\n", "line 3: object id 5 out of range"),
+        ("objects: 1\nobj 0 x\nmor 0 0 0 id\nmor 2 0 0 e\ncmp 0 0 0\n", "line 4: morphism id 2 leaves a gap: ids must be 0..1"),
+        ("objects: 1\nmor -1 0 0 e\nobj 0 x\nmor 0 0 0 id\ncmp 0 0 0\n", "line 2: morphism id -1 leaves a gap: ids must be 0..1"),
+    ],
+    ids=["object_out_of_range", "morphism_id_gap", "negative_morphism_id"],
+)
+def test_a_bad_object_or_morphism_id_names_its_line(text, message):
+    with pytest.raises(catio.ParseError) as err:
+        catio.loads_category(text)
+    assert str(err.value) == message
+
+
+# two objects x, y and e: x -> y, with every composite on a composable pair
+_X_TO_Y = "objects: 2\nobj 0 x\nobj 1 y\nmor 0 0 0 idx\nmor 1 1 1 idy\nmor 2 0 1 e\ncmp 0 0 0\ncmp 1 1 1\ncmp 2 0 2\ncmp 1 2 2\n"
+
+
+@pytest.mark.parametrize("after", ["", "mor 3 0 7 f\n", "mor 9 0 0 f\n"], ids=["alone", "dangling_mor_after", "mor_gap_after"])
+def test_an_off_pair_composite_names_its_line(after):
+    assert validate(catio.loads_category(_X_TO_Y)).ok
+    # line 11 defines idx*idy, but idy ends at y and idx starts at x; a bad
+    # mor line after it leaves it the first bad line
+    with pytest.raises(catio.ParseError) as err:
+        catio.loads_category(_X_TO_Y + "cmp 0 1 1\n" + after)
+    assert str(err.value) == "line 11: 0*1 is defined, but 0 and 1 are not composable"
+
+
+_SMALL_DUMPS = [catio.dumps_category(generate(UniverseSpec(f, n))) for f, n in (("LO", 3), ("Inj", 2), ("Surj", 2))]
+_FIELD = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["x", "0.5", "-", str(MAX_MORPHISMS + 1)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_a_one_line_change_loads_or_names_a_line_of_the_file(data):
+    lines = data.draw(st.sampled_from(_SMALL_DUMPS)).splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    parts = lines[i].split()
+    if data.draw(st.booleans()):
+        # one field of the line changes
+        parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(_FIELD)
+    else:
+        # the whole line changes, or goes
+        directive = data.draw(st.sampled_from(["objects:", "obj", "mor", "cmp", "#", "frob", ""]))
+        parts = [directive, *data.draw(st.lists(_FIELD, max_size=5))]
+    lines[i] = " ".join(parts)
+    try:
+        catio.loads_category("\n".join(lines) + "\n")
+    except CategoryError as exc:
+        for named in re.findall(r"\bline (-?\d+)", str(exc)):
+            assert 1 <= int(named) <= len(lines), str(exc)
 
 
 def test_objects_header_may_follow_its_lines():
@@ -181,7 +239,6 @@ def _forgetful2_dump_with(old: str, new: str) -> str:
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("umap mor 0 0", "", "no umap entry for upstairs mor 0"),
         ("umap mor 1 1", "umap mor 1 999", "unknown downstairs mor 999"),
         ("umap obj 2 1", "umap obj 2 7", "unknown downstairs obj 7"),
         ("umap obj 2 1", "umap obj 9 1", "unknown upstairs obj 9"),
@@ -190,6 +247,12 @@ def _forgetful2_dump_with(old: str, new: str) -> str:
 def test_functor_map_must_cover_known_ids(old, new, message):
     with pytest.raises(catio.ParseError, match=message):
         catio.load_functor(io.StringIO(_forgetful2_dump_with(old, new)))
+
+
+def test_functor_map_missing_an_entry_is_refused_by_the_functor():
+    # no line is at fault: ExpansionFunctor names the upstairs id left out
+    with pytest.raises(CategoryError, match="morphism_map has no entry for upstairs morphism 0"):
+        catio.load_functor(io.StringIO(_forgetful2_dump_with("umap mor 0 0", "")))
 
 
 @pytest.mark.parametrize("old, new", [("umap obj 2 1", "umap obj z 1"), ("umap mor 1 1", "umap mor 1 one")])
