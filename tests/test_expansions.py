@@ -206,6 +206,57 @@ def test_partial_functor_map_is_refused_when_built(kind, up, down, message):
         ExpansionFunctor(U.upstairs, U.downstairs, maps["object"], maps["morphism"])
 
 
+@pytest.mark.parametrize(
+    "drop_object, expected",
+    [
+        (True, ["object_map has no entry for upstairs object 0"]),
+        (False, ["morphism_map has no entry for upstairs morphism 0"]),
+    ],
+)
+def test_partial_functor_map_reported_without_lookup(forgetful3, drop_object, expected):
+    # the refusal names the first fault, the missing id, before any index is
+    # built; the unknown downstairs morphism 999 comes after it
+    U = forgetful3
+    object_map, morphism_map = dict(U.object_map), dict(U.morphism_map)
+    if drop_object:
+        del object_map[0]
+    else:
+        del morphism_map[0]
+        morphism_map[1] = 999
+    with pytest.raises(CategoryError) as err:
+        ExpansionFunctor(U.upstairs, U.downstairs, object_map, morphism_map)
+    assert [str(err.value)] == expected
+
+
+@pytest.mark.parametrize(
+    "index, drop, message",
+    [
+        ("fibers", "object", "upstairs object 0"),
+        ("lifts", "morphism", "upstairs morphism 0"),
+        ("lifts", "object", "upstairs object 0"),
+        ("restrictions", "object", "upstairs object 0"),
+    ],
+)
+def test_partial_functor_map_is_a_category_error_in_every_index(index, drop, message):
+    # the total functor builds the index; a partial one never reaches it
+    U = forgetful_LO_to_Inj(2)
+    assert getattr(U, index)
+    object_map, morphism_map = dict(U.object_map), dict(U.morphism_map)
+    del (object_map if drop == "object" else morphism_map)[0]
+    with pytest.raises(CategoryError, match=message):
+        getattr(ExpansionFunctor(U.upstairs, U.downstairs, object_map, morphism_map), index)
+
+
+def test_partial_object_map_is_a_category_error_in_the_axiom_checks():
+    U = forgetful_LO_to_Inj(2)
+    object_map = dict(U.object_map)
+    del object_map[0]
+    for check in (check_reasonable, check_unique_restrictions, check_restriction_laws,
+                  check_disjoint_union, check_separates_points):
+        with pytest.raises(CategoryError, match="upstairs object 0"):
+            check(ExpansionFunctor(U.upstairs, U.downstairs, object_map, dict(U.morphism_map)))
+
+
 def test_identity_expansion(lo4):
     objects, morphisms = range(lo4.n_objects), range(lo4.n_morphisms)
     U = ExpansionFunctor(lo4, lo4, dict(zip(objects, objects)), dict(zip(morphisms, morphisms)))
