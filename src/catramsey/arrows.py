@@ -42,10 +42,6 @@ class ArrowVerdict:
     nodes: int
     note: str = ""
 
-    @property
-    def inconclusive(self) -> bool:
-        return self.holds is None
-
     def as_dict(self) -> dict:
         out = {
             "holds": self.holds,

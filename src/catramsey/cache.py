@@ -46,8 +46,8 @@ class ResultCache:
     def enabled(self) -> bool:
         return bool(self.directory)
 
-    def key(self, cat_digest: str, query: tuple) -> str:
-        blob = json.dumps([FORMAT_VERSION, cat_digest, list(query)], separators=(",", ":"))
+    def key(self, digest: str, query: tuple) -> str:
+        blob = json.dumps([FORMAT_VERSION, digest, list(query)], separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def _path(self, key: str) -> str:
@@ -131,13 +131,10 @@ def cached_check_arrow(
     q: ArrowQuery,
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
-    cat_digest: str | None = None,
 ) -> ArrowVerdict:
     if not cache.enabled:
         return check_arrow(cat, q, budget=budget, threads=threads)
-    if cat_digest is None:
-        cat_digest = category_digest(cat)
-    key = cache.key(cat_digest, ("arrow", q.A, q.B, q.C, q.k, q.t, q.mode, budget))
+    key = cache.key(category_digest(cat), ("arrow", q.A, q.B, q.C, q.k, q.t, q.mode, budget))
     entry = cache.get(key)
     if entry is not None:
         verdict = _entry_to_verdict(entry)

@@ -88,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     ar.add_argument("--k", type=int, default=2)
     ar.add_argument("--t", type=int, default=1)
     ar.add_argument("--mode", choices=sorted(set(_MODE)), default="morphism")
-    ar.add_argument("--dual", action="store_true", help="evaluate in the opposite category")
-    ar.add_argument("--native-dual", action="store_true", help="dual route without building the opposite")
+    routes = ar.add_mutually_exclusive_group()
+    routes.add_argument("--dual", action="store_true", help="evaluate in the opposite category")
+    routes.add_argument("--native-dual", action="store_true", help="dual route without building the opposite")
 
     d = sub.add_parser("degree", help="universe-relative degree bounds")
     d.add_argument("--cat", required=True)
@@ -255,7 +256,7 @@ def _dispatch(args) -> int:
             with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
         cache = ResultCache()
-        rep = run_matrix(config, threads=threads, cache=cache)
+        rep = run_matrix(config, threads=threads, cache=cache, budget=budget)
         _emit(rep.as_dict(), seed)
         return _status_exit(rep.status)
 

@@ -269,33 +269,6 @@ class FiniteCategory:
             self._opposite = FiniteCategory(self.object_labels, morphisms, table, self.identities)
         return self._opposite
 
-    # -- canonical form ----------------------------------------------------
-
-    def canonical_key(self):
-        """Structure after canonical renumbering: objects sorted by label,
-        morphisms by (dom, cod, label).  Two categories are structurally equal
-        iff their keys are equal."""
-        obj_order = sorted(range(self.n_objects), key=lambda o: (self.object_labels[o], o))
-        obj_new = {o: i for i, o in enumerate(obj_order)}
-        mor_order = sorted(
-            range(self.n_morphisms),
-            key=lambda m: (obj_new[self.mor_dom[m]], obj_new[self.mor_cod[m]], self.mor_labels[m], m),
-        )
-        mor_new = {m: i for i, m in enumerate(mor_order)}
-        objects = tuple(self.object_labels[o] for o in obj_order)
-        morphisms = tuple(
-            (obj_new[self.mor_dom[m]], obj_new[self.mor_cod[m]], self.mor_labels[m])
-            for m in mor_order
-        )
-        compose = frozenset(
-            (mor_new[g], mor_new[f], mor_new[gf]) for g, f, gf in self.compose_entries()
-        )
-        identities = tuple(mor_new[self.identities[o]] for o in obj_order)
-        return (objects, morphisms, compose, identities)
-
-    def structurally_equal(self, other: "FiniteCategory") -> bool:
-        return self.canonical_key() == other.canonical_key()
-
     def __repr__(self) -> str:
         return f"FiniteCategory({self.n_objects} objects, {self.n_morphisms} morphisms)"
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import CategoryError, FiniteCategory, product
+from .core import MAX_MORPHISMS, CategoryError, FiniteCategory, product
 from .kernel import DEFAULT_BUDGET
 from .arrows import ArrowQuery, check_arrow, check_arrow_native_dual
 
@@ -76,8 +76,11 @@ def degree_bounds(
     C_universe = default_pool(cat, A) if C_universe is None else list(C_universe)
     if not B_pool or not C_universe:
         raise CategoryError("empty B_pool or C_universe")
-    if k_max < 2:
-        raise CategoryError("k_max must be >= 2")
+    # colourings start at 2 colours; no domain has more than MAX_MORPHISMS
+    # items, and more colours than items only repeat a verdict while the
+    # scan keeps growing
+    if not 2 <= k_max <= MAX_MORPHISMS:
+        raise CategoryError(f"k_max must be in 2..{MAX_MORPHISMS}, got {k_max}")
 
     held: set[tuple[int, int, int]] = set()  # (B, C, k) that held at a smaller t
     lower_witness = None

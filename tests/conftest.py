@@ -15,6 +15,7 @@ import pytest
 from catramsey.core import FiniteCategory
 from catramsey.expansions import ColoringExpansionSpec, build_coloring_expansion
 from catramsey.generators import UniverseSpec, generate, object_of_size
+from catramsey.io import dumps_category
 
 
 def composition_table(m: int, entries) -> array:
@@ -24,6 +25,12 @@ def composition_table(m: int, entries) -> array:
     for (g, f), gf in entries.items() if isinstance(entries, dict) else entries:
         table[g * m + f] = gf
     return table
+
+
+def same_category(x: FiniteCategory, y: FiniteCategory) -> bool:
+    """Whether x and y are the same category under the same numbering: the
+    same file bytes (objects, morphisms, composition) and identities."""
+    return dumps_category(x) == dumps_category(y) and x.identities == y.identities
 
 
 def oracle_arrow(cat: FiniteCategory, A: int, B: int, C: int, k: int, t: int, mode: str = "morphism"):

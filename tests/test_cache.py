@@ -116,6 +116,20 @@ def test_forged_failing_verdict_is_evicted(tmp_path, lo6, forgery):
     assert cache.stats() == {"hits": 0, "misses": 2, "evictions": 1}
 
 
+def test_sampled_holding_verdict_is_recomputed(tmp_path, lo6, monkeypatch):
+    # LO_5 -> (LO_3)^{LO_2}_{2,1} fails; an entry claiming that it holds has
+    # no witness to replay, so only the sampled recomputation can catch it
+    cache = ResultCache(str(tmp_path))
+    q = _lo5_failing_query(lo6)
+    assert cached_check_arrow(cache, lo6, q).holds is False
+    _forge(os.path.join(str(tmp_path), _key_for(cache, lo6, q) + ".json"), holds=lambda e: True, witness=lambda e: None)
+    monkeypatch.setattr(cache_module, "VERIFY_SAMPLE_MOD", 1)
+    with pytest.warns(UserWarning, match="failed recomputation"):
+        v = cached_check_arrow(cache, lo6, q)
+    assert v.holds is False
+    assert cache.stats() == {"hits": 0, "misses": 2, "evictions": 1}
+
+
 @pytest.mark.parametrize(
     "forgery",
     [

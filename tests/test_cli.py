@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from catramsey.cli import main
+from catramsey.core import MAX_MORPHISMS
+from catramsey.degrees import degree_bounds, dual_degree_bounds
+from catramsey.essential import EssentialQuery, find_essential_at_B
 from catramsey.generators import UniverseSpec, generate
 from catramsey.matrix import run_matrix
 from catramsey import io as catio
@@ -117,6 +120,16 @@ def test_arrow_dual_routes(surj3_file, capsys):
         assert doc["holds"] in (True, False)
 
 
+def test_arrow_dual_flags_are_exclusive(surj3_file, capsys):
+    # --native-dual would win in silence, and it supports morphism mode only
+    query = ["arrow", "--cat", surj3_file, "--A", "2", "--B", "1", "--C", "0"]
+    assert main([*query, "--dual", "--native-dual"]) == 3
+    assert main([*query, "--mode", "subobject", "--dual", "--native-dual"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 def test_seed_is_echoed(lo6_file, capsys, lo6):
     A = obj(lo6, "LO", 1)
     code, doc = _run(capsys, "--seed", "7", "aut", "--cat", lo6_file, "--A", str(A))
@@ -132,6 +145,35 @@ def test_degree(inj3_file, capsys, inj3):
     assert doc["scope"] == "universe-relative"
     code, doc = _run(capsys, "degree", "--cat", inj3_file, "--A", str(a2), "--mode", "s")
     assert code == 0 and doc["upper"] == 1
+
+
+def test_degree_dual(surj3_file, capsys, surj3):
+    a2 = obj(surj3, "Surj", 2)
+    code = main(["degree", "--cat", surj3_file, "--A", str(a2), "--dual"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == json.dumps(dual_degree_bounds(surj3, a2, route="opposite").as_dict(), sort_keys=True) + "\n"
+    assert out != json.dumps(degree_bounds(surj3, a2).as_dict(), sort_keys=True) + "\n"
+
+
+def test_k_max_above_the_largest_domain_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "unit.txt"
+    path.write_text("objects: 1\nobj 0 pt\nmor 0 0 0 id\ncmp 0 0 0\n")
+    assert main(["degree", "--cat", str(path), "--A", "0", "--kmax", str(MAX_MORPHISMS + 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k_max" in json.loads(captured.err)["error"]
+
+
+def test_essential_without_crosscheck(inj3_file, capsys, inj3):
+    a1, a2, a3 = obj(inj3, "Inj", 1), obj(inj3, "Inj", 2), obj(inj3, "Inj", 3)
+    code, doc = _run(capsys, "essential", "--cat", inj3_file, "--A", str(a1), "--B", str(a2), "--ambient", str(a3), "--t", "2")
+    lam = find_essential_at_B(inj3, EssentialQuery(a1, a2, a3, 2))
+    assert code == 0
+    assert "crosscheck" not in doc
+    assert doc["exists"] is (lam is not None)
+    if lam is not None:
+        assert doc["lambda"] == {str(f): c for f, c in lam.items()}
 
 
 def test_essential_with_crosscheck(inj3_file, capsys, inj3):
@@ -266,6 +308,16 @@ def test_matrix_default(capsys, monkeypatch):
     code, doc = _run(capsys, "matrix")
     assert code == 0
     assert doc["status"] == "ok"
+    assert doc["report"]["config"] == {"lo_max": 6, "inj_max": 4, "surj_max": 3, "k_max": 2}
+
+
+def test_matrix_takes_the_global_budget(capsys, monkeypatch):
+    monkeypatch.delenv("CATRAMSEY_CACHE_DIR", raising=False)
+    code, doc = _run(capsys, "--budget", "0", "matrix")
+    assert code == 2
+    assert doc["stats"]["budget"] == 0
+    cell = doc["report"]["cells"]["arrow_lo_6"]
+    assert (cell["status"], cell["holds"], cell["expected"]) == ("inconclusive", None, True)
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -309,9 +361,9 @@ def test_non_integer_field_is_a_usage_error_naming_its_line(tmp_path, capsys, li
         ({"budget": "x"}, "budget"),
         ({"expectations": [1]}, "expectations"),
         ({"lo_mx": 7}, "lo_mx"),
-        ({"expectations": {"arrow_lo6": False}}, "arrow_lo6"),
-        ({"expectations": {"arrow_lo_6": "yes"}}, "arrow_lo_6"),
-        ({"expectations": {"arrow_lo_6": 1}}, "arrow_lo_6"),
+        ({"expectations": {"arrow_lo6": False}}, "expectations"),
+        ({"expectations": {"arrow_lo_6": "yes"}}, "expectations"),
+        ({"expectations": {"arrow_lo_6": 1}}, "expectations"),
         ({"budget": -1, "lo_max": 5, "inj_max": 2, "surj_max": 1}, "budget"),
         ({"k_max": 1}, "k_max"),
         # a family size runs from 0 (no cells) up to its generation cap
@@ -321,6 +373,11 @@ def test_non_integer_field_is_a_usage_error_naming_its_line(tmp_path, capsys, li
         ({"lo_max": 8}, "lo_max"),
         ({"inj_max": 7}, "inj_max"),
         ({"surj_max": 6}, "surj_max"),
+        # no domain has more than MAX_MORPHISMS items to colour
+        ({"k_max": MAX_MORPHISMS + 1, "lo_max": 0, "inj_max": 0, "surj_max": 0}, "k_max"),
+        # the node budget is the global --budget, and the LO verdicts are fixed
+        ({"budget": 100, "lo_max": 0, "inj_max": 0, "surj_max": 0}, "budget"),
+        ({"expectations": {}, "lo_max": 0, "inj_max": 0, "surj_max": 0}, "expectations"),
     ],
 )
 def test_malformed_matrix_config_is_a_usage_error(tmp_path, capsys, config, field):

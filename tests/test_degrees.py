@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catramsey.arrows import ArrowVerdict
-from catramsey.core import CategoryError, one_object_category
+from catramsey.core import MAX_MORPHISMS, CategoryError, one_object_category
 from catramsey.degrees import (
     default_pool,
     degree_bounds,
@@ -157,6 +157,16 @@ def test_dual_of_self_dual_unit():
 def test_empty_pool_rejected(inj4):
     with pytest.raises(CategoryError):
         degree_bounds(inj4, 0, "morphism", 2, B_pool=[])
+
+
+def test_k_max_is_bounded_by_the_largest_domain():
+    # no domain has more than MAX_MORPHISMS items, so more colours only
+    # repeat a verdict while the scan and its witness map keep growing
+    unit = one_object_category()
+    d = degree_bounds(unit, 0, "morphism", MAX_MORPHISMS)
+    assert (d.upper, len(d.upper_witnesses)) == (1, MAX_MORPHISMS - 1)
+    with pytest.raises(CategoryError, match="k_max"):
+        degree_bounds(unit, 0, "morphism", MAX_MORPHISMS + 1)
 
 
 
