@@ -5,6 +5,17 @@
    It uses no Python API and allocates nothing; every array is owned by the
    caller (_kernel.py), which calls it through ctypes with the GIL released.
 
+   Each bundle b keeps one counter, slack[b] = distinct + uncolored - (t + 1),
+   which starts at size - t - 1; the bundle is dead below 0.  A color the
+   bundle already holds costs one unit of slack, a new one none, and
+   counts[c * n_bundles + b], the points of b colored c, tells them apart.
+   fits() tests a color against every bundle of the point before assign()
+   applies it, so a refused color is never applied or undone.  Any number of
+   colors exceeds a t below -1 as it exceeds -1, so t is raised to -1, and
+   a slack that starts below 0 is stored as -1: such a bundle refuses every
+   color, so its slack never changes.  Both keep size - t - 1, computed in
+   long long, within int range.
+
    Canonicity is incremental, as in _kernel_py.  Row r of perms keeps pos[r],
    the positions already tied with the color prefix (n_points once it can no
    longer prune), and its color renumbering ren[r * k ...] with fresh[r]
@@ -24,7 +35,7 @@
    library built from an older source is never called with arguments it would
    misread.  Bump it whenever the signature or the meaning of an argument
    changes. */
-#define KERNEL_ABI 2
+#define KERNEL_ABI 3
 
 int catramsey_kernel_abi(void)
 {
@@ -32,38 +43,45 @@ int catramsey_kernel_abi(void)
 }
 
 typedef struct {
-    int n_points, k, t;
-    const int *bundle_sizes, *pb_off, *pb, *perms;
-    int *counts, *distinct, *assigned, *color;
+    int n_points, k, n_bundles;
+    const int *pb_off, *pb, *perms;
+    int *counts, *slack, *color;
     int *pos, *fresh, *ren, *link, *head, *trail, *top;
     int trail_len;
 } State;
 
-/* returns 0 when some touched bundle can no longer exceed t */
-static int assign(State *s, int p, int c)
+/* 0 when color c at point p would kill one of its bundles */
+static int fits(const State *s, int p, int c)
 {
-    int ok = 1;
+    const int *cnt = s->counts + (long)c * s->n_bundles;
     for (int bi = s->pb_off[p]; bi < s->pb_off[p + 1]; bi++) {
         int b = s->pb[bi];
-        if (s->counts[b * s->k + c]++ == 0)
-            s->distinct[b]++;
-        s->assigned[b]++;
-        if (s->distinct[b] + (s->bundle_sizes[b] - s->assigned[b]) <= s->t)
-            ok = 0;
+        if (s->slack[b] < (cnt[b] ? 1 : 0))
+            return 0;
+    }
+    return 1;
+}
+
+static void assign(State *s, int p, int c)
+{
+    int *cnt = s->counts + (long)c * s->n_bundles;
+    for (int bi = s->pb_off[p]; bi < s->pb_off[p + 1]; bi++) {
+        int b = s->pb[bi];
+        if (cnt[b]++)
+            s->slack[b]--;
     }
     s->color[p] = c;
-    return ok;
 }
 
 static void unassign(State *s, int p)
 {
     int c = s->color[p];
     s->color[p] = -1;
+    int *cnt = s->counts + (long)c * s->n_bundles;
     for (int bi = s->pb_off[p]; bi < s->pb_off[p + 1]; bi++) {
         int b = s->pb[bi];
-        if (--s->counts[b * s->k + c] == 0)
-            s->distinct[b]--;
-        s->assigned[b]--;
+        if (--cnt[b])
+            s->slack[b]++;
     }
 }
 
@@ -145,23 +163,29 @@ static void undo(State *s, int d)
    count_from or deeper; those above are not charged to the budget, so the
    empty prefix with count_from at the branch depth walks every branch prefix
    in one call and returns what kernel.solve's branch fold adds up to.
-   counts must be zeroed, n_bundles * k long; distinct and assigned n_bundles
-   long, zeroed; color and head n_points long; pos, fresh and link n_perms
-   long; ren n_perms * k long; trail 3 * n_perms * n_points long; used, next
-   and top n_points + 1 long.  Only counts, distinct and assigned are read
-   before they are written. */
-int search_from_prefix(int n_points, int k, int t, const int *bundle_sizes,
+   bundle_sizes and slack are n_bundles long; counts must be zeroed,
+   k * n_bundles long; color and head n_points long; pos, fresh and link
+   n_perms long; ren n_perms * k long; trail 3 * n_perms * n_points long;
+   used, next and top n_points + 1 long.  Only counts is read before it is
+   written. */
+int search_from_prefix(int n_points, int k, int t, int n_bundles, const int *bundle_sizes,
                        const int *pb_off, const int *pb, int n_perms, const int *perms,
                        int prefix_len, const int *prefix, int count_from,
                        long long budget, long long *nodes,
-                       int *counts, int *distinct, int *assigned, int *color,
+                       int *counts, int *slack, int *color,
                        int *pos, int *fresh, int *ren, int *link, int *head, int *trail,
                        int *used, int *next, int *top, const volatile int *stop)
 {
-    State s = {n_points, k, t, bundle_sizes, pb_off, pb, perms,
-               counts, distinct, assigned, color,
+    State s = {n_points, k, n_bundles, pb_off, pb, perms,
+               counts, slack, color,
                pos, fresh, ren, link, head, trail, top, 0};
     *nodes = 0;
+    if (t < -1)
+        t = -1;
+    for (int b = 0; b < n_bundles; b++) {
+        long long room = (long long)bundle_sizes[b] - t - 1;
+        slack[b] = room < 0 ? -1 : (int)room;
+    }
     for (int i = 0; i < n_points; i++) {
         color[i] = -1;
         head[i] = -1;
@@ -181,8 +205,9 @@ int search_from_prefix(int n_points, int k, int t, const int *bundle_sizes,
         int c = prefix[p];
         if (c > max_used || c >= k)
             return 0;
-        if (!assign(&s, p, c))
+        if (!fits(&s, p, c))
             return 0;
+        assign(&s, p, c);
         if (head[p] >= 0 && !canonical(&s, p))
             return 0;
         if (c == max_used)
@@ -211,7 +236,10 @@ int search_from_prefix(int n_points, int k, int t, const int *bundle_sizes,
             return -1;
         if (*stop)
             return -1;
-        if (assign(&s, depth, c) && (head[depth] < 0 || canonical(&s, depth))) {
+        if (!fits(&s, depth, c))
+            continue;
+        assign(&s, depth, c);
+        if (head[depth] < 0 || canonical(&s, depth)) {
             depth++;
             used[depth] = u + (c == u);
             next[depth] = 0;

@@ -19,7 +19,7 @@ IMPL = "compiled"
 RELEASES_GIL = True
 # the value _kernel.c's catramsey_kernel_abi() returns: the calling
 # convention of search_from_prefix this module speaks
-ABI = 2
+ABI = 3
 
 _LIBRARY = Path(__file__).with_name("libcatramsey_kernel.so")
 if not _LIBRARY.is_file():
@@ -46,11 +46,11 @@ _int_p = ctypes.POINTER(ctypes.c_int)
 _search = _lib.search_from_prefix
 _search.restype = ctypes.c_int
 _search.argtypes = [
-    ctypes.c_int, ctypes.c_int, ctypes.c_int, _int_p,  # n_points, k, t, bundle_sizes
+    ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, _int_p,  # n_points, k, t, n_bundles, bundle_sizes
     _int_p, _int_p, ctypes.c_int, _int_p,  # pb_off, pb, n_perms, perms
     ctypes.c_int, _int_p, ctypes.c_int,  # prefix, count_from
     ctypes.c_longlong, ctypes.POINTER(ctypes.c_longlong),  # budget, nodes
-    _int_p, _int_p, _int_p, _int_p,  # counts, distinct, assigned, color
+    _int_p, _int_p, _int_p,  # counts, slack, color
     _int_p, _int_p, _int_p, _int_p, _int_p, _int_p,  # pos, fresh, ren, link, head, trail
     _int_p, _int_p, _int_p, _int_p,  # used, next, top, stop
 ]
@@ -115,10 +115,10 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     nodes = ctypes.c_longlong()
     color = _zeros(n_points)
     r = _search(
-        n_points, k, t, _ints(bundle_sizes),
+        n_points, k, t, n_bundles, _ints(bundle_sizes),
         _ints(pb_off), _ints(pb), n_perms, _ints(flat),
         len(prefix), _ints(prefix), count_from, max(0, min(budget, _BUDGET_CAP)), ctypes.byref(nodes),
-        _zeros(n_bundles * k), _zeros(n_bundles), _zeros(n_bundles), color,
+        _zeros(k * n_bundles), _zeros(n_bundles), color,
         _zeros(n_perms), _zeros(n_perms), _zeros(n_perms * k), _zeros(n_perms),
         _zeros(n_points), _zeros(3 * n_perms * n_points),
         _zeros(n_points + 1), _zeros(n_points + 1), _zeros(n_points + 1),

@@ -8,6 +8,18 @@ supplied by the caller are quotiented by lexicographic prefix canonicity: a
 prefix is pruned when some row maps it, colors renumbered in order of first
 use, to a lex-smaller one.
 
+Each bundle b keeps one counter, its slack: distinct + uncolored - (t + 1),
+where distinct counts the colors it holds and uncolored its points not yet
+colored.  It starts at size - t - 1, and the bundle can still exceed t
+colors while it is >= 0.  Coloring a point with a color the bundle already
+holds costs one unit of slack; a new color costs none.  counts[c][b], the
+points of b colored c, tells the two apart.  A color is tested before it is
+applied: it fits point p when every bundle of p has slack of at least its
+cost, and only a color that fits is applied, so a refused color leaves no
+state to undo.  A bundle whose slack starts below 0 refuses every color at
+its first point.  A bundle with slack 0 is tight: each of its uncolored
+points must take a color it does not hold yet.
+
 Canonicity is kept incrementally, so a node pays only for the rows that its
 point can move.  Each row r keeps a state:
   - pos[r]: the positions before it already tie with the color prefix;
@@ -63,10 +75,9 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     and returns what searching those prefixes one by one, each with the
     budget the earlier ones left, adds up to: one call for a serial search.
     """
-    n_bundles = len(bundle_sizes)
-    counts = [[0] * k for _ in range(n_bundles)]
-    distinct = [0] * n_bundles
-    assigned = [0] * n_bundles
+    slack = [size - t - 1 for size in bundle_sizes]
+    counts = [[0] * len(bundle_sizes) for _ in range(k)]
+    bundles = [pb[pb_off[p] : pb_off[p + 1]] for p in range(n_points)]
     color = [-1] * n_points
     nodes = 0
 
@@ -83,29 +94,30 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
         link[r] = head[q]
         head[q] = r
 
+    def fits(p, c):
+        # False when color c at point p would kill one of its bundles
+        cnt = counts[c]
+        for b in bundles[p]:
+            if slack[b] < (1 if cnt[b] else 0):
+                return False
+        return True
+
     def assign(p, c):
-        # returns False when some touched bundle can no longer exceed t
-        ok = True
-        for bi in range(pb_off[p], pb_off[p + 1]):
-            b = pb[bi]
-            if counts[b][c] == 0:
-                distinct[b] += 1
-            counts[b][c] += 1
-            assigned[b] += 1
-            if distinct[b] + (bundle_sizes[b] - assigned[b]) <= t:
-                ok = False
+        cnt = counts[c]
+        for b in bundles[p]:
+            if cnt[b]:
+                slack[b] -= 1
+            cnt[b] += 1
         color[p] = c
-        return ok
 
     def unassign(p):
         c = color[p]
         color[p] = -1
-        for bi in range(pb_off[p], pb_off[p + 1]):
-            b = pb[bi]
-            counts[b][c] -= 1
-            if counts[b][c] == 0:
-                distinct[b] -= 1
-            assigned[b] -= 1
+        cnt = counts[c]
+        for b in bundles[p]:
+            cnt[b] -= 1
+            if cnt[b]:
+                slack[b] += 1
 
     def canonical(d):
         # advance the rows waiting on point d, the last one colored; False
@@ -170,8 +182,9 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     for p, c in enumerate(prefix):
         if c > max_used or c >= k:
             return None, nodes, True
-        if not assign(p, c):
+        if not fits(p, c):
             return None, nodes, True
+        assign(p, c)
         if head[p] >= 0 and not canonical(p):
             return None, nodes, True
         if c == max_used:
@@ -202,7 +215,10 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
                 return None, nodes, False
         if stop[0]:
             return None, nodes, False
-        if assign(depth, c) and (head[depth] < 0 or canonical(depth)):
+        if not fits(depth, c):
+            continue
+        assign(depth, c)
+        if head[depth] < 0 or canonical(depth):
             depth += 1
             used[depth] = u + (c == u)
             nxt[depth] = 0

@@ -12,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import warnings
+from array import array
 
 from .core import FiniteCategory
 from .arrows import ArrowQuery, ArrowVerdict, check_arrow, _domain, _replay_witness
 from .kernel import DEFAULT_BUDGET
-from . import io as catio
 
 FORMAT_VERSION = 3
 CACHE_DIR_ENV = "CATRAMSEY_CACHE_DIR"
@@ -28,7 +29,17 @@ VERIFY_SAMPLE_MOD = 16
 
 
 def category_digest(cat: FiniteCategory) -> str:
-    return hashlib.sha256(catio.dumps_category(cat).encode()).hexdigest()
+    """sha256 over what a category file holds: the object and morphism
+    labels as JSON, then each morphism's dom and cod and the composition
+    table as little-endian ints.  The labels fix the morphism count, so the
+    int runs that follow need no separator."""
+    h = hashlib.sha256(json.dumps([cat.object_labels, cat.mor_labels]).encode())
+    for ints in (array("i", cat.mor_dom), array("i", cat.mor_cod), cat._table):
+        if sys.byteorder == "big":
+            ints = array("i", ints)
+            ints.byteswap()
+        h.update(ints)
+    return h.hexdigest()
 
 
 class ResultCache:

@@ -6,6 +6,7 @@ import pytest
 from catramsey import cache as cache_module
 from catramsey.arrows import ArrowQuery, ArrowVerdict, check_arrow
 from catramsey.cache import ResultCache, cached_check_arrow, category_digest
+from catramsey.io import dumps_category, loads_category
 from conftest import obj
 
 
@@ -197,6 +198,21 @@ def test_malformed_entry_is_evicted(tmp_path, lo6):
             json.dump(entry, fh)
         with pytest.warns(UserWarning, match="malformed"):
             assert cached_check_arrow(cache, lo6, q).holds is False
+
+
+def test_digest_survives_a_file_round_trip_and_sees_every_label(lo6, inj3):
+    # the digest hashes the tables, not the file text, so it must still
+    # change with each label and agree with the category read back
+    text = dumps_category(lo6)
+    assert category_digest(loads_category(text)) == category_digest(lo6)
+    lines = text.splitlines(keepends=True)
+
+    def relabelled(prefix):
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        return loads_category("".join(lines[:i] + [lines[i].rstrip("\n") + "x\n"] + lines[i + 1 :]))
+
+    digests = [category_digest(cat) for cat in (lo6, relabelled("obj 0 "), relabelled("mor 0 "), inj3)]
+    assert len(set(digests)) == 4
 
 
 def test_distinct_queries_and_categories_do_not_collide(tmp_path, lo6, inj3):

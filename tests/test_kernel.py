@@ -39,7 +39,7 @@ def naive_witness_exists(n, k, t, bundles):
 def problems(draw):
     n = draw(st.integers(min_value=1, max_value=7))
     k = draw(st.integers(min_value=2, max_value=4))
-    t = draw(st.integers(min_value=1, max_value=3))
+    t = draw(st.integers(min_value=0, max_value=3))
     n_bundles = draw(st.integers(min_value=1, max_value=5))
     bundles = [
         frozenset(draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=n)))
@@ -187,12 +187,25 @@ def group_searches(draw):
         group = symmetric_group(m, pairs=2 <= m <= 4 and draw(st.booleans()))
     n = len(group[0])
     k = draw(st.integers(min_value=2, max_value=4))
-    t = draw(st.integers(min_value=1, max_value=k - 1))
+    t = draw(st.integers(min_value=0, max_value=k - 1))
     points = st.integers(min_value=0, max_value=n - 1)
-    bundles = draw(st.lists(st.frozensets(points, min_size=min(t + 1, n)), min_size=1, max_size=6))
+    bundles = draw(st.lists(st.frozensets(points, min_size=draw(small_bundles(t, n))), min_size=1, max_size=6))
     order = draw(st.permutations(range(len(group))))
     budget = draw(st.one_of(st.integers(min_value=0, max_value=60), st.just(5_000)))
     return group_problem(n, bundles, k, t, group, order), budget
+
+
+def small_bundles(t, n):
+    """The least bundle size to draw: t + 1 (or n) in half the draws, 1 in
+    the others, so that some bundles start with a slack of 0 or below."""
+    return st.sampled_from([1, min(t + 1, n)])
+
+
+# bundles whose slack, size - t - 1, starts at 0 (every bundle at t = 0, the
+# singletons), or below 0 (the pair at t = 2), with and without point symmetry
+SLACK_0 = build_problem(6, [frozenset({0}), frozenset({1, 2}), frozenset({2, 3, 4, 5})], 2, 0, [])
+SLACK_0_ROTATED = build_problem(9, [frozenset({i}) for i in range(3)] + TRIPLES_9[:4], 3, 0, ROTATIONS_9)
+SLACK_BELOW_0 = build_problem(5, [frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({1, 2, 3, 4})], 3, 2, [])
 
 
 def load_kernel(directory: Path):
@@ -232,9 +245,9 @@ def searches(draw):
     so that the search runs below the branch prefixes."""
     n = draw(st.integers(min_value=1, max_value=10))
     k = draw(st.integers(min_value=2, max_value=4))
-    t = draw(st.integers(min_value=1, max_value=k - 1))
+    t = draw(st.integers(min_value=0, max_value=k - 1))
     points = st.integers(min_value=0, max_value=n - 1)
-    bundles = draw(st.lists(st.frozensets(points, min_size=min(t + 1, n)), min_size=1, max_size=6))
+    bundles = draw(st.lists(st.frozensets(points, min_size=draw(small_bundles(t, n))), min_size=1, max_size=6))
     perms = draw(st.lists(st.permutations(range(n)), max_size=3))
     budget = draw(st.one_of(st.integers(min_value=0, max_value=60), st.just(20_000)))
     return build_problem(n, bundles, k, t, perms), budget
@@ -246,6 +259,9 @@ def searches(draw):
 @example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 20_000), stopped=False, cut=9)
 @example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 300), stopped=False, cut=7)
 @example(search=(CYCLE_60, 20_000), stopped=False, cut=30)
+@example(search=(SLACK_0, 20_000), stopped=False, cut=2)
+@example(search=(SLACK_0_ROTATED, 20_000), stopped=False, cut=4)
+@example(search=(SLACK_BELOW_0, 20_000), stopped=False, cut=3)
 @settings(max_examples=100, deadline=None)
 def test_pure_and_compiled_agree(compiled_kernel, search, stopped, cut):
     # the empty prefix walks the whole tree, counted from the root, from the
@@ -266,11 +282,16 @@ CYCLE_4 = group_problem(4, [frozenset({i, (i + 1) % 4}) for i in range(4)], 3, 1
 # S_3 on the 6 ordered pairs: coloring one point moves some rows to later
 # buckets, then another row prunes, so the level is undone part-way through
 PAIRS_3 = group_problem(6, [frozenset({0, 1, 2})], 2, 1, symmetric_group(3, pairs=True), range(6))
+# slack starting at 0 (t = 0) and below 0 (a pair at t = 2) under a whole group
+SLACK_0_GROUP = group_problem(6, [frozenset({0}), frozenset({1, 2}), frozenset({0, 3, 4, 5})], 2, 0, cycle_group(6), range(6))
+SLACK_BELOW_0_GROUP = group_problem(6, [frozenset({0, 1}), frozenset({1, 2, 3})], 3, 2, symmetric_group(3, pairs=True), range(6))
 
 
 @given(search=group_searches(), stopped=st.booleans())
 @example(search=(CYCLE_4, 5_000), stopped=False)
 @example(search=(PAIRS_3, 5_000), stopped=False)
+@example(search=(SLACK_0_GROUP, 5_000), stopped=False)
+@example(search=(SLACK_BELOW_0_GROUP, 5_000), stopped=False)
 @settings(max_examples=100, deadline=None)
 def test_pure_kernel_matches_reference(search, stopped):
     pr, budget = search
@@ -395,6 +416,17 @@ def test_compiled_kernel_refuses_malformed_input(compiled_kernel):
     ):
         with pytest.raises(ValueError):
             compiled_kernel.search_from_prefix(**{**good, **bad})
+
+
+def test_compiled_kernel_takes_every_t_in_c_int_range(compiled_kernel):
+    # the compiled kernel's initial slack, size - t - 1, must not overflow at
+    # either end of the int range (the sanitizer aborts if it does), and it
+    # answers as the pure kernel does, also for bundle sizes below 0
+    pr = build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9)
+    for sizes in (pr.bundle_sizes, [-(2**31) + 1] * len(pr.bundle_sizes)):
+        for t in (-(2**31) + 1, -2, -1, 0, 2, 2**31 - 1):
+            args = (pr.n_points, pr.k, t, sizes, pr.pb_off, pr.pb, pr.perms, [], 20_000)
+            assert compiled_kernel.search_from_prefix(*args) == _kernel_py.search_from_prefix(*args), (sizes[0], t)
 
 
 def test_build_problem_caps_k_at_the_points(compiled_kernel):
