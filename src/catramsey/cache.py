@@ -73,7 +73,9 @@ class ResultCache:
                 value = json.load(fh)
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, OSError):
+        # not JSON, not UTF-8 (both ValueErrors), or nested deeper than the
+        # decoder can recurse
+        except (ValueError, RecursionError, OSError):
             warnings.warn(f"discarding corrupt cache entry {key}")
             self.evict(key)
             return None

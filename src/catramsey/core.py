@@ -215,15 +215,6 @@ class FiniteCategory:
                 return False
         return True
 
-    def is_epi(self, f: int) -> bool:
-        """f is epi iff u -> u*f is injective on hom(cod f, x) for every x."""
-        c = self.mor_cod[f]
-        for x in range(self.n_objects):
-            arrows = self.hom(c, x)
-            if len(set(self.pre(arrows, f))) != len(arrows):
-                return False
-        return True
-
     @property
     def all_mono(self) -> bool:
         if self._all_mono is None:
@@ -435,8 +426,3 @@ def product(cat1: FiniteCategory, cat2: FiniteCategory) -> FiniteCategory:
         return cat1.identities[a1], cat2.identities[a2]
 
     return concrete_category(objects, arrows, compose, identity)[0]
-
-
-def one_object_category() -> FiniteCategory:
-    """The terminal-style category with one object and only its identity."""
-    return FiniteCategory(["pt"], [(0, 0, "id")], array("i", [0]), [0])

@@ -6,8 +6,8 @@ ker chi^(w), where chi^(w)(f) = chi(w.f).  Only the kernel of chi matters,
 and every kernel coarsens the discrete one, so a single w that works for the
 discrete chi works for all chi.  Existence therefore reduces to a scan over
 w: lambda essential iff lambda refines the fiber partition {f : w.f = g} of
-some w.  The slower partition-enumeration route is kept as an independent
-oracle for cross-checks.
+some w.  The tests check this scan against an independent oracle that
+enumerates the candidate lambdas and ambient kernels outright.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CategoryError, FiniteCategory
-from .kernel import DEFAULT_BUDGET, restricted_growth
+from .kernel import DEFAULT_BUDGET
 from .arrows import ArrowQuery, check_arrow
-
-PARTITION_DOMAIN_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -80,44 +78,6 @@ def _replay_essential(cat: FiniteCategory, q: EssentialQuery, lam: dict[int, int
             if lam[f1] == lam[f2] and cat.compose(w, f1) != cat.compose(w, f2):
                 return False
     return True
-
-
-def essential_exists_by_partitions(cat: FiniteCategory, q: EssentialQuery) -> bool:
-    """Independent oracle: enumerate candidate lambdas and ambient kernels.
-
-    Exponential in both hom-set sizes; only usable on small instances, which
-    is exactly its role.
-    """
-    _validate(cat, q)
-    hom_ab = list(cat.hom(q.A, q.B))
-    hom_af = list(cat.hom(q.A, q.ambient))
-    if len(hom_af) > PARTITION_DOMAIN_CAP:
-        raise CategoryError(
-            f"|hom(A, ambient)| = {len(hom_af)} exceeds partition cap {PARTITION_DOMAIN_CAP}"
-        )
-    hom_bf = cat.hom(q.B, q.ambient)
-    kernels = [dict(zip(hom_af, p)) for p in restricted_growth(len(hom_af), len(hom_af))]
-
-    for lam_str in restricted_growth(len(hom_ab), q.t):
-        lam = dict(zip(hom_ab, lam_str))
-        good = True
-        for ker in kernels:
-            found = False
-            for w in hom_bf:
-                if all(
-                    ker[cat.compose(w, f1)] == ker[cat.compose(w, f2)]
-                    for f1 in hom_ab
-                    for f2 in hom_ab
-                    if lam[f1] == lam[f2]
-                ):
-                    found = True
-                    break
-            if not found:
-                good = False
-                break
-        if good:
-            return True
-    return False
 
 
 def crosscheck_essential_arrow(

@@ -12,10 +12,11 @@ from array import array
 
 import pytest
 
-from catramsey.core import FiniteCategory
+from catramsey.core import CategoryError, FiniteCategory
 from catramsey.expansions import ColoringExpansionSpec, build_coloring_expansion
 from catramsey.generators import UniverseSpec, generate, object_of_size
 from catramsey.io import dumps_category
+from catramsey.kernel import restricted_growth
 
 
 def composition_table(m: int, entries) -> array:
@@ -91,6 +92,35 @@ def oracle_degree_lower(cat, A, mode, k_max, B_pool, C_universe):
             )
         ]
     )
+
+
+# the partition oracle refuses larger hom(A, ambient): Bell(12) kernels
+PARTITION_DOMAIN_CAP = 12
+
+
+def essential_exists_by_partitions(cat: FiniteCategory, q) -> bool:
+    """Whether an essential t-coloring of hom(A, B) exists, straight from the
+    definition: some lambda such that every kernel of a coloring of
+    hom(A, ambient) is met by a w.  Exponential in both hom-set sizes."""
+    hom_ab = cat.hom(q.A, q.B)
+    hom_af = cat.hom(q.A, q.ambient)
+    if len(hom_af) > PARTITION_DOMAIN_CAP:
+        raise CategoryError(f"|hom(A, ambient)| = {len(hom_af)} exceeds partition cap {PARTITION_DOMAIN_CAP}")
+    hom_bf = cat.hom(q.B, q.ambient)
+    kernels = [dict(zip(hom_af, p)) for p in restricted_growth(len(hom_af), len(hom_af))]
+    for lam in restricted_growth(len(hom_ab), q.t):
+        pairs = [(f1, f2) for (f1, c1), (f2, c2) in itertools.product(zip(hom_ab, lam), repeat=2) if c1 == c2]
+        if all(
+            any(all(ker[cat.compose(w, f1)] == ker[cat.compose(w, f2)] for f1, f2 in pairs) for w in hom_bf)
+            for ker in kernels
+        ):
+            return True
+    return False
+
+
+def one_object_category() -> FiniteCategory:
+    """The terminal category: one object and only its identity."""
+    return FiniteCategory(["pt"], [(0, 0, "id")], array("i", [0]), [0])
 
 
 @pytest.fixture(scope="session")

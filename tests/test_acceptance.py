@@ -10,7 +10,6 @@ import time
 import pytest
 
 from catramsey.arrows import ArrowQuery, check_arrow
-from catramsey.core import one_object_category
 from catramsey.degrees import degree_bounds, verify_aut_bridge, verify_product
 from catramsey.essential import crosscheck_essential_arrow
 from catramsey.expansions import (
@@ -28,7 +27,7 @@ from catramsey.expansions import (
 )
 from catramsey.generators import UniverseSpec, forgetful_LO_to_Inj, generate
 from catramsey.matrix import run_matrix
-from conftest import obj
+from conftest import obj, one_object_category
 
 
 @pytest.fixture(scope="module")

@@ -179,12 +179,14 @@ def test_corrupt_json_is_evicted(tmp_path, lo6):
     cached_check_arrow(cache, lo6, q)
     key = _key_for(cache, lo6, q)
     path = os.path.join(str(tmp_path), key + ".json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{not json")
-    with pytest.warns(UserWarning, match="corrupt"):
-        v = cached_check_arrow(cache, lo6, q)
-    assert v.holds is False
-    assert not os.path.exists(path) or json.load(open(path))
+    # not JSON, not UTF-8, and nested deeper than the JSON decoder recurses
+    for evictions, content in enumerate((b"{not json", b"\xff\xfe", b"[" * 200_000), start=1):
+        with open(path, "wb") as fh:
+            fh.write(content)
+        with pytest.warns(UserWarning, match="corrupt"):
+            assert cached_check_arrow(cache, lo6, q).holds is False
+        assert cache.evictions == evictions
+        assert json.load(open(path))["holds"] is False
 
 
 def test_malformed_entry_is_evicted(tmp_path, lo6):

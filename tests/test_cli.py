@@ -147,6 +147,15 @@ def test_degree(inj3_file, capsys, inj3):
     assert code == 0 and doc["upper"] == 1
 
 
+def test_empty_bpool_is_the_default_pool_and_a_lone_comma_is_refused(inj3_file, capsys, inj3):
+    query = ["degree", "--cat", inj3_file, "--A", str(obj(inj3, "Inj", 1))]
+    assert _run(capsys, *query, "--bpool", "") == _run(capsys, *query)
+    assert main([*query, "--bpool", ","]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty B_pool" in json.loads(captured.err)["error"]
+
+
 def test_degree_dual(surj3_file, capsys, surj3):
     a2 = obj(surj3, "Surj", 2)
     code = main(["degree", "--cat", surj3_file, "--A", str(a2), "--dual"])
@@ -378,11 +387,13 @@ def test_non_integer_field_is_a_usage_error_naming_its_line(tmp_path, capsys, li
         # the node budget is the global --budget, and the LO verdicts are fixed
         ({"budget": 100, "lo_max": 0, "inj_max": 0, "surj_max": 0}, "budget"),
         ({"expectations": {}, "lo_max": 0, "inj_max": 0, "surj_max": 0}, "expectations"),
+        # file text, not a value: nested deeper than the JSON decoder recurses
+        pytest.param("[" * 200_000, "config", id="config23-deep-nesting"),
     ],
 )
 def test_malformed_matrix_config_is_a_usage_error(tmp_path, capsys, config, field):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
     assert main(["matrix", "--config", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -417,10 +428,13 @@ def test_empty_matrix_config_runs_the_default_cells():
 
 
 def test_cli_import_does_not_load_numpy():
-    # the package has no numpy dependency; keep it from creeping back in
+    # the package has no numpy dependency; keep it from creeping back in.
+    # Nor does an arrow or degree query need the expansion, essential or
+    # matrix layers, whose subcommands import them when they run.
     src = str(Path(catio.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, catramsey.cli; print('numpy' in sys.modules)"
+    unloaded = ["numpy", "catramsey.expansions", "catramsey.essential", "catramsey.matrix"]
+    probe = f"import sys, catramsey.cli; print([m for m in {unloaded!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

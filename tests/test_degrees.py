@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catramsey.arrows import ArrowVerdict
-from catramsey.core import MAX_MORPHISMS, CategoryError, one_object_category
+from catramsey.core import MAX_MORPHISMS, CategoryError
 from catramsey.degrees import (
     default_pool,
     degree_bounds,
@@ -13,7 +13,7 @@ from catramsey.degrees import (
     verify_product,
 )
 from catramsey.generators import UniverseSpec, generate
-from conftest import obj, oracle_degree_lower, oracle_degree_upper
+from conftest import obj, one_object_category, oracle_degree_lower, oracle_degree_upper
 
 
 def test_lo_degree_is_one(lo6):

@@ -4,11 +4,10 @@ from catramsey.core import CategoryError
 from catramsey.essential import (
     EssentialQuery,
     crosscheck_essential_arrow,
-    essential_exists_by_partitions,
     find_essential_at_B,
     _replay_essential,
 )
-from conftest import obj
+from conftest import essential_exists_by_partitions, obj
 
 
 def test_t_at_least_hom_ab_is_trivial(lo4):
