@@ -260,8 +260,14 @@ def _expansion_build_coloring(args):
     from .expansions import ColoringExpansionSpec, build_coloring_expansion
 
     base = catio.load_category_file(args.base)
-    degree_map = tuple((int(obj), int(t)) for obj, t in (pair.split("=") for pair in args.degrees.split(",")))
-    U = build_coloring_expansion(ColoringExpansionSpec(base=base, degree_map=degree_map))
+    degree_map = []
+    for pair in args.degrees.split(","):
+        try:
+            obj, t = pair.split("=")
+            degree_map.append((int(obj), int(t)))
+        except ValueError:
+            raise ValueError(f"--degrees pair {pair!r} is not <object>=<degree>") from None
+    U = build_coloring_expansion(ColoringExpansionSpec(base=base, degree_map=tuple(degree_map)))
     doc = {
         "upstairs_objects": U.upstairs.n_objects,
         "upstairs_morphisms": U.upstairs.n_morphisms,

@@ -9,20 +9,33 @@ Category format:
 
 Identities are not stored; they are inferred on load.  A functor file holds
 two category blocks introduced by `upstairs:` and `downstairs:` headers,
-followed by `umap obj <up> <down>` and `umap mor <up> <down>` lines.
+followed by `umap obj <up> <down>` and `umap mor <up> <down>` lines.  Lines
+may come in any order; blank lines and lines starting with `#` are skipped.
+
+A cmp line is `cmp` and three ASCII decimal integers (a minus sign allowed),
+separated by spaces or tabs, and nothing else.  A file's lines are split
+once; the few header lines (`objects:`, `obj`, `mor`) are read one by one,
+and the cmp lines are checked and converted together, a block of lines at a
+time at C speed, before they fill the composition table.
 
 A malformed file is refused with a ParseError that names the first bad line
-in file order: an object id out of range, a gap in the morphism ids, a
-morphism past MAX_MORPHISMS, a dangling or repeated reference, or a cmp line
-on a pair that is not composable.  A fault that no single line carries, such
-as a missing header, an object without an identity, or a umap that leaves
-out an upstairs id (ExpansionFunctor refuses that), is a CategoryError.
+in file order: a line that is no directive, a cmp line outside its grammar,
+an object id out of range, a gap in the morphism ids, a morphism past
+MAX_MORPHISMS, a dangling or repeated reference, or a cmp line on a pair
+that is not composable.  Only a refused file is scanned line by line to find
+that line.  A fault that no single line carries, such as a missing header, an
+object without an identity, or a umap that leaves out an upstairs id
+(ExpansionFunctor refuses that), is a CategoryError.
 """
 
 from __future__ import annotations
 
 import io as _io
+import re
 from array import array
+from collections.abc import Iterable, Sequence
+from itertools import chain, compress, repeat
+from operator import not_
 from typing import TextIO
 
 from .core import MAX_MORPHISMS, CategoryError, FiniteCategory
@@ -36,30 +49,31 @@ class ParseError(CategoryError):
 
 # the fields each directive needs, its own name included; labels are optional
 _FIELDS = {"objects:": 2, "obj": 2, "mor": 4, "cmp": 4}
+# one cmp line, whole
+_CMP_LINE = re.compile(r"[ \t]*cmp(?:[ \t]+-?[0-9]+){3}[ \t]*")
+# the characters a block of cmp lines may hold
+_CMP_CHARS = re.compile(r"[cmp0-9 \t\n-]*")
+# cmp lines are read in blocks of this many, which keeps the fields of one
+# block, and not of the whole file, in memory at a time
+_BLOCK_LINES = 1024
 
 
-def _content_lines(stream: TextIO) -> list[tuple[int, str]]:
-    """(line number, stripped text) of each line that is not blank or a comment."""
-    return [
-        (i, s) for i, raw in enumerate(stream.read().splitlines(), 1) if (s := raw.strip()) and not s.startswith("#")
-    ]
-
-
-def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
-    """One pass that splits and converts each line once, keeping the line of
-    each record; the cmp lines then fill the composition table, one cell
-    each.  References to objects and morphisms are checked by FiniteCategory;
-    only when the ids or the category are refused are the records read
-    again, to name the first bad line."""
+def _records(numbered: Iterable[tuple[int, str]]):
+    """Split and convert each (line number, line) once, in file order, into
+    the objects count and the obj, mor and cmp records, each with its line.
+    Raise a ParseError on the first line that no category file may hold: no
+    directive, too few fields, a field that is not an integer, a repeated id
+    or header, or a cmp line outside its grammar."""
     n_objects = None
     labels: dict[int, tuple[int, str]] = {}  # id -> (line, label)
     mors: dict[int, tuple[int, int, int, str]] = {}  # id -> (line, dom, cod, label)
     cmps: list[tuple[int, int, int, int]] = []  # (line, g, f, gf)
-
     ln = 0
     try:
-        for ln, line in lines:
+        for ln, line in numbered:
             parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
             if parts[0] not in _FIELDS:
                 raise ParseError(ln, f"unknown directive {parts[0]!r}")
             if len(parts) < _FIELDS[parts[0]]:
@@ -81,35 +95,83 @@ def _parse_category_lines(lines: list[tuple[int, str]]) -> FiniteCategory:
                 if mid in mors:
                     raise ParseError(ln, f"duplicate morphism id {mid}")
                 mors[mid] = (ln, int(parts[2]), int(parts[3]), parts[4] if len(parts) > 4 else str(mid))
-            elif parts[0] == "cmp":
-                cmps.append((ln, int(parts[1]), int(parts[2]), int(parts[3])))
+            else:
+                if len(parts) > 4:
+                    raise ParseError(ln, f"cmp takes 3 fields, got {len(parts) - 1}")
+                record = (ln, int(parts[1]), int(parts[2]), int(parts[3]))
+                # int() and split() also take `+1`, `1_0`, non-ASCII digits and blanks
+                if not _CMP_LINE.fullmatch(line):
+                    raise ParseError(ln, "cmp fields must be ASCII decimal integers separated by spaces or tabs")
+                cmps.append(record)
     except ValueError as exc:
         if isinstance(exc, CategoryError):
             raise
         # int() of a field that is not an integer, on line ln
         raise ParseError(ln, f"expected an integer field: {exc}") from None
+    return n_objects, labels, mors, cmps
 
-    if n_objects is None:
-        # no line is at fault: the header is what is missing
-        raise CategoryError("missing objects header")
-    n_mor = len(mors)
-    try:
-        if any(not 0 <= oid < n_objects for oid in labels) or set(mors) != set(range(n_mor)) or n_mor > MAX_MORPHISMS:
-            raise CategoryError("malformed ids")  # the scan below names the line
-        table = array("i", [-1]) * (n_mor * n_mor)
-        for ln, g, f, gf in cmps:
-            if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= gf < n_mor) or table[g * n_mor + f] >= 0:
-                raise CategoryError("malformed cmp line")  # the scan below names the line
+
+def _fill_table(cmp_lines: list[str], n_mor: int) -> array:
+    """The composition table that the cmp lines fill, one cell a line.  The
+    lines are checked and converted together, a block of them at a time, at
+    C speed.  Each line starts with `cmp` once blanks are stripped; when a
+    block holds only the characters of the grammar, and four fields a line
+    with `cmp` every fourth, each line is `cmp` and three fields of digits
+    and minus signs, which int() takes exactly when the grammar does.  A line
+    outside the grammar raises ValueError; an id outside range(n_mor), or a
+    second line on one (g, f), raises CategoryError."""
+    table = array("i", [-1]) * (n_mor * n_mor)
+    ids: dict[str, int] = {}  # each distinct field, converted once
+    for start in range(0, len(cmp_lines), _BLOCK_LINES):
+        lines = cmp_lines[start : start + _BLOCK_LINES]
+        block = "\n".join(lines)
+        fields = block.split()
+        if not _CMP_CHARS.fullmatch(block) or len(fields) != 4 * len(lines) or fields[::4].count("cmp") != len(lines):
+            raise ValueError("a cmp line outside its grammar")
+        columns = fields[1::4], fields[2::4], fields[3::4]
+        for field in set(chain(*columns)).difference(ids):
+            ids[field] = int(field)
+            if not 0 <= ids[field] < n_mor:
+                raise CategoryError(f"dangling morphism reference {field}")
+        for g, f, gf in zip(*(map(ids.__getitem__, column) for column in columns)):
             table[g * n_mor + f] = gf
+    if table.count(-1) != len(table) - len(cmp_lines):
+        raise CategoryError("duplicate composition entry")
+    return table
+
+
+def _read_category(lines: list[str], line_nos: Sequence[int]) -> FiniteCategory:
+    """The category that `lines` describe; line_nos[i] is the file line of
+    lines[i].  The header lines are read one by one and the cmp lines
+    together, by _fill_table.  Only when the file is refused are all its
+    lines read again, one by one, to name the first bad line."""
+    is_cmp = list(map(str.startswith, map(str.lstrip, lines), repeat("cmp")))
+    try:
+        n_objects, labels, mors, _ = _records(compress(zip(line_nos, lines), map(not_, is_cmp)))
+        if n_objects is None:
+            # no line is at fault: the header is what is missing
+            raise CategoryError("missing objects header")
+        n_mor = len(mors)
+        if any(not 0 <= oid < n_objects for oid in labels) or set(mors) != set(range(n_mor)) or n_mor > MAX_MORPHISMS:
+            raise CategoryError("malformed ids")
+        table = _fill_table(list(compress(lines, is_cmp)), n_mor)
         object_labels = [labels[i][1] if i in labels else str(i) for i in range(n_objects)]
         return FiniteCategory(object_labels, [mors[i][1:] for i in range(n_mor)], table)
-    except CategoryError as exc:
-        raise (_first_bad_line(n_objects, labels, mors, cmps) or exc) from None
+    except ValueError as exc:  # CategoryError included
+        # the scan names the line at fault, if one is
+        raise (_first_bad_line(lines, line_nos) or exc) from None
 
 
-def _first_bad_line(n_objects: int, labels: dict, mors: dict, cmps: list) -> ParseError | None:
-    """The fault on the first line, in file order, that makes the parsed
-    records no category; None if no single line is at fault."""
+def _first_bad_line(lines: list[str], line_nos: Sequence[int]) -> ParseError | None:
+    """The fault on the first line, in file order, that makes the lines no
+    category; None if no single line is at fault.  A line that no category
+    file may hold is named before a bad reference on an earlier line."""
+    try:
+        n_objects, labels, mors, cmps = _records(zip(line_nos, lines))
+    except ParseError as exc:
+        return exc
+    if n_objects is None:
+        return None
     n_mor = len(mors)
     faults = [(ln, f"object id {oid} out of range") for oid, (ln, _) in labels.items() if not 0 <= oid < n_objects]
     for mid, (ln, dom, cod, _) in mors.items():
@@ -133,7 +195,8 @@ def _first_bad_line(n_objects: int, labels: dict, mors: dict, cmps: list) -> Par
 
 
 def load_category(stream: TextIO) -> FiniteCategory:
-    return _parse_category_lines(_content_lines(stream))
+    lines = stream.read().splitlines()
+    return _read_category(lines, range(1, len(lines) + 1))
 
 
 def loads_category(text: str) -> FiniteCategory:
@@ -151,8 +214,9 @@ def dump_category(cat: FiniteCategory, stream: TextIO) -> None:
         stream.write(f"obj {o} {cat.object_labels[o]}\n")
     for m in range(cat.n_morphisms):
         stream.write(f"mor {m} {cat.mor_dom[m]} {cat.mor_cod[m]} {cat.mor_labels[m]}\n")
-    for g, f, gf in cat.compose_entries():
-        stream.write(f"cmp {g} {f} {gf}\n")
+    # the cmp block in one write, each morphism id formatted once
+    ids = list(map(str, range(cat.n_morphisms)))
+    stream.write("".join([f"cmp {ids[g]} {ids[f]} {ids[gf]}\n" for g, f, gf in cat.compose_entries()]))
 
 
 def dumps_category(cat: FiniteCategory) -> str:
@@ -169,29 +233,33 @@ def dump_category_file(cat: FiniteCategory, path: str) -> None:
 def load_functor(stream: TextIO):
     from .expansions import ExpansionFunctor
 
-    sections: dict[str, list[tuple[int, str]]] = {"upstairs": [], "downstairs": [], "umap": []}
-    current: str | None = None
-    for ln, line in _content_lines(stream):
-        if line == "upstairs:":
-            current = "upstairs"
-        elif line == "downstairs:":
-            current = "downstairs"
-        elif line.startswith("umap "):
-            sections["umap"].append((ln, line))
-        elif current is None:
+    # each block keeps its lines and their line numbers, for _read_category
+    blocks: dict[str, tuple[list[str], list[int]]] = {"upstairs:": ([], []), "downstairs:": ([], [])}
+    umaps: list[tuple[int, str]] = []
+    block = None
+    for ln, raw in enumerate(stream.read().splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line in blocks:
+            block = blocks[line]
+        elif line.startswith(("umap ", "umap\t")):
+            umaps.append((ln, line))
+        elif block is None:
             raise ParseError(ln, "content before upstairs:/downstairs: header")
         else:
-            sections[current].append((ln, line))
-    if not sections["upstairs"] or not sections["downstairs"]:
+            block[0].append(raw)
+            block[1].append(ln)
+    if not blocks["upstairs:"][0] or not blocks["downstairs:"][0]:
         raise CategoryError("functor file needs both category blocks")
-    upstairs = _parse_category_lines(sections["upstairs"])
-    downstairs = _parse_category_lines(sections["downstairs"])
+    upstairs = _read_category(*blocks["upstairs:"])
+    downstairs = _read_category(*blocks["downstairs:"])
     maps: dict[str, dict[int, int]] = {"obj": {}, "mor": {}}
     sizes = {
         "obj": (upstairs.n_objects, downstairs.n_objects),
         "mor": (upstairs.n_morphisms, downstairs.n_morphisms),
     }
-    for ln, line in sections["umap"]:
+    for ln, line in umaps:
         parts = line.split()
         if len(parts) != 4 or parts[1] not in ("obj", "mor"):
             raise ParseError(ln, "expected `umap obj|mor <up> <down>`")

@@ -238,6 +238,15 @@ def test_build_coloring_with_a_repeated_object_is_a_usage_error(inj3_file, capsy
     assert "small object 0 twice" in json.loads(captured.err)["error"]
 
 
+@pytest.mark.parametrize("degrees, pair", [("1=2,2", "'2'"), ("1=2=3", "'1=2=3'"), ("1=x", "'1=x'")])
+def test_build_coloring_names_a_malformed_degrees_pair(inj3_file, capsys, degrees, pair):
+    code = main(["expansion", "build-coloring", "--base", inj3_file, "--degrees", degrees])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == f"--degrees pair {pair} is not <object>=<degree>"
+
+
 def test_build_coloring_on_a_tampered_base_is_a_usage_error(tmp_path, capsys):
     # Inj_2 with 4*1 rewritten: it loads, validate reports associativity
     # violation [4, 4, 2], and a lifted composite then has no upstairs morphism

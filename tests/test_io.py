@@ -26,12 +26,16 @@ def test_category_round_trip(lo4):
         ("Surj", 3, "860fa182364244bfc785530e9776ce8349511d508d4fb4c783824c19359af422"),
         ("Inj", 5, "64e8a465a8160b7a6b384007264edf2d0122b6e0f481297e12487b4c599e46b9"),
         ("Surj", 5, "a165df5b9440527cacb18c676bb1cc2b5aab3ef9832a8d84638868a5b327d15f"),
+        ("LO", 7, "7a68f78ad18202bbac04d855ed144c63a917ad07077b7288ce0737df5ab4e1aa"),
     ],
 )
 def test_dump_bytes_are_stable(family, size, digest):
     # cache keys hash these bytes, so any change to them orphans every cache
-    text = catio.dumps_category(generate(UniverseSpec(family, size)))
+    cat = generate(UniverseSpec(family, size))
+    text = catio.dumps_category(cat)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # and they load back, through the bulk read, to the generated category
+    assert same_category(catio.loads_category(text), cat)
 
 
 @pytest.mark.parametrize(
@@ -154,25 +158,120 @@ def test_objects_header_may_follow_its_lines():
     assert cat.object_labels == ("x",) and cat.identities == (0,)
 
 
+def _records_first(text: str) -> str:
+    """The text with each category block's cmp lines moved before its header
+    lines; section headers and umap lines stay where they are."""
+    out: list[str] = []
+    block: list[str] = []
+    for line in text.splitlines():
+        if line in ("upstairs:", "downstairs:") or line.startswith("umap "):
+            out += sorted(block, key=lambda s: not s.startswith("cmp")) + [line]
+            block = []
+        else:
+            block.append(line)
+    return "\n".join(out + sorted(block, key=lambda s: not s.startswith("cmp"))) + "\n"
+
+
+_LAYOUTS = {
+    "tabs": lambda text: text.replace(" ", "\t"),
+    "repeated_blanks": lambda text: text.replace(" ", "  \t "),
+    "leading_and_trailing_blanks": lambda text: "".join(f" \t{line} \n" for line in text.splitlines()),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "comments_and_blank_lines": lambda text: text.replace("\n", "\n# a comment\n\n  \n"),
+    "header_after_records": _records_first,
+}
+_LAYOUT_TEXTS = {
+    "LO_3": _SMALL_DUMPS[0],
+    "Inj_2": _SMALL_DUMPS[1],
+    "Surj_2": _SMALL_DUMPS[2],
+    "forgetful_2": catio.dumps_functor(forgetful_LO_to_Inj(2)),
+}
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("name", _LAYOUT_TEXTS)
+def test_a_layout_variant_loads_as_the_canonical_text(name, layout):
+    text = _LAYOUT_TEXTS[name]
+    variant = _LAYOUTS[layout](text)
+    assert variant != text
+    if name == "forgetful_2":
+        want, got = (catio.load_functor(io.StringIO(t)) for t in (text, variant))
+        assert catio.dumps_functor(got) == catio.dumps_functor(want)
+    else:
+        assert same_category(catio.loads_category(variant), catio.loads_category(text))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("cmp 0 0 0 0", "cmp takes 3 fields, got 4"),
+        ("cmp +0 0 0", "cmp fields must be ASCII decimal integers separated by spaces or tabs"),
+        ("cmp 0 0_0 0", "cmp fields must be ASCII decimal integers separated by spaces or tabs"),
+        ("cmp 0 0 ٠", "cmp fields must be ASCII decimal integers separated by spaces or tabs"),
+        ("cmp 0\xa00 0", "cmp fields must be ASCII decimal integers separated by spaces or tabs"),
+    ],
+    ids=["fourth_field", "plus_sign", "underscore", "arabic_indic_digit", "no_break_space"],
+)
+def test_a_cmp_line_outside_the_grammar_names_its_line(line, message):
+    # int() and str.split() accept each of these; the bad line is named even
+    # when a later line is bad too
+    text = f"objects: 1\nobj 0 x\nmor 0 0 0 id\n{line}\nfrob\n"
+    with pytest.raises(catio.ParseError) as err:
+        catio.loads_category(text)
+    assert str(err.value) == f"line 4: {message}"
+
+
+_BLANKS = st.sampled_from([" ", "\t", "  ", " \t", "\xa0", "　"])
+_EDGES = st.sampled_from(["", " ", "\t", "\xa0"])
+_SPELLINGS = st.sampled_from(["plain", "leading_zero", "plus", "underscore", "arabic_indic"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_respelt_cmp_line_loads_exactly_when_it_keeps_the_grammar(data):
+    text = data.draw(st.sampled_from(_SMALL_DUMPS))
+    lines = text.splitlines()
+    i = data.draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith("cmp")]))
+    fields, ok = ["cmp"], True
+    for value in lines[i].split()[1:]:
+        spelling = data.draw(_SPELLINGS)
+        ok &= spelling in ("plain", "leading_zero")
+        fields.append({
+            "plain": value,
+            "leading_zero": "0" + value,
+            "plus": "+" + value,
+            "underscore": "0_" + value,
+            "arabic_indic": "".join(chr(0x660 + int(d)) for d in value),
+        }[spelling])
+    if data.draw(st.booleans()):
+        fields.append("0")
+        ok = False
+    blanks = [data.draw(_EDGES), *(data.draw(_BLANKS) for _ in fields[1:]), data.draw(_EDGES)]
+    ok &= set("".join(blanks)) <= {" ", "\t"}
+    lines[i] = blanks[0] + "".join(b + f for b, f in zip(["", *blanks[1:-1]], fields)) + blanks[-1]
+    variant = "\n".join(lines) + "\n"
+    if ok:
+        assert same_category(catio.loads_category(variant), catio.loads_category(text))
+    else:
+        with pytest.raises(catio.ParseError, match=f"^line {i + 1}: cmp "):
+            catio.loads_category(variant)
+
+
 def test_zero_objects_is_the_empty_category():
     cat = catio.loads_category("objects: 0\n")
     assert (cat.n_objects, cat.n_morphisms) == (0, 0)
 
 
-class _CountingLine(str):
-    """A line that counts its split() calls."""
+def test_a_dumped_category_loads_without_the_line_scan(surj3, monkeypatch):
+    def scan(lines, line_nos):
+        raise AssertionError("the line scan ran")
 
-    splits = 0
-
-    def split(self, *args, **kwargs):
-        self.splits += 1
-        return super().split(*args, **kwargs)
-
-
-def test_parser_splits_each_line_once(surj3):
-    lines = [(i, _CountingLine(s)) for i, s in enumerate(catio.dumps_category(surj3).splitlines(), 1)]
-    assert same_category(catio._parse_category_lines(lines), surj3)
-    assert [line.splits for _, line in lines] == [1] * len(lines)
+    monkeypatch.setattr(catio, "_first_bad_line", scan)
+    text = catio.dumps_category(surj3)
+    assert same_category(catio.loads_category(text), surj3)
+    # a malformed file is refused through the scan, which names its line
+    with pytest.raises(AssertionError, match="the line scan ran"):
+        catio.loads_category(text.replace("\ncmp ", "\ncmp 0 ", 1))
 
 
 def test_unknown_directive_rejected():

@@ -91,5 +91,7 @@ def test_tracer_sees_the_layers_a_cli_query_reaches(tmp_path):
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
     assert doc["codes"] == [0, 0]
-    for name in ("cli.main", "degrees.degree_bounds", "cache.cached_check_arrow", "cache.get", "kernel.solve"):
+    for name in (
+        "cli.main", "io.load_category", "degrees.degree_bounds", "cache.cached_check_arrow", "cache.get", "kernel.solve",
+    ):
         assert name in doc["spans"]
