@@ -28,7 +28,8 @@
    moves at most once per level along a path, so the trail needs
    len(perms) * n_points triples.
 
-   Build: cc -O3 -shared -fPIC _kernel.c -o libcatramsey_kernel.so */
+   _kernel.py builds it on first import, named after this file's sha256:
+   cc -O2 -shared -fPIC _kernel.c -o libcatramsey_kernel-<digest>.so */
 
 /* The calling convention of search_from_prefix.  _kernel.py refuses a library
    whose catramsey_kernel_abi() returns another value, or that has none, so a

@@ -1,16 +1,28 @@
-"""Compiled witness-search kernel: _kernel.c, loaded with ctypes.
+"""Compiled witness-search kernel: _kernel.c, built on first import and
+loaded with ctypes.
 
-The shared library is built next to this file by setup.py (build_ext).
-Importing this module raises ImportError when the library is missing or does
-not load, or was built from another version of _kernel.c, which selects the
-pure-Python kernel instead.  ctypes releases the GIL for the duration of each
-call, so branches searched on several threads run concurrently; kernel.solve
-uses threads only for a search that one serial call has not finished within
-kernel.PROBE nodes, and otherwise makes a serial search one call.
+The library is named after the source it was built from,
+libcatramsey_kernel-<the first 16 hex digits of _kernel.c's sha256>.so, next
+to this file.  When that file is missing, the import compiles _kernel.c with
+`cc -O2 -shared -fPIC` into a temporary file of its own and renames it into
+place, so that processes building at once never see each other's half-written
+library; the compiler's output is discarded.  An edited _kernel.c therefore
+gets a library of its own on the next import, and a library built from other
+source is never opened.  The import raises ImportError, which makes kernel.py
+select the pure-Python kernel, when the directory is not writable or there is
+no `cc` on PATH (both checked before the compiler runs), when the build fails,
+or when the library does not load or speaks another ABI.
+
+ctypes releases the GIL for the duration of each call, so branches searched
+on several threads run concurrently; kernel.solve uses threads only for a
+search that one serial call has not finished within kernel.PROBE nodes, and
+otherwise makes a serial search one call.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 from pathlib import Path
 
 IMPL = "compiled"
@@ -20,11 +32,44 @@ RELEASES_GIL = True
 # the value _kernel.c's catramsey_kernel_abi() returns: the calling
 # convention of search_from_prefix this module speaks
 ABI = 3
+# seconds the compiler may take on first import; the build takes well under one
+BUILD_TIMEOUT_S = 60
 
-_LIBRARY = Path(__file__).with_name("libcatramsey_kernel.so")
+_SOURCE = Path(__file__).with_name("_kernel.c")
+try:
+    _DIGEST = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+except OSError as exc:
+    raise ImportError(f"compiled kernel source unreadable: {exc}") from None
+_LIBRARY = _SOURCE.with_name(f"libcatramsey_kernel-{_DIGEST}.so")
+
+
+def _build() -> None:
+    """Compile _SOURCE into _LIBRARY, or raise ImportError saying why not."""
+    if not os.access(_LIBRARY.parent, os.W_OK):
+        raise ImportError(f"compiled kernel not built: {_LIBRARY.parent} is not writable")
+    # imported here, so that loading a built library does not pay for them
+    import shutil
+    import subprocess
+
+    compiler = shutil.which("cc")
+    if compiler is None:
+        raise ImportError("compiled kernel not built: no C compiler (cc) on PATH")
+    tmp = _LIBRARY.with_name(f"{_LIBRARY.name}.{os.getpid()}.tmp")
+    try:
+        subprocess.run(
+            [compiler, "-O2", "-shared", "-fPIC", str(_SOURCE), "-o", str(tmp)],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=BUILD_TIMEOUT_S, check=True,
+        )
+        os.replace(tmp, _LIBRARY)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise ImportError(f"compiled kernel build failed: {exc}") from None
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 if not _LIBRARY.is_file():
-    # decided before importing ctypes, so an unbuilt tree does not pay for it
-    raise ImportError(f"compiled kernel not built: no {_LIBRARY}")
+    _build()
 
 import ctypes  # noqa: E402
 from array import array  # noqa: E402
@@ -36,11 +81,11 @@ except OSError as exc:
 try:
     _abi = _lib.catramsey_kernel_abi
 except AttributeError:
-    raise ImportError(f"compiled kernel {_LIBRARY} is stale: it has no catramsey_kernel_abi; rebuild it") from None
+    raise ImportError(f"compiled kernel {_LIBRARY} has no catramsey_kernel_abi: {_SOURCE} is not this version's") from None
 _abi.restype = ctypes.c_int
 _abi.argtypes = []
 if (_built := _abi()) != ABI:
-    raise ImportError(f"compiled kernel {_LIBRARY} speaks ABI {_built}, not {ABI}; rebuild it")
+    raise ImportError(f"compiled kernel {_LIBRARY} speaks ABI {_built}, not {ABI}: {_SOURCE} is not this version's")
 
 _int_p = ctypes.POINTER(ctypes.c_int)
 _search = _lib.search_from_prefix

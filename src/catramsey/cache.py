@@ -10,6 +10,7 @@ check out is evicted with a warning and recomputed.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -26,6 +27,9 @@ CACHE_DIR_ENV = "CATRAMSEY_CACHE_DIR"
 # recompute one in this many holding verdicts on read, chosen by key so the
 # sample is stable across runs
 VERIFY_SAMPLE_MOD = 16
+
+# numbers this process's writes, for their temporary file names
+_writers = itertools.count()
 
 
 def category_digest(cat: FiniteCategory) -> str:
@@ -89,10 +93,17 @@ class ResultCache:
         if not self.enabled:
             return
         path = self._path(key)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(value, fh, sort_keys=True)
-        os.replace(tmp, path)
+        # a temporary file of this writer's own: writers of one key, in this
+        # process or another, never write into or rename each other's
+        tmp = f"{path}.{os.getpid()}.{next(_writers)}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(value, fh, sort_keys=True)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     def evict(self, key: str) -> None:
         if not self.enabled:

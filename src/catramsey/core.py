@@ -7,17 +7,18 @@ where the composite is undefined.  Everything downstream (arrow search, degree
 computation, expansion checks) reads these tables; after construction a
 category is treated as immutable and is safe to share between worker threads.
 
-The table is filled and read in whole rows where it can be.  A concrete
-category numbers each hom-set with consecutive ids, so concrete_category
-writes each row of an (a, b, c) block, g*f for g in hom(b, c) and every f in
-hom(a, b), with one slice assignment.  opposite() transposes the table with
-one strided slice per column, since the opposite's row f is column f here.
-The finished table is the constructor's only composition input: a file
-fills one cell per line, products and the generated families go through
-concrete_category.  The constructor checks it at C speed: min, max and a -1
-count over each row's composable runs, and one -1 count of the whole table,
-refuse an unknown id and any entry on a non-composable pair, so every entry
-of a category's table lies on a composable pair.
+The table is filled and read in whole rows and columns where it can be.  A
+concrete category numbers each hom-set with consecutive ids, so
+concrete_category writes each column of an (a, b, c) block, g*f for one f in
+hom(a, b) and every g in hom(b, c), from one compose call with one strided
+slice assignment.  opposite() transposes the table with one strided slice
+per column, since the opposite's row f is column f here.  The finished table
+is the constructor's only composition input: a file fills one cell per line,
+products and the generated families go through concrete_category.  The
+constructor checks it at C speed: min, max and a -1 count over each row's
+composable runs, and one -1 count of the whole table, refuse an unknown id
+and any entry on a non-composable pair, so every entry of a category's table
+lies on a composable pair.
 post(g, fs) and pre(gs, f) read g*f along a row or a column, and raise, as
 compose does, on an undefined composite.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, Hashable, Iterable, Sequence
 
 # The composition table takes 4*m*m bytes, 256 MB at this many morphisms;
@@ -138,7 +138,10 @@ class FiniteCategory:
     def pre(self, gs: Sequence[int], f: int) -> list[int]:
         """The composites g*f for g in gs, read from f's column of the table;
         raises like compose if one is undefined."""
-        gfs = list(map(self._table[f :: self.n_morphisms].__getitem__, gs))
+        # indexed cell by cell: a slice of the whole column would copy m cells
+        # to read the few that gs names
+        table, m = self._table, self.n_morphisms
+        gfs = [table[g * m + f] for g in gs]
         if -1 in gfs:
             raise CategoryError(f"morphisms {gs[gfs.index(-1)]} and {f} are not composable")
         return gfs
@@ -348,15 +351,16 @@ def validate(cat: FiniteCategory) -> ValidationReport:
 def concrete_category(
     object_labels: Sequence[str],
     arrows: Callable[[int, int], Iterable[tuple[Hashable, str]]],
-    compose: Callable[[Hashable, Hashable], Hashable],
+    compose: Callable[[Hashable, Sequence[Hashable]], Iterable[Hashable]],
     identity: Callable[[int], Hashable],
 ) -> tuple[FiniteCategory, list]:
     """A category of values: `arrows(a, b)` lists the (value, label) pairs of
-    hom(a, b), `compose(g, f)` gives the value of g*f, `identity(a)` that of
-    a's identity.  Morphisms are numbered hom-set by hom-set in (a, b) order;
-    g*f is computed only over hom(b, c) x hom(a, b).  Returns the category and
-    each morphism's value.  A composite or identity that no hom-set lists, or
-    more than MAX_MORPHISMS morphisms, raise CategoryError."""
+    hom(a, b), `compose(f, gs)` gives the values of g*f for each g in gs, in
+    order, and `identity(a)` the value of a's identity.  Morphisms are
+    numbered hom-set by hom-set in (a, b) order; g*f is computed only over
+    hom(b, c) x hom(a, b).  Returns the category and each morphism's value.  A
+    composite or identity that no hom-set lists, or more than MAX_MORPHISMS
+    morphisms, raise CategoryError."""
     n = len(object_labels)
     morphisms: list[tuple[int, int, str]] = []
     values: list = []
@@ -382,16 +386,17 @@ def concrete_category(
     table = array("i", [-1]) * (m * m)
     for a in range(n):
         for b, fs in out[a]:
-            f_values = values[fs.start : fs.stop]
             for c, gs in out[b]:
                 ids = index.get((a, c), {})
-                for g in gs:
-                    # row g of the (a, b, c) block: g*f for every f in hom(a, b)
-                    row = list(map(ids.get, map(compose, repeat(values[g]), f_values)))
-                    if None in row:
-                        f = fs[row.index(None)]
+                g_values = values[gs.start : gs.stop]
+                for f in fs:
+                    # column f of the (a, b, c) block: g*f for every g in
+                    # hom(b, c), whose rows are m apart in the table
+                    column = list(map(ids.get, compose(values[f], g_values)))
+                    if None in column:
+                        g = gs[column.index(None)]
                         raise CategoryError(f"the composite {g}*{f} is not a morphism {a} -> {c}")
-                    table[g * m + fs.start : g * m + fs.stop] = array("i", row)
+                    table[gs.start * m + f : gs.stop * m : m] = array("i", column)
     return FiniteCategory(object_labels, morphisms, table, identities), values
 
 
@@ -418,8 +423,9 @@ def product(cat1: FiniteCategory, cat2: FiniteCategory) -> FiniteCategory:
             for f2 in cat2.hom(a2, b2):
                 yield (f1, f2), f"({cat1.mor_labels[f1]}*{cat2.mor_labels[f2]})"
 
-    def compose(g, f):
-        return cat1.compose(g[0], f[0]), cat2.compose(g[1], f[1])
+    def compose(f, gs):
+        g1s, g2s = zip(*gs)
+        return zip(cat1.pre(g1s, f[0]), cat2.pre(g2s, f[1]))
 
     def identity(a: int):
         a1, a2 = divmod(a, n2)

@@ -53,15 +53,11 @@ def generate(spec: UniverseSpec) -> FiniteCategory:
     Object i (0-based) has size i+1 and label "<family>_<size>".
     """
     family, n = spec.family, spec.max_size
-    getters: dict[tuple[int, ...], itemgetter] = {}
 
-    def compose(g: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
-        # g*f is the image tuple of x -> g[f[x]]: f's positions read from g
-        get = getters.get(f)
-        if get is None:
-            # a slice keeps the one-point image a tuple
-            get = getters[f] = itemgetter(*f) if len(f) > 1 else itemgetter(slice(f[0], f[0] + 1))
-        return get(g)
+    def compose(f: tuple[int, ...], gs: list[tuple[int, ...]]):
+        # g*f is the image tuple of x -> g[f[x]]: f's positions read from each
+        # g; a slice keeps a one-point image a tuple
+        return map(itemgetter(*f) if len(f) > 1 else itemgetter(slice(f[0], f[0] + 1)), gs)
 
     cat, _ = concrete_category(
         [f"{family}_{s}" for s in range(1, n + 1)],

@@ -1,19 +1,19 @@
 """Search-kernel front end: problem preprocessing, branch decomposition and
 the deterministic parallel driver.
 
-The actual DFS lives in _kernel (compiled C, used when its library has been
-built) or _kernel_py (pure Python, used otherwise); both expose the same
-search_from_prefix and explore identical trees, so results and node counts
-match bit for bit.  A serial search is one kernel call over the whole tree.
-Threads act only with a kernel that releases the GIL, the compiled one, and
-only on a search that needs more than PROBE nodes; the pure kernel runs every
-search serially, whatever the thread count.
+The actual DFS lives in _kernel (compiled C, which its first import builds
+when a C compiler is on PATH and the package directory is writable) or
+_kernel_py (pure Python, used when that import fails); IMPL names the one in
+use.  Both expose the same search_from_prefix and explore identical trees, so
+results and node counts match bit for bit.  A serial search is one kernel
+call over the whole tree.  Threads act only with a kernel that releases the
+GIL, the compiled one, and only on a search that needs more than PROBE nodes;
+the pure kernel runs every search serially, whatever the thread count.
 """
 
 from __future__ import annotations
 
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import _kernel_py
@@ -212,6 +212,10 @@ def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1
     witness, walked, exhausted = run([], cap, branch_depth(problem.n_points, problem.k))
     if exhausted or cap == budget:
         return _outcome(problem, witness, walked, exhausted)
+
+    # imported only here: concurrent.futures, and the logging it imports, would
+    # add milliseconds to every process that never searches in parallel
+    from concurrent.futures import ThreadPoolExecutor
 
     prefixes = branch_prefixes(problem.n_points, problem.k)
     pool = ThreadPoolExecutor(max_workers=threads)

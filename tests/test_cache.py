@@ -244,3 +244,29 @@ def test_directory_from_environment(tmp_path, lo6, monkeypatch):
     assert cache.enabled
     cached_check_arrow(cache, lo6, _lo5_failing_query(lo6))
     assert any(name.endswith(".json") for name in os.listdir(str(tmp_path)))
+
+
+def test_writers_of_one_key_do_not_share_a_temporary_file(tmp_path, monkeypatch):
+    # a second writer of the key puts its entry between the first one's write
+    # and rename; with one shared "<key>.json.tmp" the second rename moved the
+    # first writer's file, whose own rename then raised FileNotFoundError
+    cache = ResultCache(str(tmp_path))
+    replace, raced = os.replace, []
+
+    def racing_replace(src, dst):
+        if not raced:
+            raced.append(src)
+            cache.put("k", {"writer": 2})
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", racing_replace)
+    cache.put("k", {"writer": 1})
+    assert json.loads((tmp_path / "k.json").read_text()) == {"writer": 1}  # the last rename wins
+    assert os.listdir(tmp_path) == ["k.json"]
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    with pytest.raises(TypeError):
+        cache.put("k", {"holds": object()})
+    assert os.listdir(tmp_path) == []

@@ -31,7 +31,7 @@ def test_oversized_category_refused_before_allocating():
         FiniteCategory(["x"], morphisms, array("i"), identities=[0])
 
 
-def _two_point_maps(compose=lambda g, f: tuple(g[x] for x in f), identity=lambda a: (0, 1)):
+def _two_point_maps(compose=lambda f, gs: [tuple(g[x] for x in f) for g in gs], identity=lambda a: (0, 1)):
     # the maps of a 2-point set with values as image tuples
     maps = [(0, 1), (1, 0), (0, 0), (1, 1)]
     return concrete_category(["2"], lambda a, b: ((v, str(v)) for v in maps), compose, identity)
@@ -47,7 +47,7 @@ def test_concrete_category_numbers_by_value_and_streams_composition():
 
 def test_concrete_category_refuses_what_it_did_not_build():
     with pytest.raises(CategoryError, match="composite"):
-        _two_point_maps(compose=lambda g, f: (9, 9))
+        _two_point_maps(compose=lambda f, gs: [(9, 9)] * len(gs))
     with pytest.raises(CategoryError, match="identity"):
         _two_point_maps(identity=lambda a: (2, 2))
 
@@ -61,7 +61,7 @@ def test_concrete_category_stops_at_the_morphism_cap():
             yield i, str(i)
 
     with pytest.raises(CategoryError, match="cap"):
-        concrete_category(["x"], arrows, lambda g, f: g, lambda a: 0)
+        concrete_category(["x"], arrows, lambda f, gs: gs, lambda a: 0)
     assert len(listed) == MAX_MORPHISMS + 1
 
 

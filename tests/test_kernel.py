@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import importlib.util
 import itertools
+import os
 import shutil
 import subprocess
 import time
@@ -208,11 +210,21 @@ SLACK_0_ROTATED = build_problem(9, [frozenset({i}) for i in range(3)] + TRIPLES_
 SLACK_BELOW_0 = build_problem(5, [frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({1, 2, 3, 4})], 3, 2, [])
 
 
+KERNEL_PY = Path(_kernel_py.__file__).with_name("_kernel.py")
+KERNEL_C = KERNEL_PY.with_name("_kernel.c")
+
+
+def library_name(source: bytes) -> str:
+    """The name _kernel.py gives the library built from `source`."""
+    return f"libcatramsey_kernel-{hashlib.sha256(source).hexdigest()[:16]}.so"
+
+
 def load_kernel(directory: Path):
-    """Import a copy of catramsey/_kernel.py placed in `directory`, so that it
-    loads the library found there."""
-    source = Path(_kernel_py.__file__).with_name("_kernel.py")
-    shutil.copy(source, directory / "_kernel.py")
+    """Import a copy of catramsey/_kernel.py in `directory`, placed there
+    first unless one is, so that it loads, or builds, the library of the
+    _kernel.c found there."""
+    if not (directory / "_kernel.py").exists():
+        shutil.copy(KERNEL_PY, directory / "_kernel.py")
     spec = importlib.util.spec_from_file_location("catramsey._kernel", directory / "_kernel.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -224,18 +236,24 @@ def compiled_kernel(tmp_path_factory):
     """The compiled kernel built from the checked-in _kernel.c into a
     temporary directory, loaded through a copy of _kernel.py.  Any compiler
     warning fails the build, and undefined behaviour that the sanitizer
-    sees (a signed overflow, a misaligned access) aborts the run.
+    sees (a signed overflow, a misaligned access) aborts the run.  The import
+    runs with no compiler on PATH, so it loads this build or fails; it never
+    builds one of its own without the checks.
     Skips, saying why, only when there is no C compiler, so that the parity
     test never passes without comparing."""
     compiler = shutil.which("cc")
     if compiler is None:
         pytest.skip("no compiled kernel: no C compiler (cc) on PATH")
     out = tmp_path_factory.mktemp("kernel")
-    source = Path(_kernel_py.__file__).with_name("_kernel.c")
-    library = out / "libcatramsey_kernel.so"
+    shutil.copy(KERNEL_C, out / "_kernel.c")
+    library = out / library_name(KERNEL_C.read_bytes())
     flags = ["-O2", "-Wall", "-Wextra", "-Werror", "-fsanitize=undefined", "-fno-sanitize-recover=all"]
-    subprocess.run([compiler, *flags, "-shared", "-fPIC", str(source), "-o", str(library)], check=True)
-    return load_kernel(out)
+    subprocess.run([compiler, *flags, "-shared", "-fPIC", str(out / "_kernel.c"), "-o", str(library)], check=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PATH", str(tmp_path_factory.mktemp("no-cc")))
+        module = load_kernel(out)
+    assert module._LIBRARY == library
+    return module
 
 
 @st.composite
@@ -442,32 +460,113 @@ def test_build_problem_caps_k_at_the_points(compiled_kernel):
     assert build_problem(0, [], 5, 1, []).k == 1  # the compiled kernel needs k >= 1
 
 
-def test_compiled_kernel_without_library_is_an_import_error(tmp_path):
-    # kernel.py selects the pure kernel on ImportError: the library is
-    # missing, or it is there but does not load
-    with pytest.raises(ImportError):
+def needs_cc():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+
+
+def files_left(directory: Path) -> list[str]:
+    return sorted(p.name for p in directory.iterdir() if p.name != "__pycache__")
+
+
+def test_first_import_builds_the_library_and_later_ones_reuse_it(tmp_path, monkeypatch, capfd):
+    needs_cc()
+    shutil.copy(KERNEL_C, tmp_path / "_kernel.c")
+    module = load_kernel(tmp_path)
+    library = tmp_path / library_name(KERNEL_C.read_bytes())
+    assert module._LIBRARY == library
+    # the build prints nothing, leaves no temporary file, and never writes the
+    # fixed name an older loader opens
+    assert capfd.readouterr() == ("", "")
+    assert files_left(tmp_path) == ["_kernel.c", "_kernel.py", library.name]
+    pr = build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9)
+    args = (pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, [], 20_000)
+    expected = _kernel_py.search_from_prefix(*args)
+    assert module.search_from_prefix(*args) == expected
+    built = library.stat()
+    # with no compiler on PATH the next import loads the same file, unrebuilt
+    monkeypatch.setenv("PATH", str(tmp_path / "no-cc"))
+    again = load_kernel(tmp_path)
+    assert again._LIBRARY == library and again.search_from_prefix(*args) == expected
+    assert (library.stat().st_ino, library.stat().st_mtime_ns) == (built.st_ino, built.st_mtime_ns)
+
+
+def test_an_edited_source_builds_a_library_of_its_own(tmp_path):
+    needs_cc()
+    shutil.copy(KERNEL_C, tmp_path / "_kernel.c")
+    old = load_kernel(tmp_path)._LIBRARY
+    edited = KERNEL_C.read_bytes() + b"\nint catramsey_kernel_edited(void) { return 7; }\n"
+    (tmp_path / "_kernel.c").write_bytes(edited)
+    # the old library's name now holds a file that would fail to load; a new
+    # file, since this process still maps the old one
+    (tmp_path / "junk").write_bytes(b"not a shared library")
+    os.replace(tmp_path / "junk", old)
+    module = load_kernel(tmp_path)
+    assert module._LIBRARY == tmp_path / library_name(edited) != old
+    assert module._lib.catramsey_kernel_edited() == 7
+    assert files_left(tmp_path) == sorted(["_kernel.c", "_kernel.py", old.name, module._LIBRARY.name])
+
+
+@pytest.mark.parametrize("cause", ["no C compiler", "not writable", "build failed"])
+def test_a_kernel_that_cannot_be_built_is_a_quiet_import_error(tmp_path, monkeypatch, capfd, cause):
+    # kernel.py then selects the pure kernel; the import prints nothing, since
+    # a CLI's stdout is its JSON answer, and leaves no file behind
+    package = tmp_path / "package"
+    package.mkdir()
+    source = b"this is not C\n" if cause == "build failed" else KERNEL_C.read_bytes()
+    (package / "_kernel.c").write_bytes(source)
+    shutil.copy(KERNEL_PY, package / "_kernel.py")
+    if cause == "build failed":
+        needs_cc()
+    else:
+        # a cc that only records that it ran: neither case may run a compiler
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        (bin_dir / "cc").write_text(f"#!/bin/sh\ntouch {tmp_path / 'ran'}\nexit 1\n")
+        (bin_dir / "cc").chmod(0o755)
+        monkeypatch.setenv("PATH", str(tmp_path / "no-cc") if cause == "no C compiler" else str(bin_dir))
+    if cause == "not writable":
+        package.chmod(0o555)
+        # root may write anywhere, so the check is also told so directly
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: access(path, mode) and not (
+            Path(path) == package and mode & os.W_OK))
+    try:
+        with pytest.raises(ImportError, match=cause):
+            load_kernel(package)
+    finally:
+        package.chmod(0o755)
+    assert capfd.readouterr() == ("", "")
+    assert files_left(package) == ["_kernel.c", "_kernel.py"]
+    assert not (tmp_path / "ran").exists()
+
+
+def test_compiled_kernel_without_library_is_an_import_error(tmp_path, monkeypatch):
+    # kernel.py selects the pure kernel on ImportError: there is no source to
+    # build from, or the library named after the source is there but does
+    # not load
+    monkeypatch.setenv("PATH", str(tmp_path / "no-cc"))
+    with pytest.raises(ImportError, match="source unreadable"):
         load_kernel(tmp_path)
-    (tmp_path / "libcatramsey_kernel.so").write_bytes(b"not a shared library")
-    with pytest.raises(ImportError):
+    shutil.copy(KERNEL_C, tmp_path / "_kernel.c")
+    (tmp_path / library_name(KERNEL_C.read_bytes())).write_bytes(b"not a shared library")
+    with pytest.raises(ImportError, match="does not load"):
         load_kernel(tmp_path)
 
 
 def test_compiled_kernel_of_another_abi_is_an_import_error(tmp_path):
-    # a library built from an older _kernel.c would misread count_from and
-    # silently change node counts, so kernel.py must fall back instead
-    compiler = shutil.which("cc")
-    if compiler is None:
-        pytest.skip("no C compiler (cc) on PATH")
+    # a _kernel.c of another version would misread count_from and silently
+    # change node counts, so kernel.py must fall back instead; the import
+    # builds the library, then refuses it
+    needs_cc()
     for source in (
         "int search_from_prefix(void) { return 0; }",  # no ABI symbol at all
         "int search_from_prefix(void) { return 0; }\nint catramsey_kernel_abi(void) { return 1; }",
     ):
-        (tmp_path / "stale.c").write_text(source)
-        library = tmp_path / "libcatramsey_kernel.so"
-        subprocess.run([compiler, "-shared", "-fPIC", str(tmp_path / "stale.c"), "-o", str(library)], check=True)
-        with pytest.raises(ImportError, match="rebuild it"):
+        (tmp_path / "_kernel.c").write_text(source)
+        with pytest.raises(ImportError, match="not this version's"):
             load_kernel(tmp_path)
-        library.unlink()
+        assert (tmp_path / library_name(source.encode())).is_file()
 
 
 def test_pure_kernel_solves_a_deep_path(monkeypatch):
