@@ -1,9 +1,11 @@
-/* Compiled witness-search kernel.
+/* Compiled kernel: the witness search, and the bulk of the category-file
+   reader.  Neither uses the Python API or allocates; every array is owned
+   by the caller (_kernel.py), which calls them through ctypes with the GIL
+   released.
 
-   The same search as _kernel_py.search_from_prefix, loop for loop: same
-   tree, same node counts, same witness.  See that module for the algorithm.
-   It uses no Python API and allocates nothing; every array is owned by the
-   caller (_kernel.py), which calls it through ctypes with the GIL released.
+   search_from_prefix is the same search as _kernel_py.search_from_prefix,
+   loop for loop: same tree, same node counts, same witness.  See that module
+   for the algorithm.
 
    Each bundle b keeps one counter, slack[b] = distinct + uncolored - (t + 1),
    which starts at size - t - 1; the bundle is dead below 0.  A color the
@@ -31,12 +33,15 @@
    _kernel.py builds it on first import, named after this file's sha256:
    cc -O2 -shared -fPIC _kernel.c -o libcatramsey_kernel-<digest>.so */
 
-/* The calling convention of search_from_prefix.  _kernel.py refuses a library
-   whose catramsey_kernel_abi() returns another value, or that has none, so a
-   library built from an older source is never called with arguments it would
-   misread.  Bump it whenever the signature or the meaning of an argument
-   changes. */
-#define KERNEL_ABI 3
+#include <string.h>
+
+/* The calling convention of the functions below.  _kernel.py refuses a
+   library whose catramsey_kernel_abi() returns another value, or that has
+   none, so a library built from an older source is never called with
+   arguments it would misread, or asked for a function it lacks.  Bump it
+   whenever a function is added or removed, or the signature or the meaning
+   of an argument changes. */
+#define KERNEL_ABI 4
 
 int catramsey_kernel_abi(void)
 {
@@ -252,4 +257,127 @@ int search_from_prefix(int n_points, int k, int t, int n_bundles, const int *bun
         }
     }
     return 1;
+}
+
+/* The category-file reader.  The text is the file's UTF-8 bytes, n of them;
+   its lines end at \n.  A cmp line is one that starts with [ \t]*cmp; every
+   other line is a header line, which io reads in Python.  The reader may
+   decline more files than io's grammar refuses, never fewer: io then reads
+   the file again with the pure reader, which decides and names the line at
+   fault. */
+
+static int is_blank(unsigned char c)
+{
+    return c == ' ' || c == '\t';
+}
+
+static const unsigned char *skip_blanks(const unsigned char *p, const unsigned char *end)
+{
+    while (p < end && is_blank(*p))
+        p++;
+    return p;
+}
+
+static int is_cmp_line(const unsigned char *p, const unsigned char *end)
+{
+    p = skip_blanks(p, end);
+    return end - p >= 3 && p[0] == 'c' && p[1] == 'm' && p[2] == 'p';
+}
+
+/* Write (start, end, line number) of each header line, [start, end) in
+   bytes and numbered from 1, to out, which holds cap of them, and return
+   how many header lines there are: more than cap means that only the first
+   cap were written.  Return -1 when the text holds a line break other than
+   \n that str.splitlines splits at: \r, \v, \f, \x1c to \x1e, or U+0085,
+   U+2028 or U+2029 (C2 85, E2 80 A8 and E2 80 A9 in UTF-8). */
+int scan_lines(const char *text, int n, int *out, int cap)
+{
+    const unsigned char *s = (const unsigned char *)text, *end = s + n;
+    int count = 0, line_no = 0;
+    for (const unsigned char *start = s; start < end;) {
+        const unsigned char *p = start;
+        for (; p < end; p++) {
+            unsigned char c = *p;
+            if (c >= 0x20 && c < 0x7f) /* printable ASCII, nearly every byte */
+                continue;
+            if (c == '\n')
+                break;
+            if (c == '\r' || c == '\v' || c == '\f' || (c >= 0x1c && c <= 0x1e))
+                return -1;
+            if (c == 0xc2 && end - p >= 2 && p[1] == 0x85)
+                return -1;
+            if (c == 0xe2 && end - p >= 3 && p[1] == 0x80 && (p[2] == 0xa8 || p[2] == 0xa9))
+                return -1;
+        }
+        line_no++;
+        if (!is_cmp_line(start, p)) {
+            if (count < cap) {
+                out[3 * count] = (int)(start - s);
+                out[3 * count + 1] = (int)(p - s);
+                out[3 * count + 2] = line_no;
+            }
+            count++;
+        }
+        if (p == end)
+            break;
+        start = p + 1;
+    }
+    return count;
+}
+
+/* Read one field, [ \t]+-?[0-9]+, at *pp into *id and move *pp past it;
+   0 when it is not there or names no id in [0, n_mor).  The value stops
+   growing once it passes n_mor, so no digit string overflows it. */
+static int read_id(const unsigned char **pp, const unsigned char *end, int n_mor, int *id)
+{
+    const unsigned char *p = *pp;
+    if (p == end || !is_blank(*p))
+        return 0;
+    p = skip_blanks(p, end);
+    int negative = p < end && *p == '-';
+    p += negative;
+    if (p == end || *p < '0' || *p > '9')
+        return 0;
+    int value = 0;
+    for (; p < end && *p >= '0' && *p <= '9'; p++)
+        if (value <= n_mor)
+            value = 10 * value + (*p - '0');
+    *pp = p;
+    if (value >= n_mor || (negative && value != 0))
+        return 0;
+    *id = value;
+    return 1;
+}
+
+/* Fill table, n_mor * n_mor cells that are all -1 on entry, with one cell
+   g * n_mor + f = gf for each cmp line, which must be
+   [ \t]*cmp([ \t]+-?[0-9]+){3}[ \t]* exactly.  Return the number of cmp
+   lines, or -1 when a line is outside that grammar, names an id outside
+   [0, n_mor), or fills a cell that an earlier line filled. */
+int fill_table(const char *text, int n, int n_mor, int *table)
+{
+    const unsigned char *s = (const unsigned char *)text, *end = s + n;
+    int count = 0;
+    for (const unsigned char *start = s; start < end;) {
+        const unsigned char *stop = memchr(start, '\n', (size_t)(end - start));
+        if (stop == NULL)
+            stop = end;
+        if (is_cmp_line(start, stop)) {
+            const unsigned char *p = skip_blanks(start, stop) + 3;
+            int g, f, gf;
+            if (!read_id(&p, stop, n_mor, &g) || !read_id(&p, stop, n_mor, &f) || !read_id(&p, stop, n_mor, &gf))
+                return -1;
+            if (skip_blanks(p, stop) != stop)
+                return -1;
+            int *cell = table + (long)g * n_mor + f;
+            if (*cell != -1)
+                return -1;
+            *cell = gf;
+            count++;
+        }
+        if (stop == end)
+            break;
+        start = stop + 1;
+    }
+    return count;
 }

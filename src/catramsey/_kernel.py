@@ -1,5 +1,7 @@
-"""Compiled witness-search kernel: _kernel.c, built on first import and
-loaded with ctypes.
+"""Compiled kernel: _kernel.c, built on first import and loaded with ctypes.
+It holds the witness search, search_from_prefix, and the bulk of the
+category-file reader, scan_lines and fill_table, which io reaches through
+kernel.READER.
 
 The library is named after the source it was built from,
 libcatramsey_kernel-<the first 16 hex digits of _kernel.c's sha256>.so, next
@@ -30,8 +32,8 @@ IMPL = "compiled"
 # threads run at once
 RELEASES_GIL = True
 # the value _kernel.c's catramsey_kernel_abi() returns: the calling
-# convention of search_from_prefix this module speaks
-ABI = 3
+# convention of the functions this module binds
+ABI = 4
 # seconds the compiler may take on first import; the build takes well under one
 BUILD_TIMEOUT_S = 60
 
@@ -99,6 +101,13 @@ _search.argtypes = [
     _int_p, _int_p, _int_p, _int_p, _int_p, _int_p,  # pos, fresh, ren, link, head, trail
     _int_p, _int_p, _int_p, _int_p,  # used, next, top, stop
 ]
+
+_scan = _lib.scan_lines
+_scan.restype = ctypes.c_int
+_scan.argtypes = [ctypes.c_char_p, ctypes.c_int, _int_p, ctypes.c_int]  # text, n, out, cap
+_fill = _lib.fill_table
+_fill.restype = ctypes.c_int
+_fill.argtypes = [ctypes.c_char_p, ctypes.c_int, ctypes.c_int, _int_p]  # text, n, n_mor, table
 
 # a budget no search can spend; a larger one would overflow long long, and
 # any budget below 0 stops at the first node just as 0 does
@@ -172,3 +181,44 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     if r == 1:
         return list(color), nodes.value, True
     return None, nodes.value, r == 0
+
+
+# header lines the first scan makes room for; a text with more is scanned twice
+_HEADER_LINES = 4096
+
+
+def _check_text(data):
+    if not isinstance(data, bytes) or len(data) >= 2**31:
+        raise ValueError("the compiled reader takes bytes shorter than 2**31")
+
+
+def scan_lines(data):
+    """(start, end, line number) of each line of the UTF-8 text `data` that
+    is no cmp line, one that starts with `[ \\t]*cmp`: data[start:end] is the
+    line, numbered from 1.  Raises ValueError when `data` holds a line break
+    other than \\n at which str.splitlines would split, or is too long."""
+    _check_text(data)
+    cap = _HEADER_LINES
+    while True:
+        out = _zeros(3 * cap)
+        count = _scan(data, len(data), out, cap)
+        if count < 0:
+            raise ValueError("a line break other than \\n")
+        if count <= cap:
+            flat = out[: 3 * count]
+            return list(zip(flat[0::3], flat[1::3], flat[2::3]))
+        cap = count
+
+
+def fill_table(data, n_mor):
+    """The composition table that the cmp lines of the UTF-8 text `data`
+    fill, as io._fill_table makes it.  Raises ValueError when a cmp line is
+    outside `[ \\t]*cmp([ \\t]+-?[0-9]+){3}[ \\t]*`, names an id outside
+    range(n_mor), or fills a cell that an earlier line filled."""
+    _check_text(data)
+    if n_mor < 0 or n_mor * n_mor >= 2**31:
+        raise ValueError(f"n_mor must be in 0..46340, got {n_mor}")
+    table = array("i", [-1]) * (n_mor * n_mor)
+    if _fill(data, len(data), n_mor, (ctypes.c_int * len(table)).from_buffer(table)) < 0:
+        raise ValueError("a cmp line outside its grammar, an id out of range, or a repeated cell")
+    return table

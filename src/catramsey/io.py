@@ -1,4 +1,4 @@
-"""Line-oriented text formats for categories and expansion functors.
+r"""Line-oriented text formats for categories and expansion functors.
 
 Category format:
 
@@ -13,19 +13,31 @@ followed by `umap obj <up> <down>` and `umap mor <up> <down>` lines.  Lines
 may come in any order; blank lines and lines starting with `#` are skipped.
 
 A cmp line is `cmp` and three ASCII decimal integers (a minus sign allowed),
-separated by spaces or tabs, and nothing else.  A file's lines are split
-once; the few header lines (`objects:`, `obj`, `mor`) are read one by one,
-and the cmp lines are checked and converted together, a block of lines at a
-time at C speed, before they fill the composition table.
+separated by spaces or tabs, and nothing else.  Two readers keep that
+grammar.  The compiled one, in the C kernel's library, makes one pass over
+the text's UTF-8 bytes to find the few header lines (`objects:`, `obj`,
+`mor`, comments, blank lines), which alone are decoded and read here, and a
+second to check each cmp line and fill its cell of the composition table;
+no string is made per cmp line.  It declines a text with a line break other
+than `\n` that str.splitlines splits at (`\r`, `\v`, `\f`, `\x1c` to `\x1e`,
+U+0085, U+2028, U+2029), and it accepts no file that the grammar refuses.
+
+The pure reader reads every file that the compiled one declines or refuses,
+and every file where the compiled library is not built.  It splits the
+lines once, reads the header lines one by one, and checks and converts the
+cmp lines together, a block of lines at a time at C speed.  A file opened by
+path has its line ends turned into `\n` as it is read, so a CRLF file takes
+the compiled path; CRLF text handed to loads_category takes the pure one.
 
 A malformed file is refused with a ParseError that names the first bad line
 in file order: a line that is no directive, a cmp line outside its grammar,
 an object id out of range, a gap in the morphism ids, a morphism past
 MAX_MORPHISMS, a dangling or repeated reference, or a cmp line on a pair
-that is not composable.  Only a refused file is scanned line by line to find
-that line.  A fault that no single line carries, such as a missing header, an
-object without an identity, or a umap that leaves out an upstairs id
-(ExpansionFunctor refuses that), is a CategoryError.
+that is not composable.  The pure reader decides every refusal, and only a
+file that it refuses is scanned line by line to find that line.  A fault
+that no single line carries, such as a missing header, an object without an
+identity, or a umap that leaves out an upstairs id (ExpansionFunctor
+refuses that), is a CategoryError.
 """
 
 from __future__ import annotations
@@ -33,11 +45,13 @@ from __future__ import annotations
 import io as _io
 import re
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from functools import partial
 from itertools import chain, compress, repeat
 from operator import not_
 from typing import TextIO
 
+from . import kernel
 from .core import MAX_MORPHISMS, CategoryError, FiniteCategory
 
 
@@ -140,26 +154,61 @@ def _fill_table(cmp_lines: list[str], n_mor: int) -> array:
     return table
 
 
+def _category(header: Iterable[tuple[int, str]], fill: Callable[[int], array]) -> FiniteCategory:
+    """The category of the header lines, (line number, line) pairs in file
+    order, and of the composition table that fill(n_mor) makes from the cmp
+    lines.  Raises ValueError, CategoryError included, when they make none."""
+    n_objects, labels, mors, _ = _records(header)
+    if n_objects is None:
+        # no line is at fault: the header is what is missing
+        raise CategoryError("missing objects header")
+    n_mor = len(mors)
+    if any(not 0 <= oid < n_objects for oid in labels) or set(mors) != set(range(n_mor)) or n_mor > MAX_MORPHISMS:
+        raise CategoryError("malformed ids")
+    table = fill(n_mor)
+    object_labels = [labels[i][1] if i in labels else str(i) for i in range(n_objects)]
+    return FiniteCategory(object_labels, [mors[i][1:] for i in range(n_mor)], table)
+
+
 def _read_category(lines: list[str], line_nos: Sequence[int]) -> FiniteCategory:
-    """The category that `lines` describe; line_nos[i] is the file line of
-    lines[i].  The header lines are read one by one and the cmp lines
-    together, by _fill_table.  Only when the file is refused are all its
-    lines read again, one by one, to name the first bad line."""
+    """The category that `lines` describe, read by the pure reader;
+    line_nos[i] is the file line of lines[i].  The header lines are read one
+    by one and the cmp lines together, by _fill_table.  Only when the file
+    is refused are all its lines read again, one by one, to name the first
+    bad line."""
     is_cmp = list(map(str.startswith, map(str.lstrip, lines), repeat("cmp")))
     try:
-        n_objects, labels, mors, _ = _records(compress(zip(line_nos, lines), map(not_, is_cmp)))
-        if n_objects is None:
-            # no line is at fault: the header is what is missing
-            raise CategoryError("missing objects header")
-        n_mor = len(mors)
-        if any(not 0 <= oid < n_objects for oid in labels) or set(mors) != set(range(n_mor)) or n_mor > MAX_MORPHISMS:
-            raise CategoryError("malformed ids")
-        table = _fill_table(list(compress(lines, is_cmp)), n_mor)
-        object_labels = [labels[i][1] if i in labels else str(i) for i in range(n_objects)]
-        return FiniteCategory(object_labels, [mors[i][1:] for i in range(n_mor)], table)
+        header = compress(zip(line_nos, lines), map(not_, is_cmp))
+        return _category(header, lambda n_mor: _fill_table(list(compress(lines, is_cmp)), n_mor))
     except ValueError as exc:  # CategoryError included
         # the scan names the line at fault, if one is
         raise (_first_bad_line(lines, line_nos) or exc) from None
+
+
+def _read_compiled(text: str, reader) -> FiniteCategory:
+    """The category that `text` describes, read by the compiled reader: C
+    finds the header lines, which alone are decoded, and fills the table
+    from the cmp lines.  Raises ValueError, CategoryError included, when the
+    reader declines the text or the text makes no category."""
+    data = text.encode()
+    header = ((ln, data[start:end].decode()) for start, end, ln in reader.scan_lines(data))
+    return _category(header, partial(reader.fill_table, data))
+
+
+def _read(text: str, lines: list[str] | None = None, line_nos: Sequence[int] | None = None) -> FiniteCategory:
+    """The category that `text` describes.  The compiled reader, where the
+    library is built, reads it first; when it declines or refuses the text,
+    the pure reader reads `lines` (text.splitlines() unless given, line_nos
+    their file lines), and decides, naming the line at fault."""
+    if kernel.READER is not None:
+        try:
+            return _read_compiled(text, kernel.READER)
+        except ValueError:  # CategoryError included
+            pass
+    if lines is None:
+        lines = text.splitlines()
+        line_nos = range(1, len(lines) + 1)
+    return _read_category(lines, line_nos)
 
 
 def _first_bad_line(lines: list[str], line_nos: Sequence[int]) -> ParseError | None:
@@ -195,8 +244,7 @@ def _first_bad_line(lines: list[str], line_nos: Sequence[int]) -> ParseError | N
 
 
 def load_category(stream: TextIO) -> FiniteCategory:
-    lines = stream.read().splitlines()
-    return _read_category(lines, range(1, len(lines) + 1))
+    return _read(stream.read())
 
 
 def loads_category(text: str) -> FiniteCategory:
@@ -233,7 +281,7 @@ def dump_category_file(cat: FiniteCategory, path: str) -> None:
 def load_functor(stream: TextIO):
     from .expansions import ExpansionFunctor
 
-    # each block keeps its lines and their line numbers, for _read_category
+    # each block keeps its lines and their line numbers, for _read
     blocks: dict[str, tuple[list[str], list[int]]] = {"upstairs:": ([], []), "downstairs:": ([], [])}
     umaps: list[tuple[int, str]] = []
     block = None
@@ -252,8 +300,9 @@ def load_functor(stream: TextIO):
             block[1].append(ln)
     if not blocks["upstairs:"][0] or not blocks["downstairs:"][0]:
         raise CategoryError("functor file needs both category blocks")
-    upstairs = _read_category(*blocks["upstairs:"])
-    downstairs = _read_category(*blocks["downstairs:"])
+    # a block's lines hold no line break, so the compiled reader takes them
+    # joined by \n; the pure reader still names the file's line at fault
+    upstairs, downstairs = (_read("\n".join(lines), lines, line_nos) for lines, line_nos in blocks.values())
     maps: dict[str, dict[int, int]] = {"obj": {}, "mor": {}}
     sizes = {
         "obj": (upstairs.n_objects, downstairs.n_objects),

@@ -9,6 +9,10 @@ results and node counts match bit for bit.  A serial search is one kernel
 call over the whole tree.  Threads act only with a kernel that releases the
 GIL, the compiled one, and only on a search that needs more than PROBE nodes;
 the pure kernel runs every search serially, whatever the thread count.
+
+The compiled library also reads category files; READER is that module, or
+None with the pure kernel, and io takes the reader from here rather than
+importing _kernel again, which would retry a build that failed.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ except ImportError:
     _impl = _kernel_py  # type: ignore[assignment]
 
 IMPL = _impl.IMPL
+# the compiled category-file reader (scan_lines, fill_table) that io uses
+READER = None if _impl is _kernel_py else _impl
 
 DEFAULT_BUDGET = 10**8
 

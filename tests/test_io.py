@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catramsey import io as catio
+from catramsey import io as catio, kernel
 from catramsey.core import MAX_MORPHISMS, CategoryError, validate
 from catramsey.generators import UniverseSpec, generate, forgetful_LO_to_Inj
 from conftest import matrix_coloring_expansion, same_category, surj3_coloring_expansion
@@ -132,25 +132,32 @@ _SMALL_DUMPS = [catio.dumps_category(generate(UniverseSpec(f, n))) for f, n in (
 _FIELD = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(["x", "0.5", "-", str(MAX_MORPHISMS + 1)]))
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_a_one_line_change_loads_or_names_a_line_of_the_file(data):
-    lines = data.draw(st.sampled_from(_SMALL_DUMPS)).splitlines()
-    i = data.draw(st.integers(0, len(lines) - 1))
+@st.composite
+def one_line_changes(draw):
+    """A small dump with one line changed: one field of it, or the whole
+    line, which may go."""
+    lines = draw(st.sampled_from(_SMALL_DUMPS)).splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
     parts = lines[i].split()
-    if data.draw(st.booleans()):
+    if draw(st.booleans()):
         # one field of the line changes
-        parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(_FIELD)
+        parts[draw(st.integers(0, len(parts) - 1))] = draw(_FIELD)
     else:
         # the whole line changes, or goes
-        directive = data.draw(st.sampled_from(["objects:", "obj", "mor", "cmp", "#", "frob", ""]))
-        parts = [directive, *data.draw(st.lists(_FIELD, max_size=5))]
+        directive = draw(st.sampled_from(["objects:", "obj", "mor", "cmp", "#", "frob", ""]))
+        parts = [directive, *draw(st.lists(_FIELD, max_size=5))]
     lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(one_line_changes())
+def test_a_one_line_change_loads_or_names_a_line_of_the_file(text):
     try:
-        catio.loads_category("\n".join(lines) + "\n")
+        catio.loads_category(text)
     except CategoryError as exc:
         for named in re.findall(r"\bline (-?\d+)", str(exc)):
-            assert 1 <= int(named) <= len(lines), str(exc)
+            assert 1 <= int(named) <= len(text.splitlines()), str(exc)
 
 
 def test_objects_header_may_follow_its_lines():
@@ -226,15 +233,16 @@ _EDGES = st.sampled_from(["", " ", "\t", "\xa0"])
 _SPELLINGS = st.sampled_from(["plain", "leading_zero", "plus", "underscore", "arabic_indic"])
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_a_respelt_cmp_line_loads_exactly_when_it_keeps_the_grammar(data):
-    text = data.draw(st.sampled_from(_SMALL_DUMPS))
+@st.composite
+def respelt_cmp_lines(draw):
+    """A small dump, and that dump with one cmp line respelt, the line's
+    index, and whether the respelt line keeps the grammar."""
+    text = draw(st.sampled_from(_SMALL_DUMPS))
     lines = text.splitlines()
-    i = data.draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith("cmp")]))
+    i = draw(st.sampled_from([k for k, line in enumerate(lines) if line.startswith("cmp")]))
     fields, ok = ["cmp"], True
     for value in lines[i].split()[1:]:
-        spelling = data.draw(_SPELLINGS)
+        spelling = draw(_SPELLINGS)
         ok &= spelling in ("plain", "leading_zero")
         fields.append({
             "plain": value,
@@ -243,13 +251,19 @@ def test_a_respelt_cmp_line_loads_exactly_when_it_keeps_the_grammar(data):
             "underscore": "0_" + value,
             "arabic_indic": "".join(chr(0x660 + int(d)) for d in value),
         }[spelling])
-    if data.draw(st.booleans()):
+    if draw(st.booleans()):
         fields.append("0")
         ok = False
-    blanks = [data.draw(_EDGES), *(data.draw(_BLANKS) for _ in fields[1:]), data.draw(_EDGES)]
+    blanks = [draw(_EDGES), *(draw(_BLANKS) for _ in fields[1:]), draw(_EDGES)]
     ok &= set("".join(blanks)) <= {" ", "\t"}
     lines[i] = blanks[0] + "".join(b + f for b, f in zip(["", *blanks[1:-1]], fields)) + blanks[-1]
-    variant = "\n".join(lines) + "\n"
+    return text, "\n".join(lines) + "\n", i, ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(respelt_cmp_lines())
+def test_a_respelt_cmp_line_loads_exactly_when_it_keeps_the_grammar(respelt):
+    text, variant, i, ok = respelt
     if ok:
         assert same_category(catio.loads_category(variant), catio.loads_category(text))
     else:
@@ -262,16 +276,46 @@ def test_zero_objects_is_the_empty_category():
     assert (cat.n_objects, cat.n_morphisms) == (0, 0)
 
 
-def test_a_dumped_category_loads_without_the_line_scan(surj3, monkeypatch):
-    def scan(lines, line_nos):
-        raise AssertionError("the line scan ran")
+def _refuse(name: str):
+    def run(*args):
+        raise AssertionError(f"{name} ran")
 
-    monkeypatch.setattr(catio, "_first_bad_line", scan)
+    return run
+
+
+def test_a_dumped_category_loads_without_the_line_scan(surj3, monkeypatch):
+    monkeypatch.setattr(catio, "_first_bad_line", _refuse("the line scan"))
     text = catio.dumps_category(surj3)
-    assert same_category(catio.loads_category(text), surj3)
+    with monkeypatch.context() as m:
+        if kernel.READER is not None:
+            # where the library is built, the compiled reader loads it, and
+            # the pure reader never runs
+            m.setattr(catio, "_read_category", _refuse("the pure reader"))
+            m.setattr(catio, "_fill_table", _refuse("the pure table fill"))
+        assert same_category(catio.loads_category(text), surj3)
+        # and so are both category blocks of a functor file
+        functor = forgetful_LO_to_Inj(2)
+        assert catio.dumps_functor(catio.load_functor(io.StringIO(catio.dumps_functor(functor)))) == catio.dumps_functor(functor)
     # a malformed file is refused through the scan, which names its line
     with pytest.raises(AssertionError, match="the line scan ran"):
         catio.loads_category(text.replace("\ncmp ", "\ncmp 0 ", 1))
+
+
+def test_a_crlf_dump_loads_to_the_table_of_the_lf_dump(surj3, monkeypatch, tmp_path):
+    text = catio.dumps_category(surj3)
+    want = catio.loads_category(text)
+    crlf = text.replace("\n", "\r\n")
+    read_category, pure = catio._read_category, []
+    monkeypatch.setattr(catio, "_read_category", lambda *args: pure.append(args) or read_category(*args))
+    # the pure reader reads it: the compiled one declines a \r
+    got = catio.loads_category(crlf)
+    assert len(pure) == 1
+    assert same_category(got, want) and got._table.tobytes() == want._table.tobytes()
+    # a file opened by path has its line ends turned into \n as it is read
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(crlf.encode())
+    from_file = catio.load_category_file(str(path))
+    assert same_category(from_file, want) and from_file._table.tobytes() == want._table.tobytes()
 
 
 def test_unknown_directive_rejected():

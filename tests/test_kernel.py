@@ -1,10 +1,7 @@
 import dataclasses
-import hashlib
-import importlib.util
 import itertools
 import os
 import shutil
-import subprocess
 import time
 from array import array
 from pathlib import Path
@@ -17,7 +14,7 @@ from catramsey import _kernel_py, kernel
 from catramsey.arrows import ArrowQuery, check_arrow
 from catramsey.kernel import SearchProblem, branch_prefixes, build_problem, solve
 from catramsey.matrix import run_matrix
-from conftest import obj
+from conftest import KERNEL_C, KERNEL_PY, library_name, load_kernel, obj
 
 PATH_POINTS = 1200
 PATH_BUNDLES = [frozenset({i, i + 1}) for i in range(PATH_POINTS - 1)]
@@ -208,52 +205,6 @@ def small_bundles(t, n):
 SLACK_0 = build_problem(6, [frozenset({0}), frozenset({1, 2}), frozenset({2, 3, 4, 5})], 2, 0, [])
 SLACK_0_ROTATED = build_problem(9, [frozenset({i}) for i in range(3)] + TRIPLES_9[:4], 3, 0, ROTATIONS_9)
 SLACK_BELOW_0 = build_problem(5, [frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({1, 2, 3, 4})], 3, 2, [])
-
-
-KERNEL_PY = Path(_kernel_py.__file__).with_name("_kernel.py")
-KERNEL_C = KERNEL_PY.with_name("_kernel.c")
-
-
-def library_name(source: bytes) -> str:
-    """The name _kernel.py gives the library built from `source`."""
-    return f"libcatramsey_kernel-{hashlib.sha256(source).hexdigest()[:16]}.so"
-
-
-def load_kernel(directory: Path):
-    """Import a copy of catramsey/_kernel.py in `directory`, placed there
-    first unless one is, so that it loads, or builds, the library of the
-    _kernel.c found there."""
-    if not (directory / "_kernel.py").exists():
-        shutil.copy(KERNEL_PY, directory / "_kernel.py")
-    spec = importlib.util.spec_from_file_location("catramsey._kernel", directory / "_kernel.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="session")
-def compiled_kernel(tmp_path_factory):
-    """The compiled kernel built from the checked-in _kernel.c into a
-    temporary directory, loaded through a copy of _kernel.py.  Any compiler
-    warning fails the build, and undefined behaviour that the sanitizer
-    sees (a signed overflow, a misaligned access) aborts the run.  The import
-    runs with no compiler on PATH, so it loads this build or fails; it never
-    builds one of its own without the checks.
-    Skips, saying why, only when there is no C compiler, so that the parity
-    test never passes without comparing."""
-    compiler = shutil.which("cc")
-    if compiler is None:
-        pytest.skip("no compiled kernel: no C compiler (cc) on PATH")
-    out = tmp_path_factory.mktemp("kernel")
-    shutil.copy(KERNEL_C, out / "_kernel.c")
-    library = out / library_name(KERNEL_C.read_bytes())
-    flags = ["-O2", "-Wall", "-Wextra", "-Werror", "-fsanitize=undefined", "-fno-sanitize-recover=all"]
-    subprocess.run([compiler, *flags, "-shared", "-fPIC", str(out / "_kernel.c"), "-o", str(library)], check=True)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("PATH", str(tmp_path_factory.mktemp("no-cc")))
-        module = load_kernel(out)
-    assert module._LIBRARY == library
-    return module
 
 
 @st.composite
