@@ -1,7 +1,9 @@
-/* Compiled kernel: the witness search, and the bulk of the category-file
-   reader.  Neither uses the Python API or allocates; every array is owned
-   by the caller (_kernel.py), which calls them through ctypes with the GIL
-   released.
+/* Compiled kernel: the witness search, search_from_prefix; the bulk of the
+   category-file reader, scan_lines and fill_table; and the composition-table
+   check, check_table, which core's pure check mirrors.  None of them uses
+   the Python API or allocates; every array is owned by the caller
+   (_kernel.py), which calls them through ctypes with the GIL released.
+   Their calling convention is ABI 5 (KERNEL_ABI below).
 
    search_from_prefix is the same search as _kernel_py.search_from_prefix,
    loop for loop: same tree, same node counts, same witness.  See that module
@@ -41,7 +43,7 @@
    arguments it would misread, or asked for a function it lacks.  Bump it
    whenever a function is added or removed, or the signature or the meaning
    of an argument changes. */
-#define KERNEL_ABI 4
+#define KERNEL_ABI 5
 
 int catramsey_kernel_abi(void)
 {
@@ -380,4 +382,38 @@ int fill_table(const char *text, int n, int n_mor, int *table)
         start = stop + 1;
     }
     return count;
+}
+
+/* The composition-table check, core.FiniteCategory._check_table at C speed.
+   table holds m * m cells, cell g * m + f for g*f; g and f compose when
+   mor_cod[f] == mor_dom[g].  A cell on a composable pair must hold -1 or an
+   id in [0, m), and every other cell -1.  Return 0 when they all do.
+   Otherwise write the cell at fault, g * m + f, to *bad, and return 1 for
+   the first unknown id on a composable pair in row-major order, or, when
+   there is none, 2 for the first entry off the composable pairs.  m * m must
+   be in int range. */
+int check_table(int m, const int *table, const int *mor_dom, const int *mor_cod, int *bad)
+{
+    int off = -1;
+    for (int g = 0; g < m; g++) {
+        const int *row = table + (long)g * m;
+        int d = mor_dom[g];
+        for (int f = 0; f < m; f++) {
+            int gf = row[f];
+            if (gf == -1)
+                continue;
+            if (mor_cod[f] == d) {
+                if (gf < -1 || gf >= m) {
+                    *bad = g * m + f;
+                    return 1;
+                }
+            } else if (off < 0) {
+                off = g * m + f;
+            }
+        }
+    }
+    if (off < 0)
+        return 0;
+    *bad = off;
+    return 2;
 }

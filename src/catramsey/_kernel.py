@@ -1,7 +1,8 @@
 """Compiled kernel: _kernel.c, built on first import and loaded with ctypes.
-It holds the witness search, search_from_prefix, and the bulk of the
+It holds the witness search, search_from_prefix; the bulk of the
 category-file reader, scan_lines and fill_table, which io reaches through
-kernel.READER.
+kernel.READER; and the composition-table check, check_table, which
+core.FiniteCategory reaches the same way.  The library speaks ABI 5.
 
 The library is named after the source it was built from,
 libcatramsey_kernel-<the first 16 hex digits of _kernel.c's sha256>.so, next
@@ -33,7 +34,7 @@ IMPL = "compiled"
 RELEASES_GIL = True
 # the value _kernel.c's catramsey_kernel_abi() returns: the calling
 # convention of the functions this module binds
-ABI = 4
+ABI = 5
 # seconds the compiler may take on first import; the build takes well under one
 BUILD_TIMEOUT_S = 60
 
@@ -108,6 +109,9 @@ _scan.argtypes = [ctypes.c_char_p, ctypes.c_int, _int_p, ctypes.c_int]  # text, 
 _fill = _lib.fill_table
 _fill.restype = ctypes.c_int
 _fill.argtypes = [ctypes.c_char_p, ctypes.c_int, ctypes.c_int, _int_p]  # text, n, n_mor, table
+_check = _lib.check_table
+_check.restype = ctypes.c_int
+_check.argtypes = [ctypes.c_int, _int_p, _int_p, _int_p, _int_p]  # m, table, mor_dom, mor_cod, bad
 
 # a budget no search can spend; a larger one would overflow long long, and
 # any budget below 0 stops at the first node just as 0 does
@@ -222,3 +226,25 @@ def fill_table(data, n_mor):
     if _fill(data, len(data), n_mor, (ctypes.c_int * len(table)).from_buffer(table)) < 0:
         raise ValueError("a cmp line outside its grammar, an id out of range, or a repeated cell")
     return table
+
+
+def check_table(table, mor_dom, mor_cod):
+    """The fault of the composition table `table` that core's pure check
+    finds: None when every cell on a composable pair holds -1 or a morphism
+    id and every other cell -1; otherwise (unknown, g, f) for the cell g*f
+    at fault, with unknown True for the first unknown id on a composable
+    pair in row-major order, and False, when there is none, for the first
+    entry off the composable pairs.  Raises ValueError unless `table` is an
+    array("i") of m * m cells, m = len(mor_dom) = len(mor_cod), in C int
+    range."""
+    m = len(mor_dom)
+    if len(mor_cod) != m or m * m >= 2**31:
+        raise ValueError(f"need mor_dom and mor_cod of one length in 0..46340, got {m} and {len(mor_cod)}")
+    if not (isinstance(table, array) and table.typecode == "i" and len(table) == m * m):
+        raise ValueError(f"the table must be an array('i') of {m * m} cells")
+    bad = ctypes.c_int()
+    code = _check(m, (ctypes.c_int * len(table)).from_buffer(table), _ints(mor_dom), _ints(mor_cod), ctypes.byref(bad))
+    if code == 0:
+        return None
+    g, f = divmod(bad.value, m)
+    return code == 1, g, f

@@ -10,7 +10,7 @@ what the kernel searches for; an exhausted search certifies the relation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import CategoryError, FiniteCategory
 from .kernel import DEFAULT_BUDGET, build_problem, solve
@@ -53,12 +53,12 @@ class ArrowVerdict:
         return out
 
 
-def _domain(cat: FiniteCategory, q: ArrowQuery) -> tuple[list[int], dict[int, int]]:
+def _domain(cat: FiniteCategory, q: ArrowQuery) -> tuple[Sequence[int], dict[int, int]]:
     """The colorable items and the item index of every morphism of hom(A, C):
-    the morphisms themselves, or in subobject mode one representative per
-    class, every member indexed by its class."""
+    the hom-set itself, or in subobject mode one representative per class,
+    every member indexed by its class."""
     if q.mode == "morphism":
-        items = list(cat.hom(q.A, q.C))
+        items = cat.hom(q.A, q.C)
         return items, {m: i for i, m in enumerate(items)}
     classes = cat.subobject_classes(q.A, q.C)
     return [cl.representative for cl in classes], {m: i for i, cl in enumerate(classes) for m in cl.members}
@@ -77,7 +77,7 @@ def _domain_bundles_perms(cat: FiniteCategory, q: ArrowQuery):
     return items, index, bundles, perms
 
 
-def _is_coloring(q: ArrowQuery, items: list[int], colors) -> bool:
+def _is_coloring(q: ArrowQuery, items: Sequence[int], colors) -> bool:
     """Whether `colors` is a k-coloring of `items`: one int in range(k) per item."""
     return (
         isinstance(colors, list)
@@ -87,7 +87,7 @@ def _is_coloring(q: ArrowQuery, items: list[int], colors) -> bool:
 
 
 def _replay_witness(
-    cat: FiniteCategory, q: ArrowQuery, items: list[int], index: dict[int, int], colors: list[int]
+    cat: FiniteCategory, q: ArrowQuery, items: Sequence[int], index: dict[int, int], colors: list[int]
 ) -> bool:
     """Independent check that `colors` is a k-coloring of `items` under which
     every w sees more than t colors."""
@@ -99,7 +99,7 @@ def _replay_witness(
 
 def _decide(
     q: ArrowQuery,
-    items: list[int],
+    items: Sequence[int],
     bundles: list[frozenset[int]],
     perms: Callable[[], list[tuple[int, ...]]],
     replay,
@@ -109,8 +109,9 @@ def _decide(
     """The decision both routes share: the vacuous and trivial cases, the
     search and the verdict.  `bundles` has one entry per w, `perms` builds
     the route's Aut(C) rows, called only when the decision searches, and
-    `replay` is the route's own independent check of a witness coloring."""
-    n = len(items)
+    `replay` is the route's own independent check of a witness coloring.
+    The verdict's domain is a list of the items."""
+    items, n = list(items), len(items)
     if not bundles:
         # no w exists; the relation degenerates to whether the domain can be
         # colored with more than t colors at all
@@ -182,7 +183,7 @@ def check_arrow_native_dual(
     if q.mode != "morphism":
         raise CategoryError("native dual route supports morphism mode only")
 
-    items = list(cat.hom(q.C, q.A))
+    items = cat.hom(q.C, q.A)
     idx = {m: i for i, m in enumerate(items)}
     hom_ba = cat.hom(q.B, q.A)
     hom_cb = cat.hom(q.C, q.B)

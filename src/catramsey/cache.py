@@ -175,7 +175,7 @@ def _entry_checks_out(cache, cat, q, key, verdict: ArrowVerdict, budget) -> bool
     # domain must still match the category (guards against digest collisions
     # in the face of tampering)
     items, index = _domain(cat, q)
-    if verdict.domain != items:
+    if verdict.domain != list(items):
         warnings.warn(f"cached domain mismatch; evicting {key}")
         cache.evict(key)
         return False

@@ -15,12 +15,14 @@ slice assignment.  opposite() transposes the table with one strided slice
 per column, since the opposite's row f is column f here.  The finished table
 is the constructor's only composition input: a file fills one cell per line,
 products and the generated families go through concrete_category.  The
-constructor checks it at C speed: min, max and a -1 count over each row's
-composable runs, and one -1 count of the whole table, refuse an unknown id
-and any entry on a non-composable pair, so every entry of a category's table
-lies on a composable pair.
-post(g, fs) and pre(gs, f) read g*f along a row or a column, and raise, as
-compose does, on an undefined composite.
+constructor checks it in one C pass over its cells (check_table in the
+compiled kernel), or, without the compiled library, at C speed in Python: it
+refuses an unknown id on a composable pair and any entry on a non-composable
+pair, so every entry of a category's table lies on a composable pair.
+A hom-set whose ids are consecutive is held, and returned by hom(), as a
+range, so post(g, fs) and pre(gs, f) read g*f for such a set with one slice
+of a row or one strided slice of a column; any other sequence is read cell by
+cell.  Both raise, as compose does, on an undefined composite.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
+
+from . import kernel
 
 # The composition table takes 4*m*m bytes, 256 MB at this many morphisms;
 # larger categories are refused before their table is allocated.
@@ -72,7 +76,7 @@ class FiniteCategory:
             hom.setdefault((d, c), []).append(i)
             into[c].append(i)
             out[d].append(i)
-        self._hom: dict[tuple[int, int], tuple[int, ...]] = {k: tuple(v) for k, v in hom.items()}
+        self._hom: dict[tuple[int, int], Sequence[int]] = {k: _as_range(v) for k, v in hom.items()}
         self._into: tuple[tuple[int, ...], ...] = tuple(map(tuple, into))
         self._out: tuple[tuple[int, ...], ...] = tuple(map(tuple, out))
 
@@ -97,10 +101,29 @@ class FiniteCategory:
 
     def _check_table(self) -> None:
         """Refuse a finished table unless every cell on a composable pair is
-        -1 or a morphism id and every other cell is -1.  The composable cells
-        are read one run of consecutive ids at a time with min, max and count,
-        at C speed; one count of the whole table then finds an entry off
-        them, and only then is a row read entry by entry, to name it."""
+        -1 or a morphism id and every other cell is -1.  The cell named is
+        the first unknown id on a composable pair in row-major order, or,
+        when there is none, the first entry off the composable pairs.  The
+        compiled kernel's check_table finds it in one pass, and
+        _table_fault, its reference, where the library is not built."""
+        reader = kernel.READER
+        if reader is None:
+            fault = self._table_fault()
+        else:
+            fault = reader.check_table(self._table, self.mor_dom, self.mor_cod)
+        if fault is not None:
+            unknown, g, f = fault
+            gf = self._table[g * self.n_morphisms + f]
+            if unknown:
+                raise CategoryError(f"cell {g}*{f} holds {gf}, an unknown morphism")
+            raise CategoryError(f"cell {g}*{f} holds {gf}, but {g} and {f} are not composable")
+
+    def _table_fault(self) -> tuple[bool, int, int] | None:
+        """The fault _check_table reports, as (unknown, g, f), or None.  The
+        composable cells are read one run of consecutive ids at a time with
+        min, max and count, at C speed; one count of the whole table then
+        finds an entry off them, and only a row at fault is read entry by
+        entry, to name the cell."""
         table, m = self._table, self.n_morphisms
         runs = [_runs(fs) for fs in self._into]
         defined = [0] * m  # per row, the composable cells that hold an entry
@@ -108,12 +131,12 @@ class FiniteCategory:
             for lo, hi in runs[self.mor_dom[g]]:
                 cells = table[g * m + lo : g * m + hi]
                 if min(cells) < -1 or max(cells) >= m:
-                    raise CategoryError(f"row {g} of the composition table names an unknown morphism")
+                    return True, g, lo + next(i for i, gf in enumerate(cells) if not -1 <= gf < m)
                 defined[g] += hi - lo - cells.count(-1)
         if m * m - table.count(-1) != sum(defined):
             g = next(g for g in range(m) if m - table[g * m : g * m + m].count(-1) != defined[g])
-            f = next(f for f in range(m) if table[g * m + f] != -1 and not self.composable(g, f))
-            raise CategoryError(f"cell {g}*{f} holds {table[g * m + f]}, but {g} and {f} are not composable")
+            return False, g, next(f for f in range(m) if table[g * m + f] != -1 and not self.composable(g, f))
+        return None
 
     def check_object(self, a: int) -> None:
         if not (0 <= a < self.n_objects):
@@ -127,21 +150,31 @@ class FiniteCategory:
         return gf
 
     def post(self, g: int, fs: Sequence[int]) -> list[int]:
-        """The composites g*f for f in fs, read from g's row of the table;
-        raises like compose if one is undefined."""
-        m = self.n_morphisms
-        gfs = list(map(self._table[g * m : g * m + m].__getitem__, fs))
+        """The composites g*f for f in fs, read from g's row of the table:
+        one slice when fs is a step-1 range within it, such as a hom-set
+        with consecutive ids, else cell by cell.  Raises like compose if one
+        is undefined."""
+        table, m = self._table, self.n_morphisms
+        if type(fs) is range and fs.step == 1 and 0 <= fs.start <= fs.stop <= m:
+            gfs = table[g * m + fs.start : g * m + fs.stop].tolist()
+        else:
+            gfs = list(map(table[g * m : g * m + m].__getitem__, fs))
         if -1 in gfs:
             raise CategoryError(f"morphisms {g} and {fs[gfs.index(-1)]} are not composable")
         return gfs
 
     def pre(self, gs: Sequence[int], f: int) -> list[int]:
-        """The composites g*f for g in gs, read from f's column of the table;
-        raises like compose if one is undefined."""
-        # indexed cell by cell: a slice of the whole column would copy m cells
-        # to read the few that gs names
+        """The composites g*f for g in gs, read from f's column of the
+        table: one slice strided by m when gs is a step-1 range within it,
+        such as a hom-set with consecutive ids, else cell by cell.  Raises
+        like compose if one is undefined."""
         table, m = self._table, self.n_morphisms
-        gfs = [table[g * m + f] for g in gs]
+        if type(gs) is range and gs.step == 1 and 0 <= gs.start <= gs.stop <= m:
+            gfs = table[gs.start * m + f : gs.stop * m : m].tolist()
+        else:
+            # a slice of the whole column would copy m cells to read the few
+            # that gs names
+            gfs = [table[g * m + f] for g in gs]
         if -1 in gfs:
             raise CategoryError(f"morphisms {gs[gfs.index(-1)]} and {f} are not composable")
         return gfs
@@ -159,8 +192,9 @@ class FiniteCategory:
                 if gf >= 0:
                     yield g, f, gf
 
-    def hom(self, a: int, b: int) -> tuple[int, ...]:
-        """All morphisms a -> b in a deterministic (id) order."""
+    def hom(self, a: int, b: int) -> Sequence[int]:
+        """All morphisms a -> b in increasing id order: a range when their
+        ids are consecutive, else a tuple."""
         self.check_object(a)
         self.check_object(b)
         return self._hom.get((a, b), ())
@@ -398,6 +432,15 @@ def concrete_category(
                         raise CategoryError(f"the composite {g}*{f} is not a morphism {a} -> {c}")
                     table[gs.start * m + f : gs.stop * m : m] = array("i", column)
     return FiniteCategory(object_labels, morphisms, table, identities), values
+
+
+def _as_range(ids: list[int]) -> Sequence[int]:
+    """Strictly increasing ids as a range when they are consecutive, else a
+    tuple; being strictly increasing, they are consecutive exactly when the
+    last is len(ids) - 1 past the first."""
+    if ids[-1] - ids[0] + 1 == len(ids):
+        return range(ids[0], ids[-1] + 1)
+    return tuple(ids)
 
 
 def _runs(ids: Sequence[int]) -> list[tuple[int, int]]:

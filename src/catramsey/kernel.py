@@ -10,9 +10,11 @@ call over the whole tree.  Threads act only with a kernel that releases the
 GIL, the compiled one, and only on a search that needs more than PROBE nodes;
 the pure kernel runs every search serially, whatever the thread count.
 
-The compiled library also reads category files; READER is that module, or
-None with the pure kernel, and io takes the reader from here rather than
-importing _kernel again, which would retry a build that failed.
+The compiled library also reads category files and checks composition
+tables; READER is that module, or None with the pure kernel, and io and core
+take it from here rather than importing _kernel again, which would retry a
+build that failed.  _kernel_py is imported only when _kernel is not there,
+so a process with the compiled kernel never compiles or runs it.
 """
 
 from __future__ import annotations
@@ -20,16 +22,15 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from . import _kernel_py
-
 try:
     from . import _kernel as _impl
 except ImportError:
-    _impl = _kernel_py  # type: ignore[assignment]
+    from . import _kernel_py as _impl  # type: ignore[no-redef]
 
 IMPL = _impl.IMPL
-# the compiled category-file reader (scan_lines, fill_table) that io uses
-READER = None if _impl is _kernel_py else _impl
+# the compiled category-file reader (scan_lines, fill_table) that io uses,
+# and the table check (check_table) that core uses
+READER = _impl if IMPL == "compiled" else None
 
 DEFAULT_BUDGET = 10**8
 

@@ -249,3 +249,38 @@ def test_missing_composite_is_a_category_error_on_both_row_routes():
     # in place, the dual query (C, B, A) composes hom(B, C) after hom(A, B)
     with pytest.raises(CategoryError, match=f"{g} and {f} are not composable"):
         check_arrow_native_dual(cat, ArrowQuery(C, B, A, 2, 1))
+
+
+def _interleaved(cat):
+    """`cat` renumbered so that no hom-set of two or more morphisms has
+    consecutive ids: the first morphism of every hom-set, then the second,
+    and so on.  Each hom-set keeps its order.  Returns it and each old id's
+    new one."""
+    rank = {}
+    for (a, b), fs in cat._hom.items():
+        rank.update({f: (i, a, b) for i, f in enumerate(fs)})
+    order = sorted(range(cat.n_morphisms), key=rank.__getitem__)
+    new = {f: i for i, f in enumerate(order)}
+    morphisms = [(cat.mor_dom[f], cat.mor_cod[f], cat.mor_labels[f]) for f in order]
+    table = composition_table(cat.n_morphisms, {(new[g], new[f]): new[gf] for g, f, gf in cat.compose_entries()})
+    return FiniteCategory(cat.object_labels, morphisms, table, [new[e] for e in cat.identities]), new
+
+
+def test_interleaved_hom_sets_give_the_verdicts_of_consecutive_ones():
+    # hom-sets of consecutive ids are ranges, read by slices; the others are
+    # tuples, read cell by cell
+    surj4 = generate(UniverseSpec("Surj", 4))
+    interleaved, new = _interleaved(surj4)
+    consecutive, interleaved = (loads_category(dumps_category(cat)) for cat in (surj4, interleaved))
+    assert all(type(fs) is range for fs in consecutive._hom.values())
+    assert all(type(fs) is tuple for fs in interleaved._hom.values() if len(fs) > 1)
+    searched = set()
+    routes = (check_arrow, check_arrow_dual, check_arrow_native_dual)
+    for route, (a, b, c), t in itertools.product(routes, itertools.product(range(surj4.n_objects), repeat=3), (1, 2)):
+        want, got = (route(cat, ArrowQuery(a, b, c, 3, t)) for cat in (consecutive, interleaved))
+        assert (got.holds, got.nodes, got.note) == (want.holds, want.nodes, want.note)
+        assert got.domain == [new[f] for f in want.domain]
+        assert got.witness == want.witness
+        if want.witness is not None and want.nodes:
+            searched.add((route, t))
+    assert len(searched) == 6

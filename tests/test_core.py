@@ -403,3 +403,25 @@ def test_row_reads_match_compose_and_refuse_a_missing_composite(surj3):
         cat.post(1, [0, 1])
     with pytest.raises(CategoryError, match="1 and 1"):
         cat.pre([0, 1], 1)
+
+
+def _three_point_maps():
+    # one object, so every pair composes: the 27 maps of a 3-point set, as
+    # image tuples
+    maps = list(itertools.product(range(3), repeat=3))
+    compose = lambda f, gs: [tuple(g[x] for x in f) for g in gs]  # noqa: E731
+    return concrete_category(["3"], lambda a, b: ((v, str(v)) for v in maps), compose, lambda a: (0, 1, 2))[0]
+
+
+def test_row_and_column_reads_are_exact_for_any_sequence():
+    cat = _three_point_maps()
+    hom = cat.hom(0, 0)
+    assert hom == range(27)
+    # a run test such as last - first + 1 == len would read (3, 1, 5) as 3, 4, 5
+    others = ((3, 1, 5), hom[::-1], (2, 2, 7), range(0), range(4, 4), range(5, 3), hom[1::2], range(3, 9))
+    for g in (0, 5, 26):
+        assert cat.post(g, hom) == cat.post(g, tuple(hom)) == cat.post(g, list(hom))
+        assert cat.pre(hom, g) == cat.pre(tuple(hom), g) == cat.pre(list(hom), g)
+        for ids in (hom, *others):
+            assert cat.post(g, ids) == [cat.compose(g, f) for f in ids], ids
+            assert cat.pre(ids, g) == [cat.compose(h, g) for h in ids], ids
