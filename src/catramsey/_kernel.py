@@ -17,9 +17,9 @@ no `cc` on PATH (both checked before the compiler runs), when the build fails,
 or when the library does not load or speaks another ABI.
 
 ctypes releases the GIL for the duration of each call, so branches searched
-on several threads run concurrently; kernel.solve uses threads only for a
-search that one serial call has not finished within kernel.PROBE nodes, and
-otherwise makes a serial search one call.
+on several threads run concurrently, all reading build_problem's arrays in
+place; kernel.solve uses threads only for a search that one serial call has
+not finished within kernel.PROBE nodes, and otherwise makes it one call.
 """
 
 from __future__ import annotations
@@ -119,13 +119,15 @@ _BUDGET_CAP = 2**62
 
 
 def _ints(values):
-    """`values` as a C int array; array("i") refuses a value outside the C
-    int range, which ctypes would silently wrap."""
-    try:
-        buf = array("i", values)
-    except OverflowError as exc:
-        raise ValueError(f"value out of C int range: {exc}") from None
-    return (ctypes.c_int * len(buf)).from_buffer(buf)
+    """`values` as a C int array: an array("i")'s own buffer, anything else
+    copied into one; array("i") refuses a value outside the C int range,
+    which ctypes would silently wrap."""
+    if not (isinstance(values, array) and values.typecode == "i"):
+        try:
+            values = array("i", values)
+        except OverflowError as exc:
+            raise ValueError(f"value out of C int range: {exc}") from None
+    return (ctypes.c_int * len(values)).from_buffer(values)
 
 
 def _zeros(size):
@@ -142,7 +144,8 @@ def _flag(stop):
 
 def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop=None, count_from=0):
     """Same contract as _kernel_py.search_from_prefix; stop=None is a flag
-    that is never set.
+    that is never set.  An array("i"), as build_problem lays out all but the
+    prefix, reaches C as its own buffer; any other sequence is copied.
 
     Raises ValueError on input that would make the C code index out of
     bounds or overflow an int; the pure kernel would raise IndexError or
@@ -161,20 +164,19 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
         raise ValueError("pb_off must be nondecreasing")
     if pb and not (0 <= min(pb) and max(pb) < n_bundles):
         raise ValueError("pb names a bundle out of range")
-    n_perms = len(perms)
-    if any(len(row) != n_points for row in perms):
-        raise ValueError("every perms row must have n_points entries")
+    n_perms, rest = divmod(len(perms), n_points) if n_points else (0, len(perms))
+    if rest:
+        raise ValueError("perms must hold whole rows of n_points entries")
     if not (n_perms * k < 2**31 and 3 * n_perms * n_points < 2**31):
         raise ValueError("need n_perms * k and the trail, 3 * n_perms * n_points, in C int range")
-    flat = [p for row in perms for p in row]
-    if flat and not (0 <= min(flat) and max(flat) < n_points):
+    if perms and not (0 <= min(perms) and max(perms) < n_points):
         raise ValueError("perms names a point out of range")
 
     nodes = ctypes.c_longlong()
     color = _zeros(n_points)
     r = _search(
         n_points, k, t, n_bundles, _ints(bundle_sizes),
-        _ints(pb_off), _ints(pb), n_perms, _ints(flat),
+        _ints(pb_off), _ints(pb), n_perms, _ints(perms),
         len(prefix), _ints(prefix), count_from, max(0, min(budget, _BUDGET_CAP)), ctypes.byref(nodes),
         _zeros(k * n_bundles), _zeros(n_bundles), color,
         _zeros(n_perms), _zeros(n_perms), _zeros(n_perms * k), _zeros(n_perms),

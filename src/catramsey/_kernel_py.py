@@ -8,6 +8,11 @@ supplied by the caller are quotiented by lexicographic prefix canonicity: a
 prefix is pruned when some row maps it, colors renumbered in order of first
 use, to a lex-smaller one.
 
+The problem comes in kernel.SearchProblem's flat layout, indexed as it is:
+row r of perms is perms[r * n_points:(r + 1) * n_points], and there are
+n_perms = len(perms) // n_points rows (none when n_points is 0).  Each row
+prunes on its own, so their order, a repeat or the identity changes no tree.
+
 Each bundle b keeps one counter, its slack: distinct + uncolored - (t + 1),
 where distinct counts the colors it holds and uncolored its points not yet
 colored.  It starts at size - t - 1, and the bundle can still exceed t
@@ -37,7 +42,7 @@ So every push to bucket[q] comes from a level below q, and undoing the levels
 in reverse order pops each bucket as a stack.  The trail records (r, pos,
 fresh) for every row that point d moved, top[d] being its length before; a
 row is moved at most once per level along a path, so the trail never holds
-more than len(perms) * n_points entries.  Backtracking over d, or a prune
+more than n_perms * n_points entries.  Backtracking over d, or a prune
 part-way through its rows, puts them back in bucket[d] in their saved state.
 The check is skipped when bucket[d] is empty and the undo when level d left
 no trail, so problems without permutations pay nothing for it.
@@ -77,11 +82,11 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     """
     slack = [size - t - 1 for size in bundle_sizes]
     counts = [[0] * len(bundle_sizes) for _ in range(k)]
-    bundles = [pb[pb_off[p] : pb_off[p + 1]] for p in range(n_points)]
+    bundles = [list(pb[pb_off[p] : pb_off[p + 1]]) for p in range(n_points)]  # lists iterate faster than slices
     color = [-1] * n_points
     nodes = 0
 
-    n_perms = len(perms)
+    n_perms = len(perms) // n_points if n_points else 0
     pos = [0] * n_perms
     fresh = [0] * n_perms
     ren = [[-1] * k for _ in range(n_perms)]
@@ -89,8 +94,8 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     link = [-1] * n_perms
     trail = []
     top = [0] * (n_points + 1)
-    for r in range(n_perms if n_points else 0):
-        q = perms[r][0]
+    for r in range(n_perms):
+        q = perms[r * n_points]
         link[r] = head[q]
         head[q] = r
 
@@ -125,13 +130,13 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
         r = head[d]
         while r >= 0:
             head[d] = link[r]
-            row = perms[r]
+            base = r * n_points  # row r is perms[base : base + n_points]
             rr = ren[r]
             i = pos[r]
             m = fresh[r]
             trail.append((r, i, m))
             while True:
-                cj = color[row[i]]
+                cj = color[perms[base + i]]
                 x = rr[cj]
                 if x < 0:
                     x = m
@@ -145,7 +150,7 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
                 i += 1
                 if i == n_points:
                     break
-                q = row[i]
+                q = perms[base + i]
                 if q < i:
                     q = i
                 if q > d:
@@ -165,7 +170,7 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
             r, i, m = trail.pop()
             j = pos[r]
             if j < n_points:
-                q = perms[r][j]
+                q = perms[r * n_points + j]
                 head[q if q > j else j] = link[r]
             if fresh[r] > m:
                 rr = ren[r]

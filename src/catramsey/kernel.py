@@ -5,8 +5,11 @@ The actual DFS lives in _kernel (compiled C, which its first import builds
 when a C compiler is on PATH and the package directory is writable) or
 _kernel_py (pure Python, used when that import fails); IMPL names the one in
 use.  Both expose the same search_from_prefix and explore identical trees, so
-results and node counts match bit for bit.  A serial search is one kernel
-call over the whole tree.  Threads act only with a kernel that releases the
+results and node counts match bit for bit.  build_problem lays a search out
+once, as the flat arrays of SearchProblem, and every kernel call, the thread
+pool's branch calls among them, reads those arrays as they are: the compiled
+kernel hands their own buffers to C.  A serial search is one kernel call
+over the whole tree.  Threads act only with a kernel that releases the
 GIL, the compiled one, and only on a search that needs more than PROBE nodes;
 the pure kernel runs every search serially, whatever the thread count.
 
@@ -21,6 +24,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import itemgetter
+from typing import Sequence
 
 try:
     from . import _kernel as _impl
@@ -46,19 +52,17 @@ PROBE = 100_000
 
 @dataclass
 class SearchProblem:
-    """Coloring problem in point form, after symmetry conjugation.
-
-    Points are the colorable items in a fixed search order; bundles are point
-    index sets; perms are point permutations in search-order coordinates.
-    """
+    """A coloring problem in point form, laid out once as the flat
+    array("i")s that both kernels and the C ABI read as they are.  Points are
+    the colorable items in a fixed search order."""
 
     n_points: int
     k: int
     t: int
-    bundle_sizes: list[int]
-    pb_off: list[int]
-    pb: list[int]
-    perms: list[list[int]]
+    bundle_sizes: array  # bundle b has bundle_sizes[b] points
+    pb_off: array  # point p lies in bundles pb[pb_off[p]:pb_off[p + 1]], ascending
+    pb: array
+    perms: array  # point permutations in search order, rows of n_points one after another
     order: list[int]  # search position -> original point id
 
 
@@ -67,49 +71,37 @@ def build_problem(
     bundles: list[frozenset[int]],
     k: int,
     t: int,
-    item_perms: list[tuple[int, ...]],
+    item_perms: Sequence[Sequence[int]],
 ) -> SearchProblem:
-    """Translate a bundle problem over original item ids into search order.
+    """Lay a bundle problem over original item ids out in search order: the
+    one place that builds a SearchProblem.
 
     Points are ordered to finish small bundles first, which lets the
     cannot-exceed-t prune fire as early as possible.  A bundle listed more
     than once is kept once, at its first place: a repeat adds no point to
     the order and prunes exactly where its first copy does, so the tree and
-    its node count are the same.
+    its node count are the same.  Each of `item_perms`, any sequence of
+    item permutations, is conjugated into search order once, and kept in
+    first-seen order without the identity and repeats: each row prunes on
+    its own, so neither changes the tree.
     """
     bundles = list(dict.fromkeys(bundles))
-    remaining = sorted(range(len(bundles)), key=lambda b: (len(bundles[b]), b))
-    order: list[int] = []
-    placed: set[int] = set()
-    for b in remaining:
-        for it in sorted(bundles[b]):
-            if it not in placed:
-                placed.add(it)
-                order.append(it)
-    for it in range(n_items):
-        if it not in placed:
-            placed.add(it)
-            order.append(it)
-    pos = [0] * n_items
-    for i, it in enumerate(order):
-        pos[it] = i
+    # each item at its first place in the bundles, smallest first (a stable
+    # sort keeps equal sizes in their order), then the items in none
+    order = list(dict.fromkeys(chain(*map(sorted, sorted(bundles, key=len)), range(n_items))))
+    pos = sorted(range(n_items), key=order.__getitem__)  # the inverse of order
 
+    # bundles are visited in increasing order, so each point's list is sorted
     point_bundles: list[list[int]] = [[] for _ in range(n_items)]
     for b, items in enumerate(bundles):
         for it in items:
             point_bundles[pos[it]].append(b)
-    pb_off = [0]
-    pb: list[int] = []
-    for p in range(n_items):
-        pb.extend(sorted(point_bundles[p]))
-        pb_off.append(len(pb))
 
-    # each item permutation conjugated into search order; the identity and
-    # repeats are dropped
-    identity = tuple(range(n_items))
-    rows = {tuple(map(pos.__getitem__, map(p.__getitem__, order))) for p in item_perms}
-    rows.discard(identity)
-    perms = sorted(map(list, rows))
+    # row[i] = pos[p[order[i]]], by two C-level gathers per row; fewer than
+    # two items have only the identity, which is dropped
+    take = itemgetter(*order) if n_items > 1 else None
+    rows = dict.fromkeys(itemgetter(*take(p))(pos) for p in item_perms) if take else {}
+    rows.pop(tuple(range(n_items)), None)
 
     return SearchProblem(
         n_points=n_items,
@@ -118,10 +110,11 @@ def build_problem(
         # keeps k >= 1, which the compiled kernel needs, when there are none
         k=min(k, max(n_items, 1)),
         t=t,
-        bundle_sizes=[len(b) for b in bundles],
-        pb_off=pb_off,
-        pb=pb,
-        perms=perms,
+        bundle_sizes=array("i", map(len, bundles)),
+        pb_off=array("i", accumulate(map(len, point_bundles), initial=0)),
+        pb=array("i", chain.from_iterable(point_bundles)),
+        # array() fills from a list in one pass, from an iterator item by item
+        perms=array("i", list(chain.from_iterable(rows))),
         order=order,
     )
 

@@ -16,9 +16,10 @@ from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from catramsey import _kernel_py
-from catramsey.core import CategoryError, FiniteCategory
+from catramsey.core import CategoryError, FiniteCategory, concrete_category
 from catramsey.expansions import ColoringExpansionSpec, build_coloring_expansion
 from catramsey.generators import UniverseSpec, generate, object_of_size
 from catramsey.io import dumps_category
@@ -98,6 +99,95 @@ def oracle_degree_lower(cat, A, mode, k_max, B_pool, C_universe):
             )
         ]
     )
+
+
+@st.composite
+def random_categories(draw):
+    """A random concrete category: 2-4 objects, each a set of 1-3 points,
+    whose morphisms are the identities and 4 random functions, closed under
+    composition.  Built through concrete_category, so always a category, with
+    mono, epi and neither morphisms, partial automorphism groups and empty
+    hom-sets mixed."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4))
+    objects = range(len(sizes))
+    homs = {(a, b): set() for a in objects for b in objects}
+    for a in objects:
+        homs[a, a].add(tuple(range(sizes[a])))
+    for _ in range(4):
+        a, b = draw(st.sampled_from(objects)), draw(st.sampled_from(objects))
+        image = st.integers(min_value=0, max_value=sizes[b] - 1)
+        homs[a, b].add(tuple(draw(st.lists(image, min_size=sizes[a], max_size=sizes[a]))))
+    grown = True
+    while grown:  # g*f is x -> g[f[x]]
+        before = sum(map(len, homs.values()))
+        for (a, b), c in itertools.product(list(homs), objects):
+            homs[a, c].update(tuple(g[x] for x in f) for f in list(homs[a, b]) for g in list(homs[b, c]))
+        grown = sum(map(len, homs.values())) > before
+    cat, _ = concrete_category(
+        [f"X{a}" for a in objects],
+        lambda a, b: ((f, ",".join(map(str, f))) for f in sorted(homs[a, b])),
+        lambda f, gs: (tuple(g[x] for x in f) for g in gs),
+        lambda a: tuple(range(sizes[a])),
+    )
+    return cat
+
+
+class ArrowDefinition:
+    """C -> (B)^A_{k,t} as the arrows module's docstring defines it, and
+    nothing more: every k-coloring of hom(A, C) admits a w in hom(B, C) whose
+    composite copy of hom(A, B) receives at most t colors; subobject mode
+    colors the classes of hom(A, C) under f ~ f.alpha, alpha in Aut(A).  No
+    restricted growth, no symmetry pruning, no vacuous or trivial shortcut:
+    every coloring of the classes is tried."""
+
+    def __init__(self, cat: FiniteCategory, A: int, B: int, C: int, mode: str = "morphism"):
+        def hom(a, b):
+            return [m for m in range(cat.n_morphisms) if (cat.mor_dom[m], cat.mor_cod[m]) == (a, b)]
+
+        ids = cat.identities
+        auts = [f for f in hom(A, A) if any(cat.compose(g, f) == cat.compose(f, g) == ids[A] for g in hom(A, A))]
+        self.class_of: dict[int, int] = {}  # morphism of hom(A, C) -> its class
+        self.n_classes = 0
+        for f in hom(A, C):
+            if f not in self.class_of:
+                members = [cat.compose(f, a) for a in auts] if mode == "subobject" else [f]
+                self.class_of.update(dict.fromkeys(members, self.n_classes))
+                self.n_classes += 1
+        self.copies = [[self.class_of[cat.compose(w, f)] for f in hom(A, B)] for w in hom(B, C)]
+
+    def defeats(self, colors, t: int) -> bool:
+        """Whether `colors`, one per class, gives every w's copy more than t colors."""
+        return all(len({colors[c] for c in copy}) > t for copy in self.copies)
+
+    def holds(self, k: int, t: int) -> bool:
+        return not any(self.defeats(colors, t) for colors in itertools.product(range(k), repeat=self.n_classes))
+
+    def colors_of(self, domain, witness) -> list[int] | None:
+        """A verdict's witness as one color per class, or None unless it
+        colors every class exactly once."""
+        classes = [self.class_of.get(f) for f in domain]
+        if len(witness) != len(domain) or None in classes or sorted(classes) != list(range(self.n_classes)):
+            return None
+        colors = [0] * self.n_classes
+        for c, x in zip(classes, witness):
+            colors[c] = x
+        return colors
+
+
+def is_category_by_definition(cat: FiniteCategory) -> bool:
+    """The category axioms checked cell by cell: every composable pair has a
+    composite from dom f to cod g, identities are two-sided units, and
+    composition is associative."""
+    m, ids, dom, cod = cat.n_morphisms, cat.identities, cat.mor_dom, cat.mor_cod
+    try:
+        gf = {(g, f): cat.compose(g, f) for g in range(m) for f in range(m) if dom[g] == cod[f]}
+    except CategoryError:  # a composable pair without a composite
+        return False
+    if any((dom[h], cod[h]) != (dom[f], cod[g]) for (g, f), h in gf.items()):
+        return False
+    if any(gf[ids[cod[f]], f] != f or gf[f, ids[dom[f]]] != f for f in range(m)):
+        return False
+    return all(gf[h, gf[g, f]] == gf[gf[h, g], f] for g, f in gf for h in range(m) if dom[h] == cod[g])
 
 
 # the partition oracle refuses larger hom(A, ambient): Bell(12) kernels

@@ -60,10 +60,16 @@ def test_solve_matches_naive_enumeration(problem):
         assert all(len({out.witness[i] for i in b}) > t for b in bundles)
 
 
+def rows_of(perms, n_points):
+    """The rows of a flat perms layout, n_points entries each."""
+    return [perms[s : s + n_points] for s in range(0, len(perms), n_points)] if n_points else []
+
+
 def reference_search(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop=(0,)):
     """The kernel's search as it was before canonicity became incremental:
     every node compares every permutation row from position 0.  Kept only as
     an oracle that shares no state-keeping code with either kernel."""
+    rows = rows_of(perms, n_points)
     n_bundles = len(bundle_sizes)
     counts = [[0] * k for _ in range(n_bundles)]
     distinct = [0] * n_bundles
@@ -95,7 +101,7 @@ def reference_search(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, bu
             assigned[b] -= 1
 
     def canonical(depth):
-        for row in perms:
+        for row in rows:
             ren = [-1] * k
             nxt = 0
             for i in range(depth):
@@ -167,18 +173,19 @@ def symmetric_group(m, pairs):
 
 def group_problem(n, bundles, k, t, group, order):
     """A built problem whose rows are the whole group in search coordinates,
-    identity included, listed in the given order of the group's elements."""
+    identity included, listed in the given order of the group's elements,
+    which may name an element more than once."""
     pr = build_problem(n, bundles, k, t, [])
     pos = {it: i for i, it in enumerate(pr.order)}
-    pr.perms = [[pos[group[g][pr.order[i]]] for i in range(n)] for g in order]
+    pr.perms = array("i", [pos[group[g][pr.order[i]]] for g in order for i in range(n)])
     return pr
 
 
 @st.composite
 def group_searches(draw):
     """A problem acted on by a whole group: the rotations of an n-cycle, or
-    S_m on points or pairs, rows in a drawn order; a budget that sometimes
-    runs out."""
+    S_m on points or pairs, rows in a drawn order, the identity among them
+    and some repeated; a budget that sometimes runs out."""
     if draw(st.booleans()):
         group = cycle_group(draw(st.integers(min_value=1, max_value=10)))
     else:
@@ -189,7 +196,8 @@ def group_searches(draw):
     t = draw(st.integers(min_value=0, max_value=k - 1))
     points = st.integers(min_value=0, max_value=n - 1)
     bundles = draw(st.lists(st.frozensets(points, min_size=draw(small_bundles(t, n))), min_size=1, max_size=6))
-    order = draw(st.permutations(range(len(group))))
+    elements = range(len(group))
+    order = draw(st.permutations(elements)) + draw(st.lists(st.sampled_from(elements), max_size=3))
     budget = draw(st.one_of(st.integers(min_value=0, max_value=60), st.just(5_000)))
     return group_problem(n, bundles, k, t, group, order), budget
 
@@ -222,7 +230,11 @@ def searches(draw):
     return build_problem(n, bundles, k, t, perms), budget
 
 
-@given(search=searches(), stopped=st.booleans(), cut=st.integers(min_value=0, max_value=PATH_POINTS))
+@given(
+    search=st.one_of(searches(), group_searches()),
+    stopped=st.booleans(),
+    cut=st.integers(min_value=0, max_value=PATH_POINTS),
+)
 @example(search=(build_problem(PATH_POINTS, PATH_BUNDLES, 2, 1, []), 10**6), stopped=False, cut=600)
 @example(search=(build_problem(9, TRIPLES_9, 4, 1, []), 20_000), stopped=False, cut=3)
 @example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 20_000), stopped=False, cut=9)
@@ -236,7 +248,8 @@ def test_pure_and_compiled_agree(compiled_kernel, search, stopped, cut):
     # the empty prefix walks the whole tree, counted from the root, from the
     # branch depth as a serial solve() does, or from a drawn depth; the branch
     # prefixes are the subtrees the thread pool hands out; a set stop flag
-    # ends every walk at its first node
+    # ends every walk at its first node.  Group problems give both kernels
+    # rows shuffled, repeated and with the identity among them
     pr, budget = search
     stop = array("i", [int(stopped)])
     prefixes = branch_prefixes(pr.n_points, pr.k)
@@ -263,11 +276,18 @@ SLACK_BELOW_0_GROUP = group_problem(6, [frozenset({0, 1}), frozenset({1, 2, 3})]
 @example(search=(SLACK_BELOW_0_GROUP, 5_000), stopped=False)
 @settings(max_examples=100, deadline=None)
 def test_pure_kernel_matches_reference(search, stopped):
+    # and walks the same tree with the rows as build_problem lays them out:
+    # each once, in first-seen order, without the identity
     pr, budget = search
+    rows = dict.fromkeys(map(tuple, rows_of(pr.perms, pr.n_points)))
+    rows.pop(tuple(range(pr.n_points)), None)
+    lean = array("i", itertools.chain.from_iterable(rows))
     stop = array("i", [int(stopped)])
     for prefix in [[]] + branch_prefixes(pr.n_points, pr.k):
         args = (pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, prefix, budget, stop)
-        assert _kernel_py.search_from_prefix(*args) == reference_search(*args)
+        out = _kernel_py.search_from_prefix(*args)
+        assert out == reference_search(*args)
+        assert out == _kernel_py.search_from_prefix(*args[:6], lean, *args[7:])
 
 
 def test_matrix_search_work_is_pinned(monkeypatch):
@@ -362,16 +382,20 @@ def test_compiled_kernel_refuses_malformed_input(compiled_kernel):
     assert expected[0] is not None
     assert compiled_kernel.search_from_prefix(**good) == expected
     # repeated identity rows tie at every level, so the trail fills to its
-    # size, len(perms) * n_points entries, and the rows all drop out at the leaf
-    full = {**good, "perms": [[0, 1, 2, 3]] * 5, "prefix": []}
+    # size, n_perms * n_points entries, and the rows all drop out at the leaf
+    full = {**good, "perms": array("i", range(4)) * 5, "prefix": []}
     assert compiled_kernel.search_from_prefix(**full) == _kernel_py.search_from_prefix(**full)
+    # no points: no bundles, and no rows
+    empty = dict(n_points=0, bundle_sizes=[], pb_off=[0], pb=[], perms=array("i"), prefix=[])
+    assert compiled_kernel.search_from_prefix(**{**good, **empty}) == ([], 0, True)
     for bad in (
         {"pb": [0, 0, 1, 2]},  # bundle 2 does not exist
         {"pb_off": [0, 1, 2, 3]},  # one offset short
-        {"perms": [[0, 1, 2]]},  # row too short
-        {"perms": [[0, 1, 2, 4]]},  # point 4 does not exist
-        {"perms": [[1, 0, 3, 2], [0, 1, 2]]},  # a short row after a good one
-        {"perms": [[1, 0, 3, 2], [0, 1, 2, 3, 0]]},  # a long row: the trail is sized from n_points
+        {"perms": array("i", [1, 0, 3, 2, 0, 1, 2])},  # not whole rows of n_points
+        {"perms": [1, 0, 3, 2, 0]},  # the same, as a list
+        {**empty, "perms": array("i", [0])},  # rows given with n_points = 0
+        {"perms": array("i", [0, 1, 2, 4])},  # point 4 does not exist
+        {"perms": [1, 0, 3, 2, 0, 1, -1, 2]},  # nor does point -1
         {"prefix": [0, -1]},
         {"prefix": [0, 1, 0, 1, 0]},  # longer than n_points
         {"bundle_sizes": [2, 2**40]},  # would wrap in a C int
@@ -626,10 +650,11 @@ def test_branch_prefixes_cover_and_are_disjoint():
 def _doubled(pr: SearchProblem) -> SearchProblem:
     """pr with every bundle listed twice, the copies numbered after the originals."""
     n_bundles = len(pr.bundle_sizes)
-    pb, pb_off = [], [0]
+    pb, pb_off = array("i"), array("i", [0])
     for p in range(pr.n_points):
         own = pr.pb[pr.pb_off[p] : pr.pb_off[p + 1]]
-        pb.extend(own + [b + n_bundles for b in own])
+        pb.extend(own)
+        pb.extend(b + n_bundles for b in own)
         pb_off.append(len(pb))
     return dataclasses.replace(pr, bundle_sizes=pr.bundle_sizes * 2, pb_off=pb_off, pb=pb)
 
