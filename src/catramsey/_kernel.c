@@ -7,7 +7,8 @@
 
    search_from_prefix is the same search as _kernel_py.search_from_prefix,
    loop for loop: same tree, same node counts, same witness.  See that module
-   for the algorithm.
+   for the algorithm.  It is one depth-first walk from the root, whose first
+   levels are the prefix, each offered only its own color.
 
    Each bundle b keeps one counter, slack[b] = distinct + uncolored - (t + 1),
    which starts at size - t - 1; the bundle is dead below 0.  A color the
@@ -167,15 +168,15 @@ static void undo(State *s, int d)
 /* Explore the subtree under a restricted-growth prefix.  Returns 1 with the
    witness left in color, 0 when the subtree holds none, -1 when the search
    ended early: the node budget ran out, or another thread set *stop, which
-   is read at every node.  *nodes counts the assignments tried at depth
-   count_from or deeper; those above are not charged to the budget, so the
-   empty prefix with count_from at the branch depth walks every branch prefix
-   in one call and returns what kernel.solve's branch fold adds up to.
-   bundle_sizes and slack are n_bundles long; counts must be zeroed,
-   k * n_bundles long; color and head n_points long; pos, fresh and link
-   n_perms long; ren n_perms * k long; trail 3 * n_perms * n_points long;
-   used, next and top n_points + 1 long.  Only counts is read before it is
-   written. */
+   is read at every node below the prefix.  *nodes counts the assignments
+   tried below the prefix at depth count_from or deeper; those above are not
+   charged to the budget, so the empty prefix with count_from at the branch
+   depth walks every branch prefix in one call and returns what
+   kernel.solve's branch fold adds up to.  bundle_sizes and slack are
+   n_bundles long; counts must be zeroed, k * n_bundles long; color and head
+   n_points long; pos, fresh and link n_perms long; ren n_perms * k long;
+   trail 3 * n_perms * n_points long; used, next and top n_points + 1 long.
+   Only counts is read before it is written. */
 int search_from_prefix(int n_points, int k, int t, int n_bundles, const int *bundle_sizes,
                        const int *pb_off, const int *pb, int n_perms, const int *perms,
                        int prefix_len, const int *prefix, int count_from,
@@ -197,6 +198,7 @@ int search_from_prefix(int n_points, int k, int t, int n_bundles, const int *bun
     for (int i = 0; i < n_points; i++) {
         color[i] = -1;
         head[i] = -1;
+        next[i] = i < prefix_len ? prefix[i] : 0;
     }
     for (int r = 0; r < n_perms && n_points; r++) {
         int q = perms[(long)r * n_points];
@@ -207,33 +209,19 @@ int search_from_prefix(int n_points, int k, int t, int n_bundles, const int *bun
         head[q] = r;
     }
 
-    /* replay the prefix; a pruned prefix means an empty (exhausted) subtree */
-    int max_used = 0;
-    for (int p = 0; p < prefix_len; p++) {
-        int c = prefix[p];
-        if (c > max_used || c >= k)
-            return 0;
-        if (!fits(&s, p, c))
-            return 0;
-        assign(&s, p, c);
-        if (head[p] >= 0 && !canonical(&s, p))
-            return 0;
-        if (c == max_used)
-            max_used++;
-    }
-
     /* depth-first over next[depth], the next color to try at depth, with
-       used[depth] colors already in use before it */
-    int start = prefix_len, depth = start;
-    used[depth] = max_used;
-    next[depth] = 0;
-    top[depth] = s.trail_len;
+       used[depth] colors already in use before it; next starts at the
+       prefix, and a level's next goes back to 0 when the walk leaves it */
+    int start = prefix_len, depth = 0;
+    if (count_from < start)
+        count_from = start;
+    used[0] = top[0] = 0;
     while (depth < n_points) {
         int c = next[depth], u = used[depth];
         if (c > u || c == k) {
-            if (depth == start)
+            if (depth <= start)
                 return 0;
-            --depth;
+            next[depth--] = 0;
             if (s.trail_len > top[depth])
                 undo(&s, depth);
             unassign(&s, depth);
@@ -242,21 +230,22 @@ int search_from_prefix(int n_points, int k, int t, int n_bundles, const int *bun
         next[depth] = c + 1;
         if (depth >= count_from && ++*nodes > budget)
             return -1;
-        if (*stop)
+        if (*stop && depth >= start)
             return -1;
-        if (!fits(&s, depth, c))
-            continue;
-        assign(&s, depth, c);
-        if (head[depth] < 0 || canonical(&s, depth)) {
-            depth++;
-            used[depth] = u + (c == u);
-            next[depth] = 0;
-            top[depth] = s.trail_len;
-        } else {
+        if (fits(&s, depth, c)) {
+            assign(&s, depth, c);
+            if (head[depth] < 0 || canonical(&s, depth)) {
+                depth++;
+                used[depth] = u + (c == u);
+                top[depth] = s.trail_len;
+                continue;
+            }
             if (s.trail_len > top[depth])
                 undo(&s, depth);
             unassign(&s, depth);
         }
+        if (depth < start) /* the prefix's color failed: its subtree is empty */
+            return 0;
     }
     return 1;
 }

@@ -11,10 +11,13 @@ to this file.  When that file is missing, the import compiles _kernel.c with
 place, so that processes building at once never see each other's half-written
 library; the compiler's output is discarded.  An edited _kernel.c therefore
 gets a library of its own on the next import, and a library built from other
-source is never opened.  The import raises ImportError, which makes kernel.py
-select the pure-Python kernel, when the directory is not writable or there is
-no `cc` on PATH (both checked before the compiler runs), when the build fails,
-or when the library does not load or speaks another ABI.
+source is never opened.  Once its library is in place, the build removes the
+libraries of other digests beside it; a process still opening one of those,
+from an older _kernel.c, finds it gone and falls back to the pure kernel.
+The import raises ImportError, which makes kernel.py select the pure-Python
+kernel, when the directory is not writable or there is no `cc` on PATH (both
+checked before the compiler runs), when the build fails, or when the library
+does not load or speaks another ABI.
 
 ctypes releases the GIL for the duration of each call, so branches searched
 on several threads run concurrently, all reading build_problem's arrays in
@@ -51,6 +54,7 @@ def _build() -> None:
     if not os.access(_LIBRARY.parent, os.W_OK):
         raise ImportError(f"compiled kernel not built: {_LIBRARY.parent} is not writable")
     # imported here, so that loading a built library does not pay for them
+    import contextlib
     import shutil
     import subprocess
 
@@ -69,6 +73,9 @@ def _build() -> None:
         raise ImportError(f"compiled kernel build failed: {exc}") from None
     finally:
         tmp.unlink(missing_ok=True)
+    for stale in set(_LIBRARY.parent.glob("libcatramsey_kernel-*.so")) - {_LIBRARY}:
+        with contextlib.suppress(OSError):  # one left behind costs only disk
+            stale.unlink()
 
 
 if not _LIBRARY.is_file():

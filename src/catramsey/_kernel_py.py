@@ -52,10 +52,12 @@ at the branch depth.  This kernel holds the GIL, so solve never hands its
 searches to threads; only the compiled kernel, which releases it, gains from
 them, and only on a search that needs more than kernel.PROBE nodes.
 
-The compiled kernel in _kernel.c implements the identical search as the same
-loop, line for line; both must visit the same tree.  The depth-first walk
-keeps its state in explicit arrays instead of recursion, so a problem with
-thousands of points cannot exhaust the Python stack.
+The search is one depth-first walk from the root whose first levels are the
+prefix, each offered only its own color, so a prefix color that leaves
+restricted growth, does not fit or is not canonical ends it, exhausted,
+before it counts a node.  _kernel.c walks the identical tree in the same
+loop, line for line.  The walk keeps its state in explicit arrays, not
+recursion, so thousands of points cannot exhaust the Python stack.
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     early: the node budget was hit, or another thread set stop[0] (a
     one-element array("i"); the default is a flag that is never set).
 
-    Assignments at depths below count_from are neither counted nor charged to
-    the budget; the stop flag is still read there.  So the empty prefix with
+    Assignments at depths below count_from, or within the prefix, are
+    neither counted nor charged to the budget; the stop flag is read at every
+    node below the prefix, also above count_from.  So the empty prefix with
     count_from at the branch depth walks every branch prefix in lex order,
     and returns what searching those prefixes one by one, each with the
     budget the earlier ones left, adds up to: one call for a serial search.
@@ -182,32 +185,21 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
             link[r] = head[d]
             head[d] = r
 
-    # replay the prefix; a pruned prefix means an empty (exhausted) subtree
-    max_used = 0
-    for p, c in enumerate(prefix):
-        if c > max_used or c >= k:
-            return None, nodes, True
-        if not fits(p, c):
-            return None, nodes, True
-        assign(p, c)
-        if head[p] >= 0 and not canonical(p):
-            return None, nodes, True
-        if c == max_used:
-            max_used += 1
-
     # depth-first over nxt[depth], the next color to try at depth, with
-    # used[depth] colors already in use before it
-    start = depth = len(prefix)
+    # used[depth] colors already in use before it; nxt starts at the prefix,
+    # and a level's nxt goes back to 0 when the walk leaves it
+    start = len(prefix)
+    count_from = max(count_from, start)
     used = [0] * (n_points + 1)
-    nxt = [0] * (n_points + 1)
-    used[depth] = max_used
-    top[depth] = len(trail)
+    nxt = list(prefix) + [0] * (n_points + 1 - start)
+    depth = 0
     while depth < n_points:
         c = nxt[depth]
         u = used[depth]
         if c > u or c == k:
-            if depth == start:
+            if depth <= start:
                 return None, nodes, True
+            nxt[depth] = 0
             depth -= 1
             if trail and len(trail) > top[depth]:
                 undo(depth)
@@ -218,18 +210,18 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
             nodes += 1
             if nodes > budget:
                 return None, nodes, False
-        if stop[0]:
+        if stop[0] and depth >= start:
             return None, nodes, False
-        if not fits(depth, c):
-            continue
-        assign(depth, c)
-        if head[depth] < 0 or canonical(depth):
-            depth += 1
-            used[depth] = u + (c == u)
-            nxt[depth] = 0
-            top[depth] = len(trail)
-        else:
+        if fits(depth, c):
+            assign(depth, c)
+            if head[depth] < 0 or canonical(depth):
+                depth += 1
+                used[depth] = u + (c == u)
+                top[depth] = len(trail)
+                continue
             if trail and len(trail) > top[depth]:
                 undo(depth)
             unassign(depth)
+        if depth < start:  # the prefix's color failed: its subtree is empty
+            return None, nodes, True
     return list(color), nodes, True

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from . import kernel
 
@@ -119,24 +120,30 @@ class FiniteCategory:
             raise CategoryError(f"cell {g}*{f} holds {gf}, but {g} and {f} are not composable")
 
     def _table_fault(self) -> tuple[bool, int, int] | None:
-        """The fault _check_table reports, as (unknown, g, f), or None.  The
-        composable cells are read one run of consecutive ids at a time with
-        min, max and count, at C speed; one count of the whole table then
-        finds an entry off them, and only a row at fault is read entry by
-        entry, to name the cell."""
+        """The fault _check_table reports, as (unknown, g, f), or None.  Each
+        row's composable cells are read at once and judged with min, max and
+        count, at C speed; one count of the whole table then finds an entry
+        off them, and only a row at fault is read entry by entry, to name the
+        cell."""
         table, m = self._table, self.n_morphisms
-        runs = [_runs(fs) for fs in self._into]
         defined = [0] * m  # per row, the composable cells that hold an entry
-        for g in range(m):
-            for lo, hi in runs[self.mor_dom[g]]:
-                cells = table[g * m + lo : g * m + hi]
-                if min(cells) < -1 or max(cells) >= m:
-                    return True, g, lo + next(i for i, gf in enumerate(cells) if not -1 <= gf < m)
-                defined[g] += hi - lo - cells.count(-1)
+        for g, fs, cells in self._composable_cells():
+            if cells and (min(cells) < -1 or max(cells) >= m):
+                return True, g, next(f for f, gf in zip(fs, cells) if not -1 <= gf < m)
+            defined[g] = len(cells) - cells.count(-1)
         if m * m - table.count(-1) != sum(defined):
             g = next(g for g in range(m) if m - table[g * m : g * m + m].count(-1) != defined[g])
             return False, g, next(f for f in range(m) if table[g * m + f] != -1 and not self.composable(g, f))
         return None
+
+    def _composable_cells(self) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+        """(g, fs, cells) for each morphism g in id order: fs the morphisms
+        into dom g, which compose with g, in id order, and cells their g*f,
+        read from g's row with one itemgetter per object."""
+        table, m = self._table, self.n_morphisms
+        reads = [_reader(fs) for fs in self._into]
+        for g, d in enumerate(self.mor_dom):
+            yield g, self._into[d], reads[d](table[g * m : g * m + m])
 
     def check_object(self, a: int) -> None:
         if not (0 <= a < self.n_objects):
@@ -184,11 +191,8 @@ class FiniteCategory:
 
     def compose_entries(self) -> Iterable[tuple[int, int, int]]:
         """All defined (g, f, g*f) entries, in (g, f) order."""
-        table, m, into = self._table, self.n_morphisms, self._into
-        for g in range(m):
-            row = g * m
-            for f in into[self.mor_dom[g]]:
-                gf = table[row + f]
+        for g, fs, cells in self._composable_cells():
+            for f, gf in zip(fs, cells):
                 if gf >= 0:
                     yield g, f, gf
 
@@ -352,13 +356,12 @@ def validate(cat: FiniteCategory) -> ValidationReport:
     report = ValidationReport()
     m = cat.n_morphisms
 
-    for g, f, gf in cat.compose_entries():
-        if cat.mor_dom[gf] != cat.mor_dom[f] or cat.mor_cod[gf] != cat.mor_cod[g]:
-            report.closure_violations.append((g, f))
-    for g in range(m):
-        for f in cat._into[cat.mor_dom[g]]:
-            if cat._table[g * m + f] < 0:
+    for g, fs, cells in cat._composable_cells():
+        for f, gf in zip(fs, cells):
+            if gf < 0:
                 report.missing_compositions.append((g, f))
+            elif cat.mor_dom[gf] != cat.mor_dom[f] or cat.mor_cod[gf] != cat.mor_cod[g]:
+                report.closure_violations.append((g, f))
     if report.closure_violations or report.missing_compositions:
         return report
 
@@ -443,15 +446,10 @@ def _as_range(ids: list[int]) -> Sequence[int]:
     return tuple(ids)
 
 
-def _runs(ids: Sequence[int]) -> list[tuple[int, int]]:
-    """Sorted ids as maximal runs of consecutive ids, each a [lo, hi) pair."""
-    runs: list[tuple[int, int]] = []
-    for i in ids:
-        if runs and runs[-1][1] == i:
-            runs[-1] = (runs[-1][0], i + 1)
-        else:
-            runs.append((i, i + 1))
-    return runs
+def _reader(ids: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A read of a row's entries at ids, in order, as one tuple: itemgetter,
+    save for one id or none, where it would return a bare entry or refuse."""
+    return itemgetter(*ids) if len(ids) > 1 else lambda row: tuple(row[i] for i in ids)
 
 
 def product(cat1: FiniteCategory, cat2: FiniteCategory) -> FiniteCategory:

@@ -230,36 +230,64 @@ def searches(draw):
     return build_problem(n, bundles, k, t, perms), budget
 
 
+def rough_prefix(steps, n_points):
+    """A prefix of at most n_points colors read off drawn steps, each color
+    its step modulo the colors in use plus 2: a restricted-growth string up
+    to the first color above the next new one, or equal to k once all k are
+    in use, where a walk must end, exhausted, before it counts a node."""
+    prefix, used = [], 0
+    for step in steps[:n_points]:
+        prefix.append(step % (used + 2))
+        used = max(used, prefix[-1] + 1)
+    return prefix
+
+
+STEPS = st.lists(st.integers(min_value=0, max_value=11), max_size=10)
+
+
+def extra_prefixes(pr, steps):
+    """A drawn prefix, and the first witness of pr when there is one: a
+    prefix of all n_points points, which is its own subtree."""
+    witness = _kernel_py.search_from_prefix(pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, [], 10**6)[0]
+    return [rough_prefix(steps, pr.n_points)] + ([witness] if witness is not None else [])
+
+
 @given(
     search=st.one_of(searches(), group_searches()),
     stopped=st.booleans(),
     cut=st.integers(min_value=0, max_value=PATH_POINTS),
+    steps=STEPS,
 )
-@example(search=(build_problem(PATH_POINTS, PATH_BUNDLES, 2, 1, []), 10**6), stopped=False, cut=600)
-@example(search=(build_problem(9, TRIPLES_9, 4, 1, []), 20_000), stopped=False, cut=3)
-@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 20_000), stopped=False, cut=9)
-@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 300), stopped=False, cut=7)
-@example(search=(CYCLE_60, 20_000), stopped=False, cut=30)
-@example(search=(SLACK_0, 20_000), stopped=False, cut=2)
-@example(search=(SLACK_0_ROTATED, 20_000), stopped=False, cut=4)
-@example(search=(SLACK_BELOW_0, 20_000), stopped=False, cut=3)
+@example(search=(build_problem(PATH_POINTS, PATH_BUNDLES, 2, 1, []), 10**6), stopped=False, cut=600, steps=[2, 0])
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, []), 20_000), stopped=False, cut=3, steps=[8, 4, 2, 8, 4])
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 20_000), stopped=False, cut=9, steps=[4, 1, 1])
+@example(search=(build_problem(9, TRIPLES_9, 4, 1, ROTATIONS_9), 300), stopped=False, cut=7, steps=[4, 9, 6])
+@example(search=(CYCLE_60, 20_000), stopped=False, cut=30, steps=[6, 10, 6, 1])
+@example(search=(SLACK_0, 20_000), stopped=False, cut=2, steps=[10, 5])
+@example(search=(SLACK_0_ROTATED, 20_000), stopped=False, cut=4, steps=[6, 1, 5])
+@example(search=(SLACK_BELOW_0, 20_000), stopped=False, cut=3, steps=[0])
 @settings(max_examples=100, deadline=None)
-def test_pure_and_compiled_agree(compiled_kernel, search, stopped, cut):
+def test_pure_and_compiled_agree(compiled_kernel, search, stopped, cut, steps):
     # the empty prefix walks the whole tree, counted from the root, from the
     # branch depth as a serial solve() does, or from a drawn depth; the branch
-    # prefixes are the subtrees the thread pool hands out; a set stop flag
-    # ends every walk at its first node.  Group problems give both kernels
-    # rows shuffled, repeated and with the identity among them
+    # prefixes are the subtrees the thread pool hands out; a drawn prefix,
+    # which may leave restricted growth, and a whole witness are walked with
+    # count_from drawn below and above their length; a set stop flag ends
+    # every walk at its first node below the prefix.  Group problems give
+    # both kernels rows shuffled, repeated and with the identity among them
     pr, budget = search
     stop = array("i", [int(stopped)])
     prefixes = branch_prefixes(pr.n_points, pr.k)
     walks = [([], count_from) for count_from in (0, len(prefixes[0]), cut % (pr.n_points + 1))]
+    for prefix in extra_prefixes(pr, steps):
+        size = len(prefix)
+        walks += [(prefix, cut % (size + 1)), (prefix, size + cut % (pr.n_points - size + 1))]
     for prefix, count_from in walks + [(prefix, 0) for prefix in prefixes]:
         args = (pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, prefix, budget, stop, count_from)
         assert compiled_kernel.search_from_prefix(*args) == _kernel_py.search_from_prefix(*args)
 
 
-# the 4-cycle's rotations prune branch prefix [0, 1, 2, 1] while replaying it
+# the 4-cycle's rotations prune branch prefix [0, 1, 2, 1] at its last level
 CYCLE_4 = group_problem(4, [frozenset({i, (i + 1) % 4}) for i in range(4)], 3, 1, cycle_group(4), range(4))
 # S_3 on the 6 ordered pairs: coloring one point moves some rows to later
 # buckets, then another row prunes, so the level is undone part-way through
@@ -269,21 +297,22 @@ SLACK_0_GROUP = group_problem(6, [frozenset({0}), frozenset({1, 2}), frozenset({
 SLACK_BELOW_0_GROUP = group_problem(6, [frozenset({0, 1}), frozenset({1, 2, 3})], 3, 2, symmetric_group(3, pairs=True), range(6))
 
 
-@given(search=group_searches(), stopped=st.booleans())
-@example(search=(CYCLE_4, 5_000), stopped=False)
-@example(search=(PAIRS_3, 5_000), stopped=False)
-@example(search=(SLACK_0_GROUP, 5_000), stopped=False)
-@example(search=(SLACK_BELOW_0_GROUP, 5_000), stopped=False)
+@given(search=group_searches(), stopped=st.booleans(), steps=STEPS)
+@example(search=(CYCLE_4, 5_000), stopped=False, steps=[4, 10, 2, 8])
+@example(search=(PAIRS_3, 5_000), stopped=False, steps=[0, 1, 8, 0])
+@example(search=(SLACK_0_GROUP, 5_000), stopped=False, steps=[2, 1, 2])
+@example(search=(SLACK_BELOW_0_GROUP, 5_000), stopped=False, steps=[11])
 @settings(max_examples=100, deadline=None)
-def test_pure_kernel_matches_reference(search, stopped):
+def test_pure_kernel_matches_reference(search, stopped, steps):
     # and walks the same tree with the rows as build_problem lays them out:
-    # each once, in first-seen order, without the identity
+    # each once, in first-seen order, without the identity; also under a
+    # drawn prefix, which may leave restricted growth, and a whole witness
     pr, budget = search
     rows = dict.fromkeys(map(tuple, rows_of(pr.perms, pr.n_points)))
     rows.pop(tuple(range(pr.n_points)), None)
     lean = array("i", itertools.chain.from_iterable(rows))
     stop = array("i", [int(stopped)])
-    for prefix in [[]] + branch_prefixes(pr.n_points, pr.k):
+    for prefix in [[]] + branch_prefixes(pr.n_points, pr.k) + extra_prefixes(pr, steps):
         args = (pr.n_points, pr.k, pr.t, pr.bundle_sizes, pr.pb_off, pr.pb, pr.perms, prefix, budget, stop)
         out = _kernel_py.search_from_prefix(*args)
         assert out == reference_search(*args)
@@ -479,7 +508,9 @@ def test_an_edited_source_builds_a_library_of_its_own(tmp_path):
     module = load_kernel(tmp_path)
     assert module._LIBRARY == tmp_path / library_name(edited) != old
     assert module._lib.catramsey_kernel_edited() == 7
-    assert files_left(tmp_path) == sorted(["_kernel.c", "_kernel.py", old.name, module._LIBRARY.name])
+    # the build removed the old source's library, which nothing opens again
+    assert not old.exists()
+    assert files_left(tmp_path) == sorted(["_kernel.c", "_kernel.py", module._LIBRARY.name])
 
 
 @pytest.mark.parametrize("cause", ["no C compiler", "not writable", "build failed"])

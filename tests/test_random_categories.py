@@ -12,8 +12,10 @@ from hypothesis import given, note, settings, strategies as st
 from catramsey.arrows import ArrowQuery, check_arrow, check_arrow_dual, check_arrow_native_dual
 from catramsey.core import FiniteCategory, validate
 from catramsey.degrees import degree_bounds
+from catramsey.essential import EssentialQuery, find_essential_at_B
 from catramsey.io import dumps_category
-from conftest import ArrowDefinition, composition_table, is_category_by_definition, random_categories
+from conftest import (ArrowDefinition, composition_table, essential_exists_by_partitions, is_category_by_definition,
+                      random_categories)
 
 # the oracle enumerates k ** |hom(A, C)| colorings
 HOM_CAP = 9
@@ -74,6 +76,23 @@ def test_validate_flags_a_tampered_table(cat, data):
     assert report.ok == is_category_by_definition(tampered)
     if g in cat.identities or f in cat.identities:
         assert not report.ok
+
+
+# the partition oracle enumerates the kernels of every coloring of hom(A, ambient)
+ESSENTIAL_HOM_CAP = 6
+
+
+@RANDOM
+@given(random_categories())
+def test_essential_colorings_follow_the_definition(cat):
+    # the scan over w finds an essential t-coloring of hom(A, B) exactly when
+    # the definition, read through partitions, says that one exists
+    for A, B, ambient in itertools.product(range(cat.n_objects), repeat=3):
+        hom_ab, hom_af = cat.hom(A, B), cat.hom(A, ambient)
+        if hom_ab and cat.hom(B, ambient) and len(hom_ab) <= ESSENTIAL_HOM_CAP and len(hom_af) <= ESSENTIAL_HOM_CAP:
+            for t in (2, 3):
+                q = EssentialQuery(A, B, ambient, t)
+                assert (find_essential_at_B(cat, q) is not None) == essential_exists_by_partitions(cat, q), q
 
 
 # ROADMAP item 1: with no w in hom(B, C), the definition fails for every
