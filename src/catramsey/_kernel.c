@@ -3,7 +3,7 @@
    check, check_table, which core's pure check mirrors.  None of them uses
    the Python API or allocates; every array is owned by the caller
    (_kernel.py), which calls them through ctypes with the GIL released.
-   Their calling convention is ABI 5 (KERNEL_ABI below).
+   Their calling convention is ABI 6 (KERNEL_ABI below).
 
    search_from_prefix is the same search as _kernel_py.search_from_prefix,
    loop for loop: same tree, same node counts, same witness.  See that module
@@ -44,7 +44,7 @@
    arguments it would misread, or asked for a function it lacks.  Bump it
    whenever a function is added or removed, or the signature or the meaning
    of an argument changes. */
-#define KERNEL_ABI 5
+#define KERNEL_ABI 6
 
 int catramsey_kernel_abi(void)
 {
@@ -168,7 +168,12 @@ static void undo(State *s, int d)
 /* Explore the subtree under a restricted-growth prefix.  Returns 1 with the
    witness left in color, 0 when the subtree holds none, -1 when the search
    ended early: the node budget ran out, or another thread set *stop, which
-   is read at every node below the prefix.  *nodes counts the assignments
+   is read at every node below the prefix.  Returns -2, having searched
+   nothing, when pb_off decreases somewhere, or pb names a bundle outside
+   [0, n_bundles), or perms a point outside [0, n_points): a first pass
+   checks them all before the search reads any.  The caller has checked the
+   lengths: pb_off holds n_points + 1 offsets from 0 to the length of pb,
+   and perms n_perms * n_points entries.  *nodes counts the assignments
    tried below the prefix at depth count_from or deeper; those above are not
    charged to the budget, so the empty prefix with count_from at the branch
    depth walks every branch prefix in one call and returns what
@@ -189,6 +194,15 @@ int search_from_prefix(int n_points, int k, int t, int n_bundles, const int *bun
                counts, slack, color,
                pos, fresh, ren, link, head, trail, top, 0};
     *nodes = 0;
+    for (int p = 0; p < n_points; p++)
+        if (pb_off[p] > pb_off[p + 1])
+            return -2;
+    for (int i = 0; i < pb_off[n_points]; i++)
+        if (pb[i] < 0 || pb[i] >= n_bundles)
+            return -2;
+    for (long i = 0; i < (long)n_perms * n_points; i++)
+        if (perms[i] < 0 || perms[i] >= n_points)
+            return -2;
     if (t < -1)
         t = -1;
     for (int b = 0; b < n_bundles; b++) {

@@ -2,7 +2,7 @@
 It holds the witness search, search_from_prefix; the bulk of the
 category-file reader, scan_lines and fill_table, which io reaches through
 kernel.READER; and the composition-table check, check_table, which
-core.FiniteCategory reaches the same way.  The library speaks ABI 5.
+core.FiniteCategory reaches the same way.  The library speaks ABI 6.
 
 The library is named after the source it was built from,
 libcatramsey_kernel-<the first 16 hex digits of _kernel.c's sha256>.so, next
@@ -37,7 +37,7 @@ IMPL = "compiled"
 RELEASES_GIL = True
 # the value _kernel.c's catramsey_kernel_abi() returns: the calling
 # convention of the functions this module binds
-ABI = 5
+ABI = 6
 # seconds the compiler may take on first import; the build takes well under one
 BUILD_TIMEOUT_S = 60
 
@@ -156,7 +156,9 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
 
     Raises ValueError on input that would make the C code index out of
     bounds or overflow an int; the pure kernel would raise IndexError or
-    misread it.
+    misread it.  The sizes, lengths and the ends of pb_off are checked here,
+    because C relies on them before it reads; the entries of pb_off, pb and
+    perms are checked in C, in one pass before the search (its code -2).
     """
     n_bundles = len(bundle_sizes)
     if not (1 <= k and n_bundles * k < 2**31 and abs(t) < 2**31):
@@ -167,17 +169,11 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
         raise ValueError(f"count_from must be in 0..n_points, got {count_from}")
     if len(pb_off) != n_points + 1 or pb_off[0] != 0 or pb_off[-1] != len(pb):
         raise ValueError("pb_off must have n_points + 1 offsets from 0 to len(pb)")
-    if any(a > b for a, b in zip(pb_off, pb_off[1:])):
-        raise ValueError("pb_off must be nondecreasing")
-    if pb and not (0 <= min(pb) and max(pb) < n_bundles):
-        raise ValueError("pb names a bundle out of range")
     n_perms, rest = divmod(len(perms), n_points) if n_points else (0, len(perms))
     if rest:
         raise ValueError("perms must hold whole rows of n_points entries")
     if not (n_perms * k < 2**31 and 3 * n_perms * n_points < 2**31):
         raise ValueError("need n_perms * k and the trail, 3 * n_perms * n_points, in C int range")
-    if perms and not (0 <= min(perms) and max(perms) < n_points):
-        raise ValueError("perms names a point out of range")
 
     nodes = ctypes.c_longlong()
     color = _zeros(n_points)
@@ -191,6 +187,8 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
         _zeros(n_points + 1), _zeros(n_points + 1), _zeros(n_points + 1),
         ctypes.byref(ctypes.c_int() if stop is None else _flag(stop)),
     )
+    if r == -2:
+        raise ValueError("pb_off must be nondecreasing, pb must name bundles in range and perms points in range")
     if r == 1:
         return list(color), nodes.value, True
     return None, nodes.value, r == 0

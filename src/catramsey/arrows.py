@@ -5,6 +5,18 @@ w in hom(B, C) whose composite copy of hom(A, B) receives at most t colors.
 Subobject mode colors the quotient hom(A, C)/~_A instead, where f ~_A f.alpha
 for automorphisms alpha of A.  The negation (a coloring defeating every w) is
 what the kernel searches for; an exhausted search certifies the relation.
+
+Three routes decide a query: check_arrow in the category itself,
+check_arrow_dual in its opposite, and check_arrow_native_dual in place,
+reversing every arrow.  Each decides through a context per (A, C, mode),
+held by the category it reads (the opposite route's by the opposite, so
+routes never share one): the colorable items, their index, and the Aut(C)
+rows in item coordinates, which the first decision that searches builds and
+every later one with the same (A, C, mode) reuses, whatever its B, k and t.
+A vacuous or trivial decision never builds them.  The bundles of each w and
+the replay of a witness depend on B, and each route builds them afresh, on
+its own, for every query, so that the duality cross-check compares two
+independent computations.
 """
 
 from __future__ import annotations
@@ -53,28 +65,41 @@ class ArrowVerdict:
         return out
 
 
+def _indexed(items: Sequence[int]) -> tuple[Sequence[int], dict[int, int]]:
+    return items, {m: i for i, m in enumerate(items)}
+
+
 def _domain(cat: FiniteCategory, q: ArrowQuery) -> tuple[Sequence[int], dict[int, int]]:
     """The colorable items and the item index of every morphism of hom(A, C):
     the hom-set itself, or in subobject mode one representative per class,
     every member indexed by its class."""
     if q.mode == "morphism":
-        items = cat.hom(q.A, q.C)
-        return items, {m: i for i, m in enumerate(items)}
+        return _indexed(cat.hom(q.A, q.C))
     classes = cat.subobject_classes(q.A, q.C)
     return [cl.representative for cl in classes], {m: i for i, cl in enumerate(classes) for m in cl.members}
 
 
-def _domain_bundles_perms(cat: FiniteCategory, q: ArrowQuery):
-    """Colorable items and their index, per-w bundles (as item index sets) and
-    a callable that builds the Aut(C) action on items."""
-    items, index = _domain(cat, q)
-    hom_ab = cat.hom(q.A, q.B)
-    bundles = [frozenset(map(index.__getitem__, cat.post(w, hom_ab))) for w in cat.hom(q.B, q.C)]
+@dataclass(eq=False)
+class _Context:
+    """What one route's decisions on one (A, C, mode) share: the colorable
+    items, the item index of every morphism they stand for, and Aut(C) as
+    rows over the items, None until the first decision that searches."""
 
-    def perms() -> list[tuple[int, ...]]:
-        return [tuple(map(index.__getitem__, cat.post(alpha, items))) for alpha in cat.automorphisms(q.C)]
+    items: Sequence[int]
+    index: dict[int, int]
+    rows: list[tuple[int, ...]] | None = None
 
-    return items, index, bundles, perms
+
+def _context(
+    cat: FiniteCategory, key: tuple, domain: Callable[[], tuple[Sequence[int], dict[int, int]]]
+) -> _Context:
+    """cat's context under `key`, (route, A, C, mode); the first query that
+    asks builds it from `domain()`.  setdefault publishes it, so threads
+    that race to build one all go on with the one that landed."""
+    ctx = cat._contexts.get(key)
+    if ctx is None:
+        ctx = cat._contexts.setdefault(key, _Context(*domain()))
+    return ctx
 
 
 def _is_coloring(q: ArrowQuery, items: Sequence[int], colors) -> bool:
@@ -98,20 +123,23 @@ def _replay_witness(
 
 
 def _decide(
+    cat: FiniteCategory,
     q: ArrowQuery,
-    items: Sequence[int],
+    ctx: _Context,
     bundles: list[frozenset[int]],
-    perms: Callable[[], list[tuple[int, ...]]],
+    act: Callable[[int], list[int]],
     replay,
     budget: int,
     threads: int,
 ) -> ArrowVerdict:
-    """The decision both routes share: the vacuous and trivial cases, the
-    search and the verdict.  `bundles` has one entry per w, `perms` builds
-    the route's Aut(C) rows, called only when the decision searches, and
-    `replay` is the route's own independent check of a witness coloring.
-    The verdict's domain is a list of the items."""
-    items, n = list(items), len(items)
+    """The decision every route shares: the vacuous and trivial cases, the
+    search and the verdict.  `ctx` is the route's context in `cat`,
+    `bundles` has one entry per w, `act(alpha)` is the route's image of the
+    items under the automorphism alpha of C, read only when the context has
+    no rows yet and the decision searches, and `replay` is the route's own
+    independent check of a witness coloring.  The verdict's domain is a
+    list of the items."""
+    items, n = list(ctx.items), len(ctx.items)
     if not bundles:
         # no w exists; the relation degenerates to whether the domain can be
         # colored with more than t colors at all
@@ -126,7 +154,10 @@ def _decide(
         if len(b) <= q.t:
             return ArrowVerdict(True, None, items, 0, note="trivial: some w has a bundle of size <= t")
 
-    problem = build_problem(n, bundles, q.k, q.t, perms())
+    if ctx.rows is None:
+        # racing threads build equal rows, so either list serves
+        ctx.rows = [tuple(map(ctx.index.__getitem__, act(alpha))) for alpha in cat.automorphisms(q.C)]
+    problem = build_problem(n, bundles, q.k, q.t, ctx.rows)
     outcome = solve(problem, budget=budget, threads=threads)
     if outcome.witness is not None:
         if not replay(outcome.witness):
@@ -149,9 +180,15 @@ def check_arrow(
     if q.mode == "subobject" and not cat.all_mono:
         raise CategoryError("subobject mode requires an all-mono category")
 
-    items, index, bundles, perms = _domain_bundles_perms(cat, q)
+    ctx = _context(cat, ("direct", q.A, q.C, q.mode), lambda: _domain(cat, q))
+    items, index = ctx.items, ctx.index
+    hom_ab = cat.hom(q.A, q.B)
+    bundles = [frozenset(map(index.__getitem__, cat.post(w, hom_ab))) for w in cat.hom(q.B, q.C)]
     return _decide(
-        q, items, bundles, perms, lambda colors: _replay_witness(cat, q, items, index, colors), budget, threads
+        cat, q, ctx, bundles,
+        lambda alpha: cat.post(alpha, items),
+        lambda colors: _replay_witness(cat, q, items, index, colors),
+        budget, threads,
     )
 
 
@@ -161,7 +198,8 @@ def check_arrow_dual(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> ArrowVerdict:
-    """Arrow relation in the opposite category, by constructing the opposite."""
+    """Arrow relation in the opposite category, by constructing the opposite,
+    which keeps its own contexts."""
     return check_arrow(cat.opposite(), q, budget=budget, threads=threads)
 
 
@@ -175,7 +213,8 @@ def check_arrow_native_dual(
 
     The domain is hom(C, A) and the bundle of w in hom(C, B) is
     {h.w : h in hom(B, A)}.  This never builds the opposite category, giving
-    an independent route for the duality cross-checks.
+    an independent route for the duality cross-checks; its contexts are
+    its own, kept apart from check_arrow's on the same category.
     """
     cat.check_object(q.A)
     cat.check_object(q.B)
@@ -183,14 +222,11 @@ def check_arrow_native_dual(
     if q.mode != "morphism":
         raise CategoryError("native dual route supports morphism mode only")
 
-    items = cat.hom(q.C, q.A)
-    idx = {m: i for i, m in enumerate(items)}
+    ctx = _context(cat, ("native", q.A, q.C, q.mode), lambda: _indexed(cat.hom(q.C, q.A)))
+    items, idx = ctx.items, ctx.index
     hom_ba = cat.hom(q.B, q.A)
     hom_cb = cat.hom(q.C, q.B)
     bundles = [frozenset(map(idx.__getitem__, cat.pre(hom_ba, w))) for w in hom_cb]
-
-    def perms() -> list[tuple[int, ...]]:
-        return [tuple(map(idx.__getitem__, cat.pre(items, alpha))) for alpha in cat.automorphisms(q.C)]
 
     def replay(colors: list[int]) -> bool:
         # replay in place: a k-coloring under which every w sees more than t colors
@@ -198,4 +234,4 @@ def check_arrow_native_dual(
             return False
         return all(len({colors[idx[hw]] for hw in cat.pre(hom_ba, w)}) > q.t for w in hom_cb)
 
-    return _decide(q, items, bundles, perms, replay, budget, threads)
+    return _decide(cat, q, ctx, bundles, lambda alpha: cat.pre(items, alpha), replay, budget, threads)

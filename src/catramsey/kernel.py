@@ -26,6 +26,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import itemgetter
+from struct import Struct
 from typing import Sequence
 
 try:
@@ -81,9 +82,10 @@ def build_problem(
     than once is kept once, at its first place: a repeat adds no point to
     the order and prunes exactly where its first copy does, so the tree and
     its node count are the same.  Each of `item_perms`, any sequence of
-    item permutations, is conjugated into search order once, and kept in
-    first-seen order without the identity and repeats: each row prunes on
-    its own, so neither changes the tree.
+    item permutations, is conjugated into search order once, packed into
+    the bytes of its row of `perms`, and kept in first-seen order without
+    the identity and repeats: each row prunes on its own, so neither changes
+    the tree.
     """
     bundles = list(dict.fromkeys(bundles))
     # each item at its first place in the bundles, smallest first (a stable
@@ -97,11 +99,13 @@ def build_problem(
         for it in items:
             point_bundles[pos[it]].append(b)
 
-    # row[i] = pos[p[order[i]]], by two C-level gathers per row; fewer than
-    # two items have only the identity, which is dropped
+    # row[i] = pos[p[order[i]]], by two C-level gathers per row, packed as
+    # native ints, the layout of array("i"), so that one join lays out
+    # perms; fewer than two items have only the identity, which is dropped
     take = itemgetter(*order) if n_items > 1 else None
-    rows = dict.fromkeys(itemgetter(*take(p))(pos) for p in item_perms) if take else {}
-    rows.pop(tuple(range(n_items)), None)
+    pack = Struct(f"{n_items}i").pack
+    rows = dict.fromkeys(pack(*itemgetter(*take(p))(pos)) for p in item_perms) if take else {}
+    rows.pop(pack(*range(n_items)), None)
 
     return SearchProblem(
         n_points=n_items,
@@ -113,8 +117,7 @@ def build_problem(
         bundle_sizes=array("i", map(len, bundles)),
         pb_off=array("i", accumulate(map(len, point_bundles), initial=0)),
         pb=array("i", chain.from_iterable(point_bundles)),
-        # array() fills from a list in one pass, from an iterator item by item
-        perms=array("i", list(chain.from_iterable(rows))),
+        perms=array("i", b"".join(rows)),
         order=order,
     )
 

@@ -1,4 +1,11 @@
+import gc
 import itertools
+import random
+import sys
+import weakref
+from array import array
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,25 +101,101 @@ def test_vacuous_edges(inj3):
     assert v.holds is True
 
 
-def test_aut_rows_are_built_only_for_decisions_that_search(inj3, monkeypatch):
-    # the vacuous and trivial exits never read Aut(C); a search reads it once
-    calls, real = [], inj3.automorphisms
-    monkeypatch.setattr(inj3, "automorphisms", lambda c: calls.append(c) or real(c))
-    a1, a2, a3 = (obj(inj3, "Inj", n) for n in (1, 2, 3))
-    seen = set()
-    for route in (check_arrow, check_arrow_native_dual):
-        for q in (
-            ArrowQuery(a2, a3, a2, 2, 1),  # no w: vacuous
-            ArrowQuery(a1, a2, a3, 2, 2),  # t >= k: trivial
-            ArrowQuery(a2, a2, a3, 2, 1),  # one-item bundles: trivial
-            ArrowQuery(a1, a2, a3, 2, 1),
-            ArrowQuery(a1, a1, a2, 2, 1),
-        ):
+def test_aut_rows_are_built_only_for_decisions_that_search(monkeypatch):
+    # on a category no other test has queried, each route reads Aut(C) once
+    # per (A, C), at the first decision on it that searches, from the
+    # category it works in; vacuous and trivial exits never read it, nor
+    # does a later search with another B, k or t
+    inj3 = generate(UniverseSpec("Inj", 3))
+    calls = []
+    for cat in (inj3, inj3.opposite()):
+        real = cat.automorphisms
+        monkeypatch.setattr(cat, "automorphisms", lambda c, cat=cat, real=real: calls.append((cat, c)) or real(c))
+    for route, reads in ((check_arrow, inj3), (check_arrow_dual, inj3.opposite()), (check_arrow_native_dual, inj3)):
+        searches, exits = Counter(), 0
+        triples = itertools.product(range(inj3.n_objects), repeat=3)
+        for (a, b, c), (k, t) in itertools.product(triples, ((2, 1), (3, 1))):
             calls.clear()
-            searched = not route(inj3, q).note
-            assert len(calls) == searched, (route.__name__, q)
-            seen.add(searched)
-    assert seen == {False, True}
+            if route(inj3, ArrowQuery(a, b, c, k, t)).note:
+                exits += 1
+                assert calls == [], (route.__name__, a, b, c, k)
+            else:
+                searches[a, c] += 1
+                assert calls == ([(reads, c)] if searches[a, c] == 1 else []), (route.__name__, a, b, c, k)
+        assert exits and max(searches.values()) >= 2, route.__name__
+
+
+def test_a_context_dies_with_its_category():
+    # the contexts live on the category the route reads, each route's apart,
+    # and hold nothing that keeps it alive
+    surj4 = generate(UniverseSpec("Surj", 4))
+    q = ArrowQuery(3, 3, 3, 2, 1)  # Aut(Surj_4) acting on itself: every route searches
+    for route in (check_arrow, check_arrow_dual, check_arrow_native_dual):
+        assert not route(surj4, q).note
+    contexts = [*surj4._contexts.values(), *surj4.opposite()._contexts.values()]
+    assert len(contexts) == 3 and all(ctx.rows is not None for ctx in contexts)
+    refs = [weakref.ref(ctx) for ctx in contexts]
+    del surj4, contexts
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
+
+
+def _fresh(cat: FiniteCategory) -> FiniteCategory:
+    """A category with the tables of `cat` and no contexts, nor opposite."""
+    morphisms = list(zip(cat.mor_dom, cat.mor_cod, cat.mor_labels))
+    return FiniteCategory(cat.object_labels, morphisms, array("i", cat._table), cat.identities)
+
+
+def _summary(v):
+    return v.holds, v.witness, v.domain, v.nodes, v.note
+
+
+@pytest.mark.parametrize(
+    "family, asks",
+    [
+        ("Surj", [(check_arrow_dual, "morphism"), (check_arrow_native_dual, "morphism")]),
+        ("Inj", [(check_arrow, "subobject"), (check_arrow, "morphism")]),
+    ],
+)
+def test_a_verdict_does_not_depend_on_the_queries_before_it(family, asks):
+    # every query, asked in shuffled order on one category whose contexts
+    # fill up as it goes, answers as it does alone on a fresh category
+    cat = generate(UniverseSpec(family, 4))
+    triples = list(itertools.product(range(cat.n_objects), repeat=3))
+    asks = [(route, ArrowQuery(a, b, c, 2, 1, mode)) for route, mode in asks for a, b, c in triples]
+    random.Random(4).shuffle(asks)
+    searches = Counter()
+    for route, q in asks:
+        got = route(cat, q)
+        assert _summary(got) == _summary(route(_fresh(cat), q)), (route.__name__, q)
+        searches[route, q.A, q.C, q.mode] += not got.note
+    # some decisions searched on rows an earlier query built
+    assert max(searches.values()) >= 2
+
+
+def test_threads_sharing_a_category_get_the_verdicts_of_one_thread():
+    # threads that race to build the same contexts, and the opposite, on
+    # one category, switching as often as the interpreter allows
+    surj4 = generate(UniverseSpec("Surj", 4))
+    triples = list(itertools.product(range(surj4.n_objects), repeat=3))
+    routes = (check_arrow_dual, check_arrow_native_dual)
+    asks = [(route, ArrowQuery(a, b, c, 2, 1)) for route in routes for a, b, c in triples]
+    alone = _fresh(surj4)
+    want = {(route, q): _summary(route(alone, q)) for route, q in asks}
+
+    def ask_all(seed):
+        order = random.Random(seed).sample(asks, len(asks))
+        return {(route, q): _summary(route(surj4, q)) for route, q in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(ask_all, seed) for seed in range(4)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == want for got in results)
 
 
 def test_subobject_mode_needs_mono(surj3):

@@ -1,4 +1,5 @@
 import itertools
+import random
 import weakref
 from array import array
 
@@ -359,6 +360,40 @@ def test_opposite_of_a_loaded_category_keeps_its_faults_swapped():
     assert (report.missing_compositions, report.closure_violations) == ([(f, g)], [(e, g)])
     assert (e, g, wrong) in list(op.compose_entries())
     assert same_category(op.opposite(), cat)
+
+
+def _associativity_by_triples(cat):
+    """validate's associativity check as a loop over composable triples,
+    three compose calls each."""
+    return [
+        (h, g, f)
+        for f in range(cat.n_morphisms)
+        for g in cat._out[cat.mor_cod[f]]
+        for h in cat._out[cat.mor_cod[g]]
+        if cat.compose(h, cat.compose(g, f)) != cat.compose(cat.compose(h, g), f)
+    ]
+
+
+@pytest.mark.parametrize("family, size", [("Inj", 3), ("Surj", 3), ("LO", 4)])
+def test_associativity_read_by_columns_finds_what_the_triple_loop_finds(family, size):
+    # composites replaced by other morphisms of their hom-sets, in a
+    # generated category, whose morphisms out of an object have consecutive
+    # ids, and in its opposite, where they do not; the report lists the
+    # same violations in the same order as the triple loop
+    rng = random.Random(size)
+    for cat in (generate(UniverseSpec(family, size)), generate(UniverseSpec(family, size)).opposite()):
+        cells = [(g, f, gf) for g, f, gf in cat.compose_entries() if len(cat.hom(cat.mor_dom[f], cat.mor_cod[g])) > 1]
+        found = 0
+        for g, f, gf in rng.sample(cells, min(len(cells), 40)):
+            entries = {(x, y): xy for x, y, xy in cat.compose_entries()}
+            entries[g, f] = rng.choice([h for h in cat.hom(cat.mor_dom[f], cat.mor_cod[g]) if h != gf])
+            table = composition_table(cat.n_morphisms, entries)
+            tampered = FiniteCategory(cat.object_labels, _morphisms(cat), table, cat.identities)
+            violations = validate(tampered).associativity_violations
+            assert violations == _associativity_by_triples(tampered), (g, f)
+            found += bool(violations)
+        assert found
+    assert any(list(out) != list(range(out[0], out[-1] + 1)) for out in cat._out if out)
 
 
 @pytest.mark.parametrize(

@@ -419,7 +419,9 @@ def test_compiled_kernel_refuses_malformed_input(compiled_kernel):
     assert compiled_kernel.search_from_prefix(**{**good, **empty}) == ([], 0, True)
     for bad in (
         {"pb": [0, 0, 1, 2]},  # bundle 2 does not exist
+        {"pb": [0, -1, 1, 1]},  # nor does bundle -1
         {"pb_off": [0, 1, 2, 3]},  # one offset short
+        {"pb_off": [0, 2, 1, 3, 4]},  # right ends, but decreasing
         {"perms": array("i", [1, 0, 3, 2, 0, 1, 2])},  # not whole rows of n_points
         {"perms": [1, 0, 3, 2, 0]},  # the same, as a list
         {**empty, "perms": array("i", [0])},  # rows given with n_points = 0
