@@ -14,30 +14,24 @@ may come in any order; blank lines and lines starting with `#` are skipped.
 
 A cmp line is `cmp` and three ASCII decimal integers (a minus sign allowed),
 separated by spaces or tabs, and nothing else.  Two readers keep that
-grammar.  The compiled one, in the C kernel's library, makes one pass over
-the text's UTF-8 bytes to find the few header lines (`objects:`, `obj`,
-`mor`, comments, blank lines), which alone are decoded and read here, and a
-second to check each cmp line and fill its cell of the composition table;
-no string is made per cmp line.  It declines a text with a line break other
-than `\n` that str.splitlines splits at (`\r`, `\v`, `\f`, `\x1c` to `\x1e`,
-U+0085, U+2028, U+2029), and it accepts no file that the grammar refuses.
+grammar.  The compiled one, in the C kernel's library, decodes only the
+header lines and checks each cmp line as it fills its cell; it accepts no
+file that the pure one refuses, and declines a text with a line break other
+than `\n` that str.splitlines splits at (`\r`, `\v`, `\f`, `\x1c`-`\x1e`,
+U+0085, U+2028, U+2029).  A file opened by path has its line ends turned
+into `\n` as it is read, so a CRLF file takes the compiled path.
 
-The pure reader reads every file that the compiled one declines or refuses,
-and every file where the compiled library is not built.  It splits the
-lines once, reads the header lines one by one, and checks and converts the
-cmp lines together, a block of lines at a time at C speed.  A file opened by
-path has its line ends turned into `\n` as it is read, so a CRLF file takes
-the compiled path; CRLF text handed to loads_category takes the pure one.
-
-A malformed file is refused with a ParseError that names the first bad line
-in file order: a line that is no directive, a cmp line outside its grammar,
-an object id out of range, a gap in the morphism ids, a morphism past
-MAX_MORPHISMS, a dangling or repeated reference, or a cmp line on a pair
-that is not composable.  The pure reader decides every refusal, and only a
-file that it refuses is scanned line by line to find that line.  A fault
-that no single line carries, such as a missing header, an object without an
-identity, or a umap that leaves out an upstairs id (ExpansionFunctor
-refuses that), is a CategoryError.
+The pure reader reads a file that the compiled one declines or refuses, and
+every file where the library is not built, and alone decides a refusal: it
+reads the header lines, then the cmp lines a block at a time, and runs each
+check once, at the line.  A refusal is a ParseError naming the first line
+that no category file may hold (no directive, a field that is no integer, a
+repeated id or header, a cmp line outside its grammar), or else the first
+whose reference is at fault (an object id out of range, a gap in the
+morphism ids, a morphism past MAX_MORPHISMS, a dangling or repeated
+reference, a cmp line on a pair that is not composable).  A fault that no
+line carries, such as a missing header or an object without an identity,
+is a CategoryError.
 """
 
 from __future__ import annotations
@@ -45,9 +39,10 @@ from __future__ import annotations
 import io as _io
 import re
 from array import array
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import not_
 from typing import TextIO
 
@@ -67,21 +62,19 @@ _FIELDS = {"objects:": 2, "obj": 2, "mor": 4, "cmp": 4}
 _CMP_LINE = re.compile(r"[ \t]*cmp(?:[ \t]+-?[0-9]+){3}[ \t]*")
 # the characters a block of cmp lines may hold
 _CMP_CHARS = re.compile(r"[cmp0-9 \t\n-]*")
-# cmp lines are read in blocks of this many, which keeps the fields of one
-# block, and not of the whole file, in memory at a time
+# cmp lines are read in blocks of this many: the fields of one are in memory at a time
 _BLOCK_LINES = 1024
 
 
 def _records(numbered: Iterable[tuple[int, str]]):
-    """Split and convert each (line number, line) once, in file order, into
-    the objects count and the obj, mor and cmp records, each with its line.
-    Raise a ParseError on the first line that no category file may hold: no
-    directive, too few fields, a field that is not an integer, a repeated id
-    or header, or a cmp line outside its grammar."""
+    """The objects count and the obj and mor records, each with its line, of
+    the (line number, line) pairs, read in file order; a cmp line is only
+    checked.  Raise a ParseError on the first line that no category file may
+    hold: no directive, too few fields, a field that is not an integer, a
+    repeated id or header, or a cmp line outside its grammar."""
     n_objects = None
     labels: dict[int, tuple[int, str]] = {}  # id -> (line, label)
     mors: dict[int, tuple[int, int, int, str]] = {}  # id -> (line, dom, cod, label)
-    cmps: list[tuple[int, int, int, int]] = []  # (line, g, f, gf)
     ln = 0
     try:
         for ln, line in numbered:
@@ -109,90 +102,128 @@ def _records(numbered: Iterable[tuple[int, str]]):
                 if mid in mors:
                     raise ParseError(ln, f"duplicate morphism id {mid}")
                 mors[mid] = (ln, int(parts[2]), int(parts[3]), parts[4] if len(parts) > 4 else str(mid))
-            else:
-                if len(parts) > 4:
-                    raise ParseError(ln, f"cmp takes 3 fields, got {len(parts) - 1}")
-                record = (ln, int(parts[1]), int(parts[2]), int(parts[3]))
-                # int() and split() also take `+1`, `1_0`, non-ASCII digits and blanks
-                if not _CMP_LINE.fullmatch(line):
-                    raise ParseError(ln, "cmp fields must be ASCII decimal integers separated by spaces or tabs")
-                cmps.append(record)
-    except ValueError as exc:
-        if isinstance(exc, CategoryError):
-            raise
-        # int() of a field that is not an integer, on line ln
+            elif len(parts) > 4:
+                raise ParseError(ln, f"cmp takes 3 fields, got {len(parts) - 1}")
+            elif not _CMP_LINE.fullmatch(line):
+                # a field that int() refuses is named as such; int() and
+                # split() also take `+1`, `1_0`, non-ASCII digits and blanks
+                list(map(int, parts[1:]))
+                raise ParseError(ln, "cmp fields must be ASCII decimal integers separated by spaces or tabs")
+    except CategoryError:
+        raise
+    except ValueError as exc:  # int() of a field that is not an integer, on line ln
         raise ParseError(ln, f"expected an integer field: {exc}") from None
-    return n_objects, labels, mors, cmps
+    return n_objects, labels, mors
 
 
-def _fill_table(cmp_lines: list[str], n_mor: int) -> array:
-    """The composition table that the cmp lines fill, one cell a line.  The
-    lines are checked and converted together, a block of them at a time, at
-    C speed.  Each line starts with `cmp` once blanks are stripped; when a
-    block holds only the characters of the grammar, and four fields a line
-    with `cmp` every fourth, each line is `cmp` and three fields of digits
-    and minus signs, which int() takes exactly when the grammar does.  A line
-    outside the grammar raises ValueError; an id outside range(n_mor), or a
-    second line on one (g, f), raises CategoryError."""
-    table = array("i", [-1]) * (n_mor * n_mor)
+def _fill_table(lines: list[str], line_nos: Sequence[int], is_cmp: list[bool], n_mor, mors, fault) -> array | None:
+    """The table that the cmp lines, lines[i] where is_cmp[i], fill, given
+    the header's n_mor morphisms, `mors`, and first fault; None when the
+    header is unread (n_mor None) or at fault before every cmp line.  Raises
+    the first cmp line's fault named before `fault`.  A line starts with
+    `cmp` once blanks are stripped, so a block with only the grammar's
+    characters, four fields a line, `cmp` every fourth, and fields int()
+    takes keeps the grammar; one that fails is parsed line by line.  Lines
+    before `fault`'s are checked against the header: ids per block, and each
+    line, as it fills its cell, for an empty cell and a composable pair."""
+    cmp_lines = list(compress(lines, is_cmp))
+    # lines from stop on follow the fault's: only their grammar counts, and not even that past an unread header's
+    limit = getattr(fault, "line_no", None)
+    stop = len(cmp_lines) if limit is None else is_cmp[: bisect_left(line_nos, limit)].count(True)
+    end = stop if n_mor is None else len(cmp_lines)
+    # no table past the cap (its fault is named), nor for a fault that comes before every cmp line
+    table = None
+    if n_mor is not None and n_mor <= MAX_MORPHISMS and (fault is None or stop > 0):
+        table = array("i", [-1]) * (n_mor * n_mor)
+        dom, cod = ([mors[i][k] if i in mors else None for i in range(n_mor)] for k in (1, 2))
     ids: dict[str, int] = {}  # each distinct field, converted once
-    for start in range(0, len(cmp_lines), _BLOCK_LINES):
-        lines = cmp_lines[start : start + _BLOCK_LINES]
-        block = "\n".join(lines)
-        fields = block.split()
-        if not _CMP_CHARS.fullmatch(block) or len(fields) != 4 * len(lines) or fields[::4].count("cmp") != len(lines):
-            raise ValueError("a cmp line outside its grammar")
+    found = None  # the fault of the cmp line at stop, if one is
+    for start in range(0, end, _BLOCK_LINES):
+        block = cmp_lines[start : min(start + _BLOCK_LINES, end)]
+        text = "\n".join(block)
+        fields = text.split()
         columns = fields[1::4], fields[2::4], fields[3::4]
-        for field in set(chain(*columns)).difference(ids):
-            ids[field] = int(field)
-            if not 0 <= ids[field] < n_mor:
-                raise CategoryError(f"dangling morphism reference {field}")
-        for g, f, gf in zip(*(map(ids.__getitem__, column) for column in columns)):
-            table[g * n_mor + f] = gf
-    if table.count(-1) != len(table) - len(cmp_lines):
-        raise CategoryError("duplicate composition entry")
+        new = ()  # the fields that no earlier block held
+        try:
+            if not _CMP_CHARS.fullmatch(text) or len(fields) != 4 * len(block) or fields[::4].count("cmp") != len(block):
+                raise ValueError
+            try:
+                refs = [list(map(ids.__getitem__, column)) for column in columns]
+            except KeyError:
+                new = set(chain(*columns)).difference(ids)
+                ids.update(zip(new, map(int, new)))
+                refs = [list(map(ids.__getitem__, column)) for column in columns]
+        except ValueError:
+            # the line by line parse raises, naming the line
+            _records(islice(compress(zip(line_nos, lines), is_cmp), start, start + len(block)))
+        if table is None or start >= stop:
+            continue
+        if not all(0 <= ids[x] < n_mor for x in new):
+            # the block's first line with an id out of range
+            i, x = next((i, x) for i, *line_refs in zip(count(start), *refs) for x in line_refs if not 0 <= x < n_mor)
+            if i < stop:
+                stop, found = i, f"dangling morphism reference {x}"
+        for i, g, f, gf in zip(range(start, stop), *refs):
+            cell = g * n_mor + f
+            if table[cell] != -1:
+                stop, found = i, f"duplicate composition entry ({g},{f})"
+            elif cod[f] != dom[g] and g in mors and f in mors:
+                stop, found = i, f"{g}*{f} is defined, but {g} and {f} are not composable"
+            else:
+                table[cell] = gf
+                continue
+            break
+    if found is not None:
+        raise ParseError(next(islice(compress(line_nos, is_cmp), stop, None)), found)
     return table
 
 
-def _category(header: Iterable[tuple[int, str]], fill: Callable[[int], array]) -> FiniteCategory:
+def _category(header: Iterable[tuple[int, str]], fill: Callable[..., array | None]) -> FiniteCategory:
     """The category of the header lines, (line number, line) pairs in file
-    order, and of the composition table that fill(n_mor) makes from the cmp
-    lines.  Raises ValueError, CategoryError included, when they make none."""
-    n_objects, labels, mors, _ = _records(header)
-    if n_objects is None:
-        # no line is at fault: the header is what is missing
-        raise CategoryError("missing objects header")
+    order, and of the table that fill(n_mor, mors, fault) makes from the cmp
+    lines, given the header's first fault (n_mor None: the header is unread);
+    fill raises a cmp line's fault that is named before that one, and
+    _category then raises that one."""
+    try:
+        n_objects, labels, mors = _records(header)
+        if n_objects is None:
+            raise CategoryError("missing objects header")  # no line is at fault
+    except CategoryError as exc:
+        fill(None, None, exc)
+        raise
     n_mor = len(mors)
-    if any(not 0 <= oid < n_objects for oid in labels) or set(mors) != set(range(n_mor)) or n_mor > MAX_MORPHISMS:
-        raise CategoryError("malformed ids")
-    table = fill(n_mor)
+    faults = [(ln, f"object id {oid} out of range") for oid, (ln, _) in labels.items() if not 0 <= oid < n_objects]
+    for mid, (ln, dom, cod, _) in mors.items():
+        if not 0 <= mid < n_mor:
+            faults.append((ln, f"morphism id {mid} leaves a gap: ids must be 0..{n_mor - 1}"))
+        elif mid >= MAX_MORPHISMS:
+            faults.append((ln, f"morphism {mid} would exceed the cap of {MAX_MORPHISMS} morphisms"))
+        elif not (0 <= dom < n_objects and 0 <= cod < n_objects):
+            faults.append((ln, "dangling object reference"))
+    fault = ParseError(*min(faults)) if faults else None
+    table = fill(n_mor, mors, fault)
+    if fault is not None:
+        raise fault
     object_labels = [labels[i][1] if i in labels else str(i) for i in range(n_objects)]
     return FiniteCategory(object_labels, [mors[i][1:] for i in range(n_mor)], table)
 
 
 def _read_category(lines: list[str], line_nos: Sequence[int]) -> FiniteCategory:
     """The category that `lines` describe, read by the pure reader;
-    line_nos[i] is the file line of lines[i].  The header lines are read one
-    by one and the cmp lines together, by _fill_table.  Only when the file
-    is refused are all its lines read again, one by one, to name the first
-    bad line."""
+    line_nos[i] is the file line of lines[i]."""
     is_cmp = list(map(str.startswith, map(str.lstrip, lines), repeat("cmp")))
-    try:
-        header = compress(zip(line_nos, lines), map(not_, is_cmp))
-        return _category(header, lambda n_mor: _fill_table(list(compress(lines, is_cmp)), n_mor))
-    except ValueError as exc:  # CategoryError included
-        # the scan names the line at fault, if one is
-        raise (_first_bad_line(lines, line_nos) or exc) from None
+    header = compress(zip(line_nos, lines), map(not_, is_cmp))
+    return _category(header, partial(_fill_table, lines, line_nos, is_cmp))
 
 
 def _read_compiled(text: str, reader) -> FiniteCategory:
     """The category that `text` describes, read by the compiled reader: C
-    finds the header lines, which alone are decoded, and fills the table
-    from the cmp lines.  Raises ValueError, CategoryError included, when the
-    reader declines the text or the text makes no category."""
+    finds the header lines, which alone are decoded, and fills the table.
+    Raises ValueError, CategoryError included, when it makes none."""
     data = text.encode()
     header = ((ln, data[start:end].decode()) for start, end, ln in reader.scan_lines(data))
-    return _category(header, partial(reader.fill_table, data))
+    # nothing is filled for a header at fault: the pure reader names the line
+    return _category(header, lambda n_mor, mors, fault: None if fault else reader.fill_table(data, n_mor))
 
 
 def _read(text: str, lines: list[str] | None = None, line_nos: Sequence[int] | None = None) -> FiniteCategory:
@@ -209,38 +240,6 @@ def _read(text: str, lines: list[str] | None = None, line_nos: Sequence[int] | N
         lines = text.splitlines()
         line_nos = range(1, len(lines) + 1)
     return _read_category(lines, line_nos)
-
-
-def _first_bad_line(lines: list[str], line_nos: Sequence[int]) -> ParseError | None:
-    """The fault on the first line, in file order, that makes the lines no
-    category; None if no single line is at fault.  A line that no category
-    file may hold is named before a bad reference on an earlier line."""
-    try:
-        n_objects, labels, mors, cmps = _records(zip(line_nos, lines))
-    except ParseError as exc:
-        return exc
-    if n_objects is None:
-        return None
-    n_mor = len(mors)
-    faults = [(ln, f"object id {oid} out of range") for oid, (ln, _) in labels.items() if not 0 <= oid < n_objects]
-    for mid, (ln, dom, cod, _) in mors.items():
-        if not 0 <= mid < n_mor:
-            faults.append((ln, f"morphism id {mid} leaves a gap: ids must be 0..{n_mor - 1}"))
-        elif mid >= MAX_MORPHISMS:
-            faults.append((ln, f"morphism {mid} would exceed the cap of {MAX_MORPHISMS} morphisms"))
-        elif not (0 <= dom < n_objects and 0 <= cod < n_objects):
-            faults.append((ln, "dangling object reference"))
-    filled = set()
-    for ln, g, f, gf in cmps:
-        dangling = next((x for x in (g, f, gf) if not 0 <= x < n_mor), None)
-        if dangling is not None:
-            faults.append((ln, f"dangling morphism reference {dangling}"))
-        elif (g, f) in filled:
-            faults.append((ln, f"duplicate composition entry ({g},{f})"))
-        elif g in mors and f in mors and mors[f][2] != mors[g][1]:
-            faults.append((ln, f"{g}*{f} is defined, but {g} and {f} are not composable"))
-        filled.add((g, f))
-    return ParseError(*min(faults)) if faults else None
 
 
 def load_category(stream: TextIO) -> FiniteCategory:

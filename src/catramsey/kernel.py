@@ -146,6 +146,8 @@ def branch_depth(n_points: int, k: int) -> int:
     MAX_BRANCH_DEPTH and at n_points.  Counted, not enumerated: blocks[j]
     is the number of strings of the current length that use j values."""
     deepest = min(n_points, MAX_BRANCH_DEPTH)
+    # a prefix of at most `deepest` points uses at most that many colors
+    k = min(k, deepest)
     blocks = [1] + [0] * k
     for depth in range(deepest):
         if sum(blocks) >= MIN_BRANCHES:
@@ -183,6 +185,9 @@ def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1
 
     `budget` bounds the node total of the serial run; the outcome is
     inconclusive, with nodes = budget + 1, exactly when it needs more.
+    Neither covers the first branch_depth(n_points, k) levels, where the
+    branch prefixes lie: a tree no deeper than that reports 0 nodes, and
+    no budget stops its search.
 
     A serial run is one kernel call over the whole tree.  Only a kernel that
     releases the GIL can gain from threads, so only then, with threads > 1,

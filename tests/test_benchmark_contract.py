@@ -3,8 +3,13 @@ the compiled kernel walk the same trees on its suite, passing
 build_problem's layout straight to both kernels' search_from_prefix.  A
 change to that layout, or to either kernel's reading of it, would make the
 benchmark fail; this runs the same check on three instances of its suite in
-a fresh process, so that Tier-1 fails first."""
+a fresh process, so that Tier-1 fails first.
 
+The cli-stream workload times the load of its category files through the
+compiled reader; a change that sent them to the pure reader would move its
+times, so that is checked here too."""
+
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +17,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from catramsey import io as catio, kernel
+from catramsey.generators import UniverseSpec, generate
+from conftest import same_category
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,3 +47,22 @@ def test_search_workload_kernel_parity_holds():
         pytest.skip("no compiled kernel to compare: the library is not built")
     assert len(doc["names"]) == 3
     assert doc["bad"] == []
+
+
+def test_cli_stream_categories_load_through_the_compiled_reader(tmp_path, monkeypatch):
+    if kernel.READER is None:
+        pytest.skip("no compiled reader: the library is not built")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    def pure_reader(*args):
+        raise AssertionError("the pure reader ran")
+
+    monkeypatch.setattr(catio, "_read_category", pure_reader)
+    # written as the workload writes them, and read as the CLI reads them
+    for name, (family, size) in workloads.CLI_CATEGORIES.items():
+        cat = generate(UniverseSpec(family, size))
+        path = tmp_path / f"{name}.txt"
+        catio.dump_category_file(cat, str(path))
+        assert same_category(catio.load_category_file(str(path)), cat)

@@ -728,3 +728,12 @@ def test_branch_depth_counts_what_enumeration_lists():
             sizes = [sum(1 for _ in kernel.restricted_growth(d, k)) for d in range(deepest + 1)]
             expected = next((d for d, size in enumerate(sizes) if size >= kernel.MIN_BRANCHES), deepest)
             assert kernel.branch_depth(n, k) == expected
+
+
+def test_branch_decomposition_does_not_see_colors_past_the_deepest_prefix():
+    # a prefix of at most MAX_BRANCH_DEPTH points uses at most that many colors
+    for n in range(3 * kernel.MAX_BRANCH_DEPTH):
+        for k in (*range(1, 12), 33, 200, 2000, 8000):
+            capped = min(k, kernel.MAX_BRANCH_DEPTH)
+            assert kernel.branch_depth(n, k) == kernel.branch_depth(n, capped)
+            assert kernel.branch_prefixes(n, k) == kernel.branch_prefixes(n, capped)
