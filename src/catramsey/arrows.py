@@ -38,6 +38,9 @@ class ArrowQuery:
     mode: str = "morphism"  # morphism | subobject
 
     def __post_init__(self):
+        # bool is an int subclass, but True is no color count
+        if type(self.k) is not int or type(self.t) is not int:
+            raise CategoryError(f"k and t must be ints, got {self.k!r} and {self.t!r}")
         if self.k < 2:
             raise CategoryError("k must be >= 2")
         if self.t < 1:

@@ -153,8 +153,9 @@ class FiniteCategory:
             yield g, self._into[d], reads[d](table[g * m : g * m + m])
 
     def check_object(self, a: int) -> None:
-        if not (0 <= a < self.n_objects):
-            raise CategoryError(f"unknown object id {a}")
+        # bool is an int subclass, but True is no object id
+        if type(a) is not int or not 0 <= a < self.n_objects:
+            raise CategoryError(f"unknown object id {a!r}")
 
     def compose(self, g: int, f: int) -> int:
         """Composite g*f (first f, then g); raises if not composable."""

@@ -79,8 +79,8 @@ def degree_bounds(
     # colourings start at 2 colours; no domain has more than MAX_MORPHISMS
     # items, and more colours than items only repeat a verdict while the
     # scan keeps growing
-    if not 2 <= k_max <= MAX_MORPHISMS:
-        raise CategoryError(f"k_max must be in 2..{MAX_MORPHISMS}, got {k_max}")
+    if type(k_max) is not int or not 2 <= k_max <= MAX_MORPHISMS:
+        raise CategoryError(f"k_max must be an int in 2..{MAX_MORPHISMS}, got {k_max!r}")
 
     held: set[tuple[int, int, int]] = set()  # (B, C, k) that held at a smaller t
     lower_witness = None

@@ -27,6 +27,8 @@ class EssentialQuery:
     t: int
 
     def __post_init__(self):
+        if type(self.t) is not int:  # bool is an int subclass, but no color count
+            raise CategoryError(f"t must be an int, got {self.t!r}")
         if self.t < 2:
             raise CategoryError("t must be >= 2")
 

@@ -471,9 +471,7 @@ def build_coloring_expansion(spec: ColoringExpansionSpec) -> ExpansionFunctor:
     up_objects: list[tuple[int, tuple[tuple[int, ...], ...]]] = []
     for c in range(base.n_objects):
         hom_lists = [base.hom(a, c) for a in spec.small_objects]
-        size = 1
-        for a, hl in zip(spec.small_objects, hom_lists):
-            size *= degs[a] ** len(hl)
+        size = expected_fiber_size(spec, c)
         if size > FIBER_SIZE_CAP:
             raise CategoryError(f"fiber over object {c} has size {size} > cap {FIBER_SIZE_CAP}")
         choices = [
@@ -518,7 +516,9 @@ def build_coloring_expansion(spec: ColoringExpansionSpec) -> ExpansionFunctor:
 
 
 def expected_fiber_size(spec: ColoringExpansionSpec, c: int) -> int:
-    """Independent count: product over small objects of t_A^|hom(A, C)|."""
+    """The fiber size by formula, the product over small objects of
+    t_A^|hom(A, C)|: the cap check reads it before a fiber is enumerated,
+    and the matrix compares each enumerated fiber with it."""
     degs = spec.degrees()
     size = 1
     for a in spec.small_objects:

@@ -8,10 +8,12 @@ use.  Both expose the same search_from_prefix and explore identical trees, so
 results and node counts match bit for bit.  build_problem lays a search out
 once, as the flat arrays of SearchProblem, and every kernel call, the thread
 pool's branch calls among them, reads those arrays as they are: the compiled
-kernel hands their own buffers to C.  A serial search is one kernel call
-over the whole tree.  Threads act only with a kernel that releases the
-GIL, the compiled one, and only on a search that needs more than PROBE nodes;
-the pure kernel runs every search serially, whatever the thread count.
+kernel hands their own buffers to C.  The branch prefixes are listed once per
+shape, and the branch depth is the length of the first.  A serial search is
+one kernel call over the whole tree.  Threads act only with a kernel that
+releases the GIL, the compiled one, and only on a search that needs more than
+PROBE nodes; the pure kernel runs every search serially, whatever the thread
+count.
 
 The compiled library also reads category files and checks composition
 tables; READER is that module, or None with the pure kernel, and io and core
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, chain
 from operator import itemgetter
 from struct import Struct
@@ -41,8 +44,8 @@ READER = _impl if IMPL == "compiled" else None
 
 DEFAULT_BUDGET = 10**8
 
-# branch decomposition: smallest prefix depth whose restricted-growth prefix
-# count reaches this, so parallel runs have enough independent work units
+# branch prefixes grow a point at a time until they number this, or reach
+# MAX_BRANCH_DEPTH points, so parallel runs have enough independent work units
 MIN_BRANCHES = 33
 MAX_BRANCH_DEPTH = 8
 # with threads > 1 and a kernel that releases the GIL, a search goes to the
@@ -122,44 +125,28 @@ def build_problem(
     )
 
 
-def restricted_growth(length: int, k: int):
-    """Lazily, in lexicographic order, every restricted-growth string of the
-    given length with values < k: each value is at most one more than the
-    largest before it, so every set partition of range(length) into at most
-    k blocks appears exactly once."""
-    s = [0] * length
-
-    def rec(i: int, used: int):
-        if i == length:
-            yield list(s)
-            return
-        for c in range(min(used + 1, k)):
-            s[i] = c
-            yield from rec(i + 1, used + (c == used))
-
-    yield from rec(0, 0)
-
-
-def branch_depth(n_points: int, k: int) -> int:
-    """The prefix depth of the branch decomposition: the smallest one whose
-    restricted-growth strings number at least MIN_BRANCHES, capped at
-    MAX_BRANCH_DEPTH and at n_points.  Counted, not enumerated: blocks[j]
-    is the number of strings of the current length that use j values."""
-    deepest = min(n_points, MAX_BRANCH_DEPTH)
-    # a prefix of at most `deepest` points uses at most that many colors
-    k = min(k, deepest)
-    blocks = [1] + [0] * k
-    for depth in range(deepest):
-        if sum(blocks) >= MIN_BRANCHES:
-            return depth
-        # a string using j values grows by any of them, or by value j if j < k
-        blocks = [j * blocks[j] + (blocks[j - 1] if j else 0) for j in range(k + 1)]
-    return deepest
+@cache
+def _prefixes(deepest: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The restricted-growth strings with values < k in lexicographic order,
+    grown a level at a time by every value up to one past each one's largest."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    level = [()]
+    while len(level) < MIN_BRANCHES and len(level[0]) < deepest:
+        level = [s + (c,) for s in level for c in range(min(max(s, default=-1) + 2, k))]
+    return tuple(level)
 
 
 def branch_prefixes(n_points: int, k: int) -> list[list[int]]:
-    """Fixed branch decomposition, independent of thread count."""
-    return list(restricted_growth(branch_depth(n_points, k), k))
+    """Fixed branch decomposition, independent of thread count, as fresh lists.
+    A prefix of at most MAX_BRANCH_DEPTH points uses no more colors, so both
+    n_points and k are clamped there: at most 72 shapes."""
+    return list(map(list, _prefixes(min(n_points, MAX_BRANCH_DEPTH), min(k, MAX_BRANCH_DEPTH))))
+
+
+def branch_depth(n_points: int, k: int) -> int:
+    """The prefix depth of the branch decomposition, read from its list."""
+    return len(_prefixes(min(n_points, MAX_BRANCH_DEPTH), min(k, MAX_BRANCH_DEPTH))[0])
 
 
 @dataclass
@@ -196,8 +183,10 @@ def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1
     left then, and the fold takes their results in prefix order as the
     serial run would, setting the stop flag to end them once it is decided.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    if type(budget) is not int or budget < 0:
+        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
+    if type(threads) is not int or threads < 1:
+        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
     stop = array("i", [0])
     nodes = 0  # folded total: only grows, so a branch's cap is never below its serial one
 

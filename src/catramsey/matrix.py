@@ -100,8 +100,10 @@ def run_matrix(
     if config is None:
         config = DEFAULT_CONFIG
     _check_config(config)
-    if budget < 0:
-        raise CategoryError(f"budget must be >= 0, got {budget}")
+    if type(budget) is not int or budget < 0:
+        raise CategoryError(f"budget must be an int >= 0, got {budget!r}")
+    if type(threads) is not int or threads < 1:
+        raise CategoryError(f"threads must be an int >= 1, got {threads!r}")
     if cache is None:
         cache = ResultCache(directory=None)
     t_start = time.monotonic()

@@ -23,7 +23,25 @@ from catramsey.core import CategoryError, FiniteCategory, concrete_category
 from catramsey.expansions import ColoringExpansionSpec, build_coloring_expansion
 from catramsey.generators import UniverseSpec, generate, object_of_size
 from catramsey.io import dumps_category
-from catramsey.kernel import restricted_growth
+
+
+def restricted_growth(length: int, k: int):
+    """Lazily, in lexicographic order, every restricted-growth string of the
+    given length with values < k: each value is at most one more than the
+    largest before it, so every set partition of range(length) into at most
+    k blocks appears exactly once.  Recursive, and independent of the
+    kernel's level-by-level branch prefixes, which the tests check it against."""
+    s = [0] * length
+
+    def rec(i: int, used: int):
+        if i == length:
+            yield list(s)
+            return
+        for c in range(min(used + 1, k)):
+            s[i] = c
+            yield from rec(i + 1, used + (c == used))
+
+    yield from rec(0, 0)
 
 
 def composition_table(m: int, entries) -> array:

@@ -212,6 +212,21 @@ def test_query_validation(lo4):
         ArrowQuery(0, 1, 2, 2, 1, "weird")
 
 
+@pytest.mark.parametrize("k, t", [(2, 1.5), (2.5, 1), (True, 1), (2, True)], ids=["t-float", "k-float", "k-bool", "t-bool"])
+def test_a_color_count_that_is_not_an_int_is_refused(k, t):
+    # "at most 1.5 colors" is at most 1, where LO_6 fails (R(3,3) = 6): the
+    # search must never see a k or t that is not an int
+    with pytest.raises(CategoryError, match="must be ints"):
+        ArrowQuery(1, 2, 4, k, t)
+
+
+@pytest.mark.parametrize("A, B, C", [(1.5, 2, 4), (1, 2, 4.0), (1, True, 4)], ids=["A-float", "C-float", "B-bool"])
+def test_an_object_id_that_is_not_an_int_is_refused(lo6, A, B, C):
+    # an object that does not exist decides nothing, not even trivially
+    with pytest.raises(CategoryError, match="unknown object id"):
+        check_arrow(lo6, ArrowQuery(A, B, C, 2, 1))
+
+
 def test_dual_route_equals_opposite_route(surj3):
     for a, b, c in itertools.product(range(surj3.n_objects), repeat=3):
         for t in (1, 2):

@@ -25,6 +25,14 @@ def test_one_object_category_valid():
     assert report.all_mono
 
 
+@pytest.mark.parametrize("a", [1.5, True])
+def test_hom_refuses_an_object_id_that_is_not_an_int(lo6, a):
+    with pytest.raises(CategoryError, match="unknown object id"):
+        lo6.check_object(a)
+    with pytest.raises(CategoryError, match="unknown object id"):
+        lo6.hom(a, 4)
+
+
 def test_oversized_category_refused_before_allocating():
     # the composition table is quadratic in the morphism count
     morphisms = [(0, 0, str(i)) for i in range(MAX_MORPHISMS + 1)]

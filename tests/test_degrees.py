@@ -169,6 +169,12 @@ def test_k_max_is_bounded_by_the_largest_domain():
         degree_bounds(unit, 0, "morphism", MAX_MORPHISMS + 1)
 
 
+@pytest.mark.parametrize("k_max", [2.5, True])
+def test_k_max_that_is_not_an_int_is_refused(k_max):
+    with pytest.raises(CategoryError, match="k_max must be an int"):
+        degree_bounds(one_object_category(), 0, "morphism", k_max)
+
+
 
 cells = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(2, 3), st.integers(1, 3))
 

@@ -95,6 +95,12 @@ def test_preconditions(lo4):
         find_essential_at_B(lo4, EssentialQuery(obj(lo4, "LO", 1), obj(lo4, "LO", 4), obj(lo4, "LO", 2), 2))
 
 
+@pytest.mark.parametrize("t", [2.5, True])
+def test_a_color_count_that_is_not_an_int_is_refused(t):
+    with pytest.raises(CategoryError, match="t must be an int"):
+        EssentialQuery(0, 1, 3, t)
+
+
 def test_partition_oracle_cap(lo6):
     # |hom(LO_2, LO_6)| = 15 > cap, the oracle must refuse rather than churn
     with pytest.raises(CategoryError):

@@ -14,7 +14,7 @@ from catramsey import _kernel_py, kernel
 from catramsey.arrows import ArrowQuery, check_arrow
 from catramsey.kernel import SearchProblem, branch_prefixes, build_problem, solve
 from catramsey.matrix import run_matrix
-from conftest import KERNEL_C, KERNEL_PY, library_name, load_kernel, obj
+from conftest import KERNEL_C, KERNEL_PY, library_name, load_kernel, obj, restricted_growth
 
 PATH_POINTS = 1200
 PATH_BUNDLES = [frozenset({i, i + 1}) for i in range(PATH_POINTS - 1)]
@@ -655,6 +655,19 @@ def test_witness_stops_the_branches_still_running(monkeypatch):
     assert len(saw_stop) < len(branch_prefixes(n, 2)) - 1  # queued branches never start
 
 
+@pytest.mark.parametrize(
+    "search",
+    [{"threads": 0}, {"threads": -3}, {"threads": 1.5}, {"threads": True}, {"budget": 1.5}, {"budget": True}],
+    ids=["threads-0", "threads-negative", "threads-float", "threads-bool", "budget-float", "budget-bool"],
+)
+def test_a_thread_count_below_one_or_not_an_int_is_refused(search):
+    # as the CLI refuses --threads 0
+    with pytest.raises(ValueError, match="must be an int"):
+        solve(build_problem(3, [frozenset({0, 1})], 2, 1, []), **search)
+    with pytest.raises(ValueError, match="must be an int"):
+        run_matrix({"lo_max": 0, "inj_max": 0, "surj_max": 2}, **search)
+
+
 def test_budget_exhaustion_is_reported():
     n = 14
     bundles = [frozenset(range(n))]
@@ -671,13 +684,7 @@ def test_branch_prefixes_cover_and_are_disjoint():
     depth = len(prefixes[0])
     assert all(len(p) == depth for p in prefixes)
     # every restricted-growth string of that depth appears
-    def rgs(depth, k):
-        out = [[]]
-        for _ in range(depth):
-            out = [s + [c] for s in out for c in range(min(max(s, default=-1) + 2, k))]
-        return out
-
-    assert sorted(prefixes) == sorted(rgs(depth, 2))
+    assert sorted(prefixes) == sorted(restricted_growth(depth, 2))
 
 
 def _doubled(pr: SearchProblem) -> SearchProblem:
@@ -721,13 +728,31 @@ def test_repeated_triples_search_the_same_tree():
     assert solve(_doubled(plain)) == out
 
 
+BRANCH_SHAPES = [(n, k) for n in range(21) for k in (*range(1, 13), 33, 200, 2000, 8000)]
+
+
 def test_branch_depth_counts_what_enumeration_lists():
-    for n in range(12):
-        for k in range(1, 7):
-            deepest = min(n, kernel.MAX_BRANCH_DEPTH)
-            sizes = [sum(1 for _ in kernel.restricted_growth(d, k)) for d in range(deepest + 1)]
-            expected = next((d for d, size in enumerate(sizes) if size >= kernel.MIN_BRANCHES), deepest)
-            assert kernel.branch_depth(n, k) == expected
+    for n, k in BRANCH_SHAPES:
+        deepest = min(n, kernel.MAX_BRANCH_DEPTH)
+        sizes = [sum(1 for _ in restricted_growth(d, k)) for d in range(deepest + 1)]
+        expected = next((d for d, size in enumerate(sizes) if size >= kernel.MIN_BRANCHES), deepest)
+        assert kernel.branch_depth(n, k) == expected
+
+
+def test_branch_prefixes_are_the_enumeration_at_the_branch_depth():
+    for n, k in BRANCH_SHAPES:
+        prefixes = kernel.branch_prefixes(n, k)
+        assert prefixes == sorted(prefixes)
+        assert prefixes == list(restricted_growth(kernel.branch_depth(n, k), k)), (n, k)
+        assert kernel.branch_depth(n, k) == len(prefixes[0])
+        # the caller's copies are its own
+        prefixes[0].append(99)
+        prefixes.pop()
+        assert kernel.branch_prefixes(n, k) == list(restricted_growth(kernel.branch_depth(n, k), k))
+    # n_points and k are clamped at MAX_BRANCH_DEPTH: 9 depths times 8 color counts
+    assert kernel._prefixes.cache_info().currsize <= 72
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        kernel.branch_prefixes(5, 0)
 
 
 def test_branch_decomposition_does_not_see_colors_past_the_deepest_prefix():
