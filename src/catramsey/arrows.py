@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import CategoryError, FiniteCategory
-from .kernel import DEFAULT_BUDGET, build_problem, solve
+from .kernel import DEFAULT_BUDGET, build_problem, check_search_args, solve
 
 
 @dataclass(frozen=True)
@@ -177,6 +177,7 @@ def check_arrow(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> ArrowVerdict:
+    check_search_args(budget, threads)
     cat.check_object(q.A)
     cat.check_object(q.B)
     cat.check_object(q.C)
@@ -219,6 +220,7 @@ def check_arrow_native_dual(
     an independent route for the duality cross-checks; its contexts are
     its own, kept apart from check_arrow's on the same category.
     """
+    check_search_args(budget, threads)
     cat.check_object(q.A)
     cat.check_object(q.B)
     cat.check_object(q.C)

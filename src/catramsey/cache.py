@@ -1,10 +1,11 @@
-"""Content-addressed on-disk cache for arrow verdicts.
+"""Content-addressed on-disk cache of failing arrow verdicts.
 
 Entries are JSON files named by a sha256 key over (format version, category
-digest, query tuple).  A cached verdict is never trusted blindly: failing
-verdicts replay their witness coloring on every read, and a deterministic
-sample of holding verdicts is recomputed outright; anything that does not
-check out is evicted with a warning and recomputed.
+digest, query tuple, budget).  Only a failing verdict, the one that carries a
+certificate, is stored; a read returns it only when its domain equals the
+query's items and its witness replays, and evicts anything else with a
+warning.  A holding or inconclusive verdict always comes from a search in
+this process.
 """
 
 from __future__ import annotations
@@ -19,14 +20,11 @@ from array import array
 
 from .core import FiniteCategory
 from .arrows import ArrowQuery, ArrowVerdict, check_arrow, _domain, _replay_witness
-from .kernel import DEFAULT_BUDGET
+from .kernel import DEFAULT_BUDGET, check_search_args
 
-FORMAT_VERSION = 3
+# format 3 and earlier stored holding verdicts too, which no read can check
+FORMAT_VERSION = 4
 CACHE_DIR_ENV = "CATRAMSEY_CACHE_DIR"
-
-# recompute one in this many holding verdicts on read, chosen by key so the
-# sample is stable across runs
-VERIFY_SAMPLE_MOD = 16
 
 # numbers this process's writes, for their temporary file names
 _writers = itertools.count()
@@ -118,35 +116,14 @@ class ResultCache:
         return {"hits": self.hits, "misses": self.misses, "evictions": self.evictions}
 
 
-_ENTRY_FIELDS = {"holds", "witness", "domain", "nodes"}
+_ENTRY_FIELDS = {"witness", "domain", "nodes", "note"}
 
 
 def _values_well_formed(entry: dict) -> bool:
-    # a verdict is JSON true, false or null (1 is none), only a failing one
-    # carries a witness, and a node count is a non-negative integer
-    holds, nodes = entry["holds"], entry["nodes"]
-    typed = type(holds) in (bool, type(None)) and type(nodes) is int and nodes >= 0
-    return typed and (entry["witness"] is None or holds is False)
-
-
-def _verdict_to_entry(v: ArrowVerdict) -> dict:
-    return {
-        "holds": v.holds,
-        "witness": v.witness,
-        "domain": v.domain,
-        "nodes": v.nodes,
-        "note": v.note,
-    }
-
-
-def _entry_to_verdict(entry: dict) -> ArrowVerdict:
-    return ArrowVerdict(
-        holds=entry["holds"],
-        witness=entry["witness"],
-        domain=entry["domain"],
-        nodes=entry["nodes"],
-        note=entry.get("note", ""),
-    )
+    # a node count is a non-negative integer (True is none) and a note a
+    # string; the domain check and the replay cover domain and witness
+    nodes = entry["nodes"]
+    return type(nodes) is int and nodes >= 0 and type(entry["note"]) is str
 
 
 def cached_check_arrow(
@@ -156,39 +133,32 @@ def cached_check_arrow(
     budget: int = DEFAULT_BUDGET,
     threads: int = 1,
 ) -> ArrowVerdict:
+    check_search_args(budget, threads)
     if not cache.enabled:
         return check_arrow(cat, q, budget=budget, threads=threads)
+    # the budget is in the key: a failure found in N nodes is inconclusive
+    # under a smaller budget, and a hit returns what the search would
     key = cache.key(category_digest(cat), ("arrow", q.A, q.B, q.C, q.k, q.t, q.mode, budget))
     entry = cache.get(key)
-    if entry is not None:
-        verdict = _entry_to_verdict(entry)
-        if _entry_checks_out(cache, cat, q, key, verdict, budget):
-            cache.hits += 1
-            return verdict
+    if entry is not None and _entry_replays(cache, cat, q, key, entry):
+        cache.hits += 1
+        return ArrowVerdict(False, entry["witness"], entry["domain"], entry["nodes"], entry["note"])
     cache.misses += 1
     verdict = check_arrow(cat, q, budget=budget, threads=threads)
-    cache.put(key, _verdict_to_entry(verdict))
+    if verdict.holds is False:
+        cache.put(key, {field: getattr(verdict, field) for field in _ENTRY_FIELDS})
     return verdict
 
 
-def _entry_checks_out(cache, cat, q, key, verdict: ArrowVerdict, budget) -> bool:
-    # domain must still match the category (guards against digest collisions
-    # in the face of tampering)
+def _entry_replays(cache, cat, q, key, entry: dict) -> bool:
+    # the domain must still match the category (guards against digest
+    # collisions in the face of tampering) and the witness must replay on it
     items, index = _domain(cat, q)
-    if verdict.domain != list(items):
+    if entry["domain"] != list(items):
         warnings.warn(f"cached domain mismatch; evicting {key}")
-        cache.evict(key)
-        return False
-    if verdict.holds is False:
-        if not _replay_witness(cat, q, items, index, verdict.witness):
-            warnings.warn(f"cached witness failed replay; evicting {key}")
-            cache.evict(key)
-            return False
+    elif not _replay_witness(cat, q, items, index, entry["witness"]):
+        warnings.warn(f"cached witness failed replay; evicting {key}")
+    else:
         return True
-    if int(key[:8], 16) % VERIFY_SAMPLE_MOD == 0:
-        fresh = check_arrow(cat, q, budget=budget)
-        if fresh.holds != verdict.holds:
-            warnings.warn(f"cached verdict failed recomputation; evicting {key}")
-            cache.evict(key)
-            return False
-    return True
+    cache.evict(key)
+    return False

@@ -160,8 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        # checked here, not only in solve(): a query that never searches
-        # would otherwise accept them
+        # checked here, before any subcommand, with the CLI's own messages
         if args.budget < 0:
             raise ValueError(f"budget must be >= 0, got {args.budget}")
         if args.threads < 1:

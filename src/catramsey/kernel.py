@@ -166,6 +166,17 @@ def _outcome(problem: SearchProblem, witness: list[int] | None, nodes: int, exha
     return SearchOutcome(witness=colors, nodes=nodes, exhausted=True)
 
 
+def check_search_args(budget: int, threads: int) -> None:
+    """Refuse a budget below 0 or a thread count below 1, or either not an
+    int (bool is an int subclass, but True is no count).  solve and the
+    entry points that pass them on call this before any work, so that a
+    query decided without a search refuses them too."""
+    if type(budget) is not int or budget < 0:
+        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
+    if type(threads) is not int or threads < 1:
+        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
+
+
 def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1) -> SearchOutcome:
     """The serial run: the branches searched in prefix order, stopping at the
     first witness.
@@ -183,10 +194,7 @@ def solve(problem: SearchProblem, budget: int = DEFAULT_BUDGET, threads: int = 1
     left then, and the fold takes their results in prefix order as the
     serial run would, setting the stop flag to end them once it is decided.
     """
-    if type(budget) is not int or budget < 0:
-        raise ValueError(f"budget must be an int >= 0, got {budget!r}")
-    if type(threads) is not int or threads < 1:
-        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
+    check_search_args(budget, threads)
     stop = array("i", [0])
     nodes = 0  # folded total: only grows, so a branch's cap is never below its serial one
 

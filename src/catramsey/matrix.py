@@ -35,7 +35,7 @@ from .expansions import (
     verify_additivity,
     verify_ratio_formula,
 )
-from .kernel import DEFAULT_BUDGET
+from .kernel import DEFAULT_BUDGET, check_search_args
 from .cache import ResultCache, cached_check_arrow
 
 DEFAULT_CONFIG: dict = {"lo_max": 6, "inj_max": 4, "surj_max": 3, "k_max": 2}
@@ -100,10 +100,7 @@ def run_matrix(
     if config is None:
         config = DEFAULT_CONFIG
     _check_config(config)
-    if type(budget) is not int or budget < 0:
-        raise CategoryError(f"budget must be an int >= 0, got {budget!r}")
-    if type(threads) is not int or threads < 1:
-        raise CategoryError(f"threads must be an int >= 1, got {threads!r}")
+    check_search_args(budget, threads)
     if cache is None:
         cache = ResultCache(directory=None)
     t_start = time.monotonic()

@@ -4,7 +4,7 @@ import os
 import pytest
 
 from catramsey import cache as cache_module
-from catramsey.arrows import ArrowQuery, ArrowVerdict, check_arrow
+from catramsey.arrows import ArrowQuery, check_arrow
 from catramsey.cache import ResultCache, cached_check_arrow, category_digest
 from catramsey.io import dumps_category, loads_category
 from conftest import obj
@@ -34,8 +34,9 @@ def test_entry_of_an_older_format_version_is_not_read(tmp_path, lo6, monkeypatch
     cache = ResultCache(str(tmp_path))
     q = ArrowQuery(obj(lo6, "LO", 2), obj(lo6, "LO", 3), obj(lo6, "LO", 6), 2, 1)
     monkeypatch.setattr(cache_module, "FORMAT_VERSION", 2)
-    stale = ArrowVerdict(None, None, check_arrow(lo6, q).domain, 366, note="node budget exceeded")
-    cache.put(_key_for(cache, lo6, q, budget=858), cache_module._verdict_to_entry(stale))
+    stale = {"holds": None, "witness": None, "domain": check_arrow(lo6, q).domain, "nodes": 366,
+             "note": "node budget exceeded"}
+    cache.put(_key_for(cache, lo6, q, budget=858), stale)
     monkeypatch.undo()
     v = cached_check_arrow(cache, lo6, q, budget=858)
     assert (v.holds, v.nodes) == (True, 858)
@@ -105,57 +106,74 @@ def _forge(path, **fields):
     ids=["negative-colours", "colour-out-of-range", "short-witness", "fractional-colours"],
 )
 def test_forged_failing_verdict_is_evicted(tmp_path, lo6, forgery):
-    # LO_6 -> (LO_3)^{LO_2}_{2,1} holds; its entry is rewritten to claim a failure
+    # LO_6 -> (LO_3)^{LO_2}_{2,1} holds, so nothing is stored for it; an
+    # entry claiming a failure is written under its key
     cache = ResultCache(str(tmp_path))
     q = ArrowQuery(obj(lo6, "LO", 2), obj(lo6, "LO", 3), obj(lo6, "LO", 6), 2, 1)
-    assert cached_check_arrow(cache, lo6, q).holds is True
     path = os.path.join(str(tmp_path), _key_for(cache, lo6, q) + ".json")
-    _forge(path, holds=lambda e: False, **forgery)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"witness": None, "domain": check_arrow(lo6, q).domain, "nodes": 0, "note": ""}, fh)
+    _forge(path, **forgery)
     with pytest.warns(UserWarning, match="evicting"):
         v = cached_check_arrow(cache, lo6, q)
     assert v.holds is True
-    assert cache.stats() == {"hits": 0, "misses": 2, "evictions": 1}
-
-
-def test_sampled_holding_verdict_is_recomputed(tmp_path, lo6, monkeypatch):
-    # LO_5 -> (LO_3)^{LO_2}_{2,1} fails; an entry claiming that it holds has
-    # no witness to replay, so only the sampled recomputation can catch it
-    cache = ResultCache(str(tmp_path))
-    q = _lo5_failing_query(lo6)
-    assert cached_check_arrow(cache, lo6, q).holds is False
-    _forge(os.path.join(str(tmp_path), _key_for(cache, lo6, q) + ".json"), holds=lambda e: True, witness=lambda e: None)
-    monkeypatch.setattr(cache_module, "VERIFY_SAMPLE_MOD", 1)
-    with pytest.warns(UserWarning, match="failed recomputation"):
-        v = cached_check_arrow(cache, lo6, q)
-    assert v.holds is False
-    assert cache.stats() == {"hits": 0, "misses": 2, "evictions": 1}
+    assert cache.stats() == {"hits": 0, "misses": 1, "evictions": 1}
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
-    "forgery",
-    [
-        {"holds": lambda e: "yes"},
-        {"holds": lambda e: 1},
-        {"witness": lambda e: [i % 2 for i in range(len(e["domain"]))]},
-        {"holds": lambda e: None, "witness": lambda e: [0] * len(e["domain"])},
-        {"nodes": lambda e: "many"},
-        {"nodes": lambda e: -1},
-        {"nodes": lambda e: True},
-    ],
-    ids=["holds-string", "holds-one", "holding-with-witness", "inconclusive-with-witness", "nodes-string",
-         "nodes-negative", "nodes-bool"],
+    "sizes",
+    [(2, 3, 5, 2), (2, 3, 4, 2), (1, 2, 2, 2), (1, 3, 4, 2)],
+    ids=lambda sizes: "LO_{}-LO_{}-LO_{}-k{}".format(*sizes),
 )
-def test_malformed_verdict_values_are_evicted(tmp_path, lo6, forgery):
-    # LO_6 -> (LO_3)^{LO_2}_{2,1} holds, and its key is outside the recomputed sample
+def test_forged_hold_is_refused(tmp_path, lo6, sizes):
+    # each query fails; an entry of the old form claiming that it holds
+    # carries no witness to replay, so it is refused and the query searched
+    cache = ResultCache(str(tmp_path))
+    A, B, C, k = sizes
+    q = ArrowQuery(obj(lo6, "LO", A), obj(lo6, "LO", B), obj(lo6, "LO", C), k, 1)
+    fresh = check_arrow(lo6, q)
+    assert fresh.holds is False
+    cache.put(_key_for(cache, lo6, q), {"holds": True, "witness": None, "domain": fresh.domain, "nodes": 0, "note": ""})
+    with pytest.warns(UserWarning, match="evicting"):
+        v = cached_check_arrow(cache, lo6, q)
+    assert (v.holds, v.witness, v.nodes) == (False, fresh.witness, fresh.nodes)
+    assert cache.stats() == {"hits": 0, "misses": 1, "evictions": 1}
+
+
+@pytest.mark.parametrize("budget", [10**8, 1], ids=["holding", "inconclusive"])
+def test_only_a_failing_verdict_is_stored(tmp_path, lo6, budget):
+    # LO_6 -> (LO_3)^{LO_2}_{2,1} holds after 858 nodes, so a budget of 1
+    # leaves it inconclusive; neither verdict has a witness a read could check
     cache = ResultCache(str(tmp_path))
     q = ArrowQuery(obj(lo6, "LO", 2), obj(lo6, "LO", 3), obj(lo6, "LO", 6), 2, 1)
+    for _ in range(2):
+        assert cached_check_arrow(cache, lo6, q, budget=budget).holds is (True if budget > 1 else None)
+    assert os.listdir(tmp_path) == []
+    assert cache.stats() == {"hits": 0, "misses": 2, "evictions": 0}
+
+
+@pytest.mark.parametrize(
+    "forgery, warning",
+    [
+        ({"note": lambda e: 1}, "malformed"),
+        ({"note": lambda e: None}, "malformed"),
+        ({"witness": lambda e: None}, "failed replay"),
+        ({"witness": lambda e: dict(zip(map(str, e["domain"]), e["witness"]))}, "failed replay"),
+        ({"nodes": lambda e: "many"}, "malformed"),
+        ({"nodes": lambda e: -1}, "malformed"),
+        ({"nodes": lambda e: True}, "malformed"),
+    ],
+    ids=["note-int", "note-null", "witness-null", "witness-by-label", "nodes-string", "nodes-negative", "nodes-bool"],
+)
+def test_malformed_verdict_values_are_evicted(tmp_path, lo6, forgery, warning):
+    cache = ResultCache(str(tmp_path))
+    q = _lo5_failing_query(lo6)
     fresh = cached_check_arrow(cache, lo6, q)
-    key = _key_for(cache, lo6, q)
-    assert int(key[:8], 16) % cache_module.VERIFY_SAMPLE_MOD != 0
-    _forge(os.path.join(str(tmp_path), key + ".json"), **forgery)
-    with pytest.warns(UserWarning, match="malformed"):
+    _forge(os.path.join(str(tmp_path), _key_for(cache, lo6, q) + ".json"), **forgery)
+    with pytest.warns(UserWarning, match=warning):
         v = cached_check_arrow(cache, lo6, q)
-    assert (v.holds, v.witness, v.nodes) == (True, None, fresh.nodes)
+    assert (v.holds, v.witness, v.nodes, v.note) == (False, fresh.witness, fresh.nodes, fresh.note)
     assert cache.stats() == {"hits": 0, "misses": 2, "evictions": 1}
 
 
@@ -176,7 +194,7 @@ def test_reordered_failing_entry_is_evicted(tmp_path, lo6):
 def test_corrupt_json_is_evicted(tmp_path, lo6):
     cache = ResultCache(str(tmp_path))
     q = _lo5_failing_query(lo6)
-    cached_check_arrow(cache, lo6, q)
+    fresh = cached_check_arrow(cache, lo6, q)
     key = _key_for(cache, lo6, q)
     path = os.path.join(str(tmp_path), key + ".json")
     # not JSON, not UTF-8, and nested deeper than the JSON decoder recurses
@@ -186,7 +204,7 @@ def test_corrupt_json_is_evicted(tmp_path, lo6):
         with pytest.warns(UserWarning, match="corrupt"):
             assert cached_check_arrow(cache, lo6, q).holds is False
         assert cache.evictions == evictions
-        assert json.load(open(path))["holds"] is False
+        assert json.load(open(path))["witness"] == fresh.witness
 
 
 def test_malformed_entry_is_evicted(tmp_path, lo6):

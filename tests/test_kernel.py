@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from catramsey import _kernel_py, kernel
-from catramsey.arrows import ArrowQuery, check_arrow
+from catramsey.arrows import ArrowQuery, check_arrow, check_arrow_native_dual
+from catramsey.cache import ResultCache, cached_check_arrow
+from catramsey.degrees import degree_bounds
 from catramsey.kernel import SearchProblem, branch_prefixes, build_problem, solve
 from catramsey.matrix import run_matrix
 from conftest import KERNEL_C, KERNEL_PY, library_name, load_kernel, obj, restricted_growth
@@ -666,6 +668,31 @@ def test_a_thread_count_below_one_or_not_an_int_is_refused(search):
         solve(build_problem(3, [frozenset({0, 1})], 2, 1, []), **search)
     with pytest.raises(ValueError, match="must be an int"):
         run_matrix({"lo_max": 0, "inj_max": 0, "surj_max": 2}, **search)
+
+
+@pytest.mark.parametrize(
+    "entry, search",
+    [
+        ("check_arrow", {"threads": 0, "budget": -5}),
+        ("native_dual", {"threads": 0, "budget": -5}),
+        ("degree_bounds", {"threads": 0, "budget": -5}),
+        ("cache_hit", {"threads": 0}),
+    ],
+    ids=["check-arrow", "native-dual", "degree-bounds", "cache-hit"],
+)
+def test_a_query_decided_without_a_search_refuses_a_bad_budget_or_thread_count(entry, search, lo6, surj3, tmp_path):
+    # each call is decided with no kernel call, trivially or from the cache,
+    # so solve never sees the values it would refuse
+    cache = ResultCache(str(tmp_path))
+    calls = {
+        "check_arrow": lambda **kw: check_arrow(lo6, ArrowQuery(0, 0, 0, 2, 1), **kw),
+        "native_dual": lambda **kw: check_arrow_native_dual(surj3, ArrowQuery(0, 0, 0, 2, 1), **kw),
+        "degree_bounds": lambda **kw: degree_bounds(lo6, 0, **kw),
+        "cache_hit": lambda **kw: cached_check_arrow(cache, lo6, ArrowQuery(1, 2, 4, 2, 1), **kw),
+    }
+    calls[entry]()  # decides, and fills the cache, with the defaults
+    with pytest.raises(ValueError, match="must be an int"):
+        calls[entry](**search)
 
 
 def test_budget_exhaustion_is_reported():
