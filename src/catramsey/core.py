@@ -14,12 +14,14 @@ build equal ones, and all of it dies with the category.
 
 The table is filled and read in whole rows and columns where it can be.  A
 concrete category numbers each hom-set with consecutive ids, so
-concrete_category writes each column of an (a, b, c) block, g*f for one f in
-hom(a, b) and every g in hom(b, c), from one compose call with one strided
-slice assignment.  opposite() transposes the table with one strided slice
-per column, since the opposite's row f is column f here.  The finished table
-is the constructor's only composition input: a file fills one cell per line,
-products and the generated families go through concrete_category.  The
+concrete_category takes each (a, b, c) block, g*f for every g in hom(b, c)
+and f in hom(a, b), from one compose call in row-major order, looks its ids
+up at once into one array, and writes each row, g*f for one g and every f,
+with one slice assignment.  opposite() transposes the table with one
+strided slice per column, since the opposite's row f is column f here.  The
+finished table is the constructor's only composition input: a file fills one
+cell per line, products, expansions and the generated families go through
+concrete_category.  The
 constructor checks it in one C pass over its cells (check_table in the
 compiled kernel), or, without the compiled library, at C speed in Python: it
 refuses an unknown id on a composable pair and any entry on a non-composable
@@ -32,6 +34,7 @@ cell.  Both raise, as compose does, on an undefined composite.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -42,6 +45,8 @@ from . import kernel
 # The composition table takes 4*m*m bytes, 256 MB at this many morphisms;
 # larger categories are refused before their table is allocated.
 MAX_MORPHISMS = 8192
+# concrete_category composes a block at most this many rows at a time
+_SLAB_ROWS = 64
 
 
 class CategoryError(ValueError):
@@ -178,18 +183,21 @@ class FiniteCategory:
             raise CategoryError(f"morphisms {g} and {fs[gfs.index(-1)]} are not composable")
         return gfs
 
-    def pre(self, gs: Sequence[int], f: int) -> list[int]:
-        """The composites g*f for g in gs, read from f's column of the
-        table: one slice strided by m when gs is a step-1 range within it,
-        such as a hom-set with consecutive ids, else cell by cell.  Raises
-        like compose if one is undefined."""
+    def _column(self, gs: Sequence[int], f: int) -> list[int]:
+        """The cells g*f for g in gs, -1 where undefined: one slice of f's
+        column strided by m when gs is a step-1 range within it, such as a
+        hom-set with consecutive ids, else cell by cell."""
         table, m = self._table, self.n_morphisms
         if type(gs) is range and gs.step == 1 and 0 <= gs.start <= gs.stop <= m:
-            gfs = table[gs.start * m + f : gs.stop * m : m].tolist()
-        else:
-            # a slice of the whole column would copy m cells to read the few
-            # that gs names
-            gfs = [table[g * m + f] for g in gs]
+            return table[gs.start * m + f : gs.stop * m : m].tolist()
+        # a slice of the whole column would copy m cells to read the few that
+        # gs names
+        return [table[g * m + f] for g in gs]
+
+    def pre(self, gs: Sequence[int], f: int) -> list[int]:
+        """The composites g*f for g in gs, read from f's column of the
+        table.  Raises like compose if one is undefined."""
+        gfs = self._column(gs, f)
         if -1 in gfs:
             raise CategoryError(f"morphisms {gs[gfs.index(-1)]} and {f} are not composable")
         return gfs
@@ -237,14 +245,21 @@ class FiniteCategory:
     # -- derived structure -------------------------------------------------
 
     def iso(self, a: int, b: int) -> tuple[int, ...]:
-        """Invertible morphisms a -> b."""
-        out = []
+        """Invertible morphisms a -> b: each f with a g in hom(b, a) such that
+        g*f = id_a and f*g = id_b.  f's column over hom(b, a) is read at
+        once, and f*g only where g*f = id_a.  In a category that is one g at
+        most, since a two-sided inverse of f is its only left inverse.  A
+        table nobody validated, such as a loaded file, may hold more left
+        inverses, each tried, or leave composites undefined, which match no
+        identity and never raise here."""
+        table, m = self._table, self.n_morphisms
         id_a, id_b = self.identity(a), self.identity(b)
+        back = self.hom(b, a)
+        out = []
         for f in self.hom(a, b):
-            for g in self.hom(b, a):
-                if self.compose(g, f) == id_a and self.compose(f, g) == id_b:
-                    out.append(f)
-                    break
+            lefts = self._column(back, f)
+            if id_a in lefts and any(x == id_a and table[f * m + g] == id_b for g, x in zip(back, lefts)):
+                out.append(f)
         return tuple(out)
 
     def automorphisms(self, a: int) -> tuple[int, ...]:
@@ -409,20 +424,28 @@ def validate(cat: FiniteCategory) -> ValidationReport:
 def concrete_category(
     object_labels: Sequence[str],
     arrows: Callable[[int, int], Iterable[tuple[Hashable, str]]],
-    compose: Callable[[Hashable, Sequence[Hashable]], Iterable[Hashable]],
+    compose: Callable[[Sequence[Hashable], Sequence[Hashable]], Iterable[Hashable]],
     identity: Callable[[int], Hashable],
 ) -> tuple[FiniteCategory, list]:
     """A category of values: `arrows(a, b)` lists the (value, label) pairs of
-    hom(a, b), `compose(f, gs)` gives the values of g*f for each g in gs, in
-    order, and `identity(a)` the value of a's identity.  Morphisms are
-    numbered hom-set by hom-set in (a, b) order; g*f is computed only over
-    hom(b, c) x hom(a, b).  Returns the category and each morphism's value.  A
-    composite or identity that no hom-set lists, or more than MAX_MORPHISMS
-    morphisms, raise CategoryError."""
+    hom(a, b), `compose(gs, fs)` gives the values of g*f for every g in gs and
+    f in fs, row-major (g*f for each f in fs, for each g in turn), and
+    `identity(a)` the value of a's identity.  Morphisms are numbered hom-set
+    by hom-set in (a, b) order; g*f is computed only over hom(b, c) x
+    hom(a, b), an (a, b, c) block per compose call, or a slab of it for a
+    hom(b, c) of more than _SLAB_ROWS morphisms: fs is always all of
+    hom(a, b), and gs a run of hom(b, c), each in id order.  A block's ids
+    are looked up at once and written into the table one row slice per g.
+    Returns the category and each morphism's value.  A composite or identity
+    that no hom-set lists, or more than MAX_MORPHISMS morphisms, raise
+    CategoryError."""
     n = len(object_labels)
     morphisms: list[tuple[int, int, str]] = []
     values: list = []
-    out: list[list[tuple[int, range]]] = [[] for _ in range(n)]  # per a, each nonempty hom(a, b)
+    # per a, each nonempty hom(a, b) as (b, its ids, its slabs): runs of at
+    # most _SLAB_ROWS of its ids with their values, which compose takes as
+    # the rows of a block, so that its buffers stay small beside the table
+    out: list[list[tuple[int, range, list[tuple[range, list]]]]] = [[] for _ in range(n)]
     index: dict[tuple[int, int], dict] = {}  # (dom, cod) -> {value: id}
     for a in range(n):
         for b in range(n):
@@ -435,7 +458,10 @@ def concrete_category(
                 morphisms.append((a, b, label))
             if ids:
                 index[(a, b)] = ids
-                out[a].append((b, range(start, len(values))))
+                hom_ab = range(start, len(values))
+                cuts = range(0, len(hom_ab), _SLAB_ROWS)
+                slabs = [(hom_ab[i : i + _SLAB_ROWS], values[start + i : start + i + _SLAB_ROWS]) for i in cuts]
+                out[a].append((b, hom_ab, slabs))
 
     identities = [index.get((a, a), {}).get(identity(a)) for a in range(n)]
     if None in identities:
@@ -443,18 +469,25 @@ def concrete_category(
     m = len(values)
     table = array("i", [-1]) * (m * m)
     for a in range(n):
-        for b, fs in out[a]:
-            for c, gs in out[b]:
-                ids = index.get((a, c), {})
-                g_values = values[gs.start : gs.stop]
-                for f in fs:
-                    # column f of the (a, b, c) block: g*f for every g in
-                    # hom(b, c), whose rows are m apart in the table
-                    column = list(map(ids.get, compose(values[f], g_values)))
-                    if None in column:
-                        g = gs[column.index(None)]
-                        raise CategoryError(f"the composite {g}*{f} is not a morphism {a} -> {c}")
-                    table[gs.start * m + f : gs.stop * m : m] = array("i", column)
+        # per c, the id of each value of hom(a, c)
+        id_of = [index.get((a, c), {}).get for c in range(n)]
+        for b, fs, _ in out[a]:
+            f_values, w = values[fs.start : fs.stop], len(fs)
+            for c, _, slabs in out[b]:
+                # the (a, b, c) block, a slab at a time: row g holds g*f for
+                # every f in hom(a, b), which lie side by side in table row g
+                for gs, g_values in slabs:
+                    slab = list(map(id_of[c], compose(g_values, f_values)))
+                    if len(slab) != len(gs) * w:
+                        raise CategoryError(f"{len(slab)} composites for {len(gs)} x {w} cells of {a} -> {b} -> {c}")
+                    try:
+                        cells = array("i", slab)
+                    except TypeError:  # a None: a composite that hom(a, c) does not list
+                        g, f = divmod(slab.index(None), w)
+                        raise CategoryError(f"the composite {gs[g]}*{fs[f]} is not a morphism {a} -> {c}") from None
+                    first = gs.start * m + fs.start
+                    for row, i in zip(range(first, gs.stop * m, m), range(0, len(slab), w)):
+                        table[row : row + w] = cells[i : i + w]
     return FiniteCategory(object_labels, morphisms, table, identities), values
 
 
@@ -473,6 +506,11 @@ def _reader(ids: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     return itemgetter(*ids) if len(ids) > 1 else lambda row: tuple(row[i] for i in ids)
 
 
+def _hom_of(cat: FiniteCategory, f: int) -> Sequence[int]:
+    """The hom-set that holds f."""
+    return cat.hom(cat.mor_dom[f], cat.mor_cod[f])
+
+
 def product(cat1: FiniteCategory, cat2: FiniteCategory) -> FiniteCategory:
     """Product category: object (o1, o2) has id o1 * n2 + o2, a morphism is a
     pair (f1, f2), and composition is componentwise."""
@@ -485,9 +523,15 @@ def product(cat1: FiniteCategory, cat2: FiniteCategory) -> FiniteCategory:
             for f2 in cat2.hom(a2, b2):
                 yield (f1, f2), f"({cat1.mor_labels[f1]}*{cat2.mor_labels[f2]})"
 
-    def compose(f, gs):
-        g1s, g2s = zip(*gs)
-        return zip(cat1.pre(g1s, f[0]), cat2.pre(g2s, f[1]))
+    def compose(gs, fs):
+        # fs is all of hom(a1, b1) x hom(a2, b2), listed first component
+        # first, so row (g1, g2) of the block is the product of g1's row over
+        # hom(a1, b1) and g2's over hom(a2, b2), each read once
+        f1, f2 = fs[0]
+        hom1, hom2 = _hom_of(cat1, f1), _hom_of(cat2, f2)
+        rows1 = {g: cat1.post(g, hom1) for g in dict.fromkeys(g for g, _ in gs)}
+        rows2 = {g: cat2.post(g, hom2) for g in dict.fromkeys(g for _, g in gs)}
+        return itertools.chain.from_iterable(itertools.product(rows1[g1], rows2[g2]) for g1, g2 in gs)
 
     def identity(a: int):
         a1, a2 = divmod(a, n2)

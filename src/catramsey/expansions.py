@@ -425,7 +425,7 @@ def lifted_expansion(
     upstairs, mor_map = concrete_category(
         up_labels,
         lambda u, v: ((f, base.mor_labels[f]) for f in lifting(up_objects[u], up_objects[v])),
-        lambda f, gs: base.pre(gs, f),
+        lambda gs, fs: [base.compose(g, f) for g in gs for f in fs],
         lambda u: base.identity(up_objects[u][0]),
     )
     object_map = {u: ob[0] for u, ob in enumerate(up_objects)}

@@ -3,15 +3,16 @@
 Three families, truncated at a size cap: linear orders with order embeddings
 (LO), finite sets with injections (Inj), finite sets with surjections (Surj).
 Objects are sizes 1..max_size; a morphism from size a to size b is a function
-{0..a-1} -> {0..b-1} stored as its image tuple, which also serves as the label
-and fixes a canonical deterministic order.
+{0..a-1} -> {0..b-1} given by its image tuple, which spells its label and
+fixes a canonical deterministic order.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from typing import Sequence
 
 from .core import CategoryError, FiniteCategory, concrete_category
 
@@ -47,23 +48,42 @@ def _functions(family: str, a: int, b: int) -> list[tuple[int, ...]]:
     return [img for img in itertools.product(range(b), repeat=a) if len(set(img)) == b]
 
 
+def _values(images: list[Sequence[int]]) -> list[int]:
+    """Each image as the 8 bytes of one array("Q") element, padded with 255,
+    read back as that element."""
+    return array("Q", b"".join(bytes(img).ljust(8, b"\xff") for img in images)).tolist()
+
+
 def generate(spec: UniverseSpec) -> FiniteCategory:
     """Build the truncated category for the given family.
 
-    Object i (0-based) has size i+1 and label "<family>_<size>".
+    Object i (0-based) has size i+1 and label "<family>_<size>".  A
+    morphism's value is its image as the 8 bytes of one array("Q") element,
+    padded with 255 (every cap is below 8 points), so hom(a, b) lays out end
+    to end as one bytes object, and g*f, x -> g[f[x]], is f's bytes
+    translated by g's image padded to a 256-byte table with 255, which keeps
+    f's padding: a block of compose is one join of those translations.
     """
     family, n = spec.family, spec.max_size
+    tables: dict[int, bytes] = {}  # value -> the translate table of its image
 
-    def compose(f: tuple[int, ...], gs: list[tuple[int, ...]]):
-        # g*f is the image tuple of x -> g[f[x]]: f's positions read from each
-        # g; a slice keeps a one-point image a tuple
-        return map(itemgetter(*f) if len(f) > 1 else itemgetter(slice(f[0], f[0] + 1)), gs)
+    def arrows(a: int, b: int):
+        images = _functions(family, a + 1, b + 1)
+        values = _values(images)
+        for value, img in zip(values, images):
+            tables[value] = bytes(img).ljust(256, b"\xff")
+        return zip(values, (",".join(map(str, img)) for img in images))
+
+    def compose(gs: list[int], fs: list[int]) -> array:
+        # every g*f of the block, row-major, decoded at once
+        blob = array("Q", fs).tobytes()
+        return array("Q", b"".join(map(blob.translate, map(tables.__getitem__, gs))))
 
     cat, _ = concrete_category(
         [f"{family}_{s}" for s in range(1, n + 1)],
-        lambda a, b: ((img, ",".join(map(str, img))) for img in _functions(family, a + 1, b + 1)),
+        arrows,
         compose,
-        lambda a: tuple(range(a + 1)),
+        lambda a: _values([range(a + 1)])[0],
     )
     return cat
 

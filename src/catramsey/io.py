@@ -261,9 +261,24 @@ def dump_category(cat: FiniteCategory, stream: TextIO) -> None:
         stream.write(f"obj {o} {cat.object_labels[o]}\n")
     for m in range(cat.n_morphisms):
         stream.write(f"mor {m} {cat.mor_dom[m]} {cat.mor_cod[m]} {cat.mor_labels[m]}\n")
-    # the cmp block in one write, each morphism id formatted once
+    # the cmp block in one write, built a row at a time: row g's lines are
+    # the pieces "cmp g", " f " and "gf\n" for each f composable with g,
+    # each piece built once per id, laid out by slice and joined once; a row
+    # with an undefined composite writes its defined entries one by one
     ids = list(map(str, range(cat.n_morphisms)))
-    stream.write("".join([f"cmp {ids[g]} {ids[f]} {ids[gf]}\n" for g, f, gf in cat.compose_entries()]))
+    tails = [i + "\n" for i in ids]
+    mids = [[f" {ids[f]} " for f in fs] for fs in cat._into]
+    rows = []
+    for g, _, cells in cat._composable_cells():
+        head, row_mids = "cmp " + ids[g], mids[cat.mor_dom[g]]
+        if -1 in cells:
+            rows.extend(head + mid + tails[gf] for mid, gf in zip(row_mids, cells) if gf >= 0)
+        else:
+            pieces = [head] * (3 * len(cells))
+            pieces[1::3] = row_mids
+            pieces[2::3] = map(tails.__getitem__, cells)
+            rows.append("".join(pieces))
+    stream.write("".join(rows))
 
 
 def dumps_category(cat: FiniteCategory) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from struct import Struct
 from typing import Sequence
@@ -88,12 +88,17 @@ def build_problem(
     item permutations, is conjugated into search order once, packed into
     the bytes of its row of `perms`, and kept in first-seen order without
     the identity and repeats: each row prunes on its own, so neither changes
-    the tree.
+    the tree.  A bundle item outside range(n_items), or a row that is not
+    n_items entries in range(n_items), raises ValueError; a row in range
+    that is not a permutation is not caught.
     """
     bundles = list(dict.fromkeys(bundles))
     # each item at its first place in the bundles, smallest first (a stable
-    # sort keeps equal sizes in their order), then the items in none
+    # sort keeps equal sizes in their order), then the items in none; an
+    # item outside range(n_items) would be one more
     order = list(dict.fromkeys(chain(*map(sorted, sorted(bundles, key=len)), range(n_items))))
+    if len(order) != n_items:
+        raise ValueError(f"a bundle holds an item outside range({n_items})")
     pos = sorted(range(n_items), key=order.__getitem__)  # the inverse of order
 
     # bundles are visited in increasing order, so each point's list is sorted
@@ -107,7 +112,8 @@ def build_problem(
     # perms; fewer than two items have only the identity, which is dropped
     take = itemgetter(*order) if n_items > 1 else None
     pack = Struct(f"{n_items}i").pack
-    rows = dict.fromkeys(pack(*itemgetter(*take(p))(pos)) for p in item_perms) if take else {}
+    checked = list(map(_checked_perm, item_perms, repeat(n_items)))
+    rows = dict.fromkeys(pack(*itemgetter(*take(p))(pos)) for p in checked) if take else {}
     rows.pop(pack(*range(n_items)), None)
 
     return SearchProblem(
@@ -123,6 +129,14 @@ def build_problem(
         perms=array("i", b"".join(rows)),
         order=order,
     )
+
+
+def _checked_perm(p: Sequence[int], n_items: int) -> Sequence[int]:
+    """p, when it is a row of n_items entries in range(n_items); a longer row
+    would be cut short and a negative entry read from the end."""
+    if len(p) != n_items or (p and not 0 <= min(p) <= max(p) < n_items):
+        raise ValueError(f"an item permutation needs {n_items} entries in range({n_items})")
+    return p
 
 
 @cache

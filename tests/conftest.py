@@ -59,6 +59,17 @@ def same_category(x: FiniteCategory, y: FiniteCategory) -> bool:
     return dumps_category(x) == dumps_category(y) and x.identities == y.identities
 
 
+def iso_by_double_loop(cat: FiniteCategory, a: int, b: int) -> tuple[int, ...]:
+    """The invertible morphisms a -> b: each f with some g in hom(b, a),
+    tried in turn, such that g*f = id_a and f*g = id_b."""
+    id_a, id_b = cat.identities[a], cat.identities[b]
+    return tuple(
+        f
+        for f in cat.hom(a, b)
+        if any(cat.compose(g, f) == id_a and cat.compose(f, g) == id_b for g in cat.hom(b, a))
+    )
+
+
 def oracle_arrow(cat: FiniteCategory, A: int, B: int, C: int, k: int, t: int, mode: str = "morphism"):
     """Exhaustively test every coloring; returns (holds, witness_or_None)."""
     hom_ac = [m for m in range(cat.n_morphisms) if cat.mor_dom[m] == A and cat.mor_cod[m] == C]
@@ -144,7 +155,7 @@ def random_categories(draw):
     cat, _ = concrete_category(
         [f"X{a}" for a in objects],
         lambda a, b: ((f, ",".join(map(str, f))) for f in sorted(homs[a, b])),
-        lambda f, gs: (tuple(g[x] for x in f) for g in gs),
+        lambda gs, fs: (tuple(g[x] for x in f) for g in gs for f in fs),
         lambda a: tuple(range(sizes[a])),
     )
     return cat

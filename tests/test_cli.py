@@ -61,6 +61,27 @@ def test_hom_and_aut(inj3_file, capsys, inj3):
     assert code == 0 and doc["count"] == 2
 
 
+@pytest.mark.parametrize("inverse, count", [(False, 6), (True, 5)])
+def test_aut_on_a_file_missing_one_cmp_line(inverse, count, tmp_path, capsys, inj3):
+    # drop one cmp line of Aut(Inj_3) x Aut(Inj_3): a composite that is not
+    # the identity leaves all 6 automorphisms, the line t*t = id of a
+    # transposition t leaves the other 5; the undefined cell raises nowhere
+    a3 = obj(inj3, "Inj", 3)
+    auts, e = inj3.automorphisms(a3), inj3.identity(a3)
+    if inverse:
+        g = f = next(t for t in auts if t != e and inj3.compose(t, t) == e)
+    else:
+        g, f = next((g, f) for g in auts for f in auts if e not in (g, f, inj3.compose(g, f)))
+    lines = catio.dumps_category(inj3).splitlines(keepends=True)
+    drop = f"cmp {g} {f} {inj3.compose(g, f)}\n"
+    path = tmp_path / "inj3_missing.txt"
+    path.write_text("".join(line for line in lines if line != drop))
+    code, doc = _run(capsys, "aut", "--cat", str(path), "--A", str(a3))
+    assert code == 0
+    assert doc["automorphisms"] == [h for h in auts if h != f or not inverse]
+    assert doc["count"] == count
+
+
 def test_arrow_holds_and_fails(lo6_file, capsys, lo6):
     A, B = obj(lo6, "LO", 2), obj(lo6, "LO", 3)
     code, doc = _run(

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 import weakref
 from array import array
 
 import pytest
 
+from catramsey import core
 from catramsey.core import (
     MAX_MORPHISMS,
     CategoryError,
@@ -15,7 +17,7 @@ from catramsey.core import (
 )
 from catramsey.generators import UniverseSpec, forgetful_LO_to_Inj, generate
 from catramsey.io import dumps_category, loads_category
-from conftest import composition_table, obj, one_object_category, same_category
+from conftest import composition_table, iso_by_double_loop, obj, one_object_category, same_category
 
 
 def test_one_object_category_valid():
@@ -40,7 +42,9 @@ def test_oversized_category_refused_before_allocating():
         FiniteCategory(["x"], morphisms, array("i"), identities=[0])
 
 
-def _two_point_maps(compose=lambda f, gs: [tuple(g[x] for x in f) for g in gs], identity=lambda a: (0, 1)):
+def _two_point_maps(
+    compose=lambda gs, fs: [tuple(g[x] for x in f) for g in gs for f in fs], identity=lambda a: (0, 1)
+):
     # the maps of a 2-point set with values as image tuples
     maps = [(0, 1), (1, 0), (0, 0), (1, 1)]
     return concrete_category(["2"], lambda a, b: ((v, str(v)) for v in maps), compose, identity)
@@ -56,9 +60,21 @@ def test_concrete_category_numbers_by_value_and_streams_composition():
 
 def test_concrete_category_refuses_what_it_did_not_build():
     with pytest.raises(CategoryError, match="composite"):
-        _two_point_maps(compose=lambda f, gs: [(9, 9)] * len(gs))
+        _two_point_maps(compose=lambda gs, fs: [(9, 9)] * (len(gs) * len(fs)))
     with pytest.raises(CategoryError, match="identity"):
         _two_point_maps(identity=lambda a: (2, 2))
+
+
+def test_concrete_category_names_the_composite_a_block_misses():
+    def compose(gs, fs):
+        block = [tuple(g[x] for x in f) for g in gs for f in fs]
+        block[1 * len(fs) + 2] = (9, 9)  # row g = 1, column f = 2
+        return block
+
+    with pytest.raises(CategoryError, match=r"the composite 1\*2 is not a morphism 0 -> 0"):
+        _two_point_maps(compose=compose)
+    with pytest.raises(CategoryError, match="3 composites for 4 x 4 cells of 0 -> 0 -> 0"):
+        _two_point_maps(compose=lambda gs, fs: [gs[0]] * 3)
 
 
 def test_concrete_category_stops_at_the_morphism_cap():
@@ -70,7 +86,7 @@ def test_concrete_category_stops_at_the_morphism_cap():
             yield i, str(i)
 
     with pytest.raises(CategoryError, match="cap"):
-        concrete_category(["x"], arrows, lambda f, gs: gs, lambda a: 0)
+        concrete_category(["x"], arrows, lambda gs, fs: gs, lambda a: 0)
     assert len(listed) == MAX_MORPHISMS + 1
 
 
@@ -137,6 +153,31 @@ def test_automorphism_groups(lo6, inj3):
         assert any(inj3.compose(g, h) == inj3.identity(a3) for h in auts)
         for h in auts:
             assert inj3.compose(g, h) in auts
+
+
+@pytest.mark.parametrize("family, size", [("LO", 5), ("Inj", 4), ("Surj", 4)])
+def test_iso_matches_the_double_loop_on_generated_families_and_their_opposites(family, size):
+    cat = generate(UniverseSpec(family, size))
+    for c in (cat, cat.opposite()):
+        for a, b in itertools.product(range(c.n_objects), repeat=2):
+            assert c.iso(a, b) == iso_by_double_loop(c, a, b), (a, b)
+        # only a size's own hom-set holds isos, and Aut(a) has size! of them
+        # in Inj and Surj and one in LO
+        assert [len(c.automorphisms(a)) for a in range(c.n_objects)] == [
+            1 if family == "LO" else math.factorial(a + 1) for a in range(c.n_objects)
+        ]
+
+
+def test_iso_tries_every_left_inverse_of_an_unvalidated_table():
+    # one object, e = 0, f = 1, g1 = 2, g2 = 3, not associative and with
+    # composites left undefined: g1 and g2 are both left inverses of f, only
+    # g2 a right one too, and g1 has no left inverse at all
+    lines = ["objects: 1", "obj 0 x"] + [f"mor {i} 0 0 {i}" for i in range(4)]
+    lines += [f"cmp 0 {i} {i}" for i in range(4)] + [f"cmp {i} 0 {i}" for i in range(1, 4)]
+    lines += ["cmp 2 1 0", "cmp 1 2 1", "cmp 3 1 0", "cmp 1 3 0"]
+    cat = loads_category("\n".join(lines) + "\n")
+    assert not validate(cat).ok
+    assert cat.automorphisms(0) == (0, 1, 3)
 
 
 def test_subobject_classes(inj3, lo6):
@@ -262,6 +303,24 @@ def test_product_composes_componentwise(inj3):
     assert [factors(e) for e in prod.identities] == [
         (inj3.identities[a1], lo3.identities[a2]) for a1 in range(inj3.n_objects) for a2 in range(n2)
     ]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_a_block_cut_into_slabs_fills_the_same_table(rows, inj3, monkeypatch):
+    # a hom(b, c) of more than _SLAB_ROWS morphisms is composed a run of rows
+    # at a time, in every construction that goes through concrete_category
+    lo3 = generate(UniverseSpec("LO", 3))
+    builds = [
+        lambda: generate(UniverseSpec("Surj", 4)),
+        lambda: generate(UniverseSpec("Inj", 3)),
+        lambda: product(inj3, lo3),
+        lambda: forgetful_LO_to_Inj(3).upstairs,
+        lambda: _two_point_maps()[0],
+    ]
+    whole = [build() for build in builds]
+    monkeypatch.setattr(core, "_SLAB_ROWS", rows)
+    for build, cat in zip(builds, whole):
+        assert same_category(build(), cat)
 
 
 def test_oversized_product_refused_before_composing(inj4, lo6, monkeypatch):
@@ -452,7 +511,7 @@ def _three_point_maps():
     # one object, so every pair composes: the 27 maps of a 3-point set, as
     # image tuples
     maps = list(itertools.product(range(3), repeat=3))
-    compose = lambda f, gs: [tuple(g[x] for x in f) for g in gs]  # noqa: E731
+    compose = lambda gs, fs: [tuple(g[x] for x in f) for g in gs for f in fs]  # noqa: E731
     return concrete_category(["3"], lambda a, b: ((v, str(v)) for v in maps), compose, lambda a: (0, 1, 2))[0]
 
 

@@ -438,3 +438,21 @@ def test_file_round_trip(tmp_path, surj3):
     path = tmp_path / "surj.txt"
     catio.dump_category_file(surj3, str(path))
     assert same_category(catio.load_category_file(str(path)), surj3)
+
+
+@pytest.mark.parametrize("pick", [0, -1])
+def test_an_undefined_composite_is_left_out_of_the_dump(pick):
+    # a loaded file may leave a composable pair undefined: its row is written
+    # entry by entry, and the dump drops exactly that line
+    lo = generate(UniverseSpec("LO", 3))
+    lines = catio.dumps_category(lo).splitlines(keepends=True)
+    identities = set(map(str, lo.identities))
+    cmp_lines = [i for i, line in enumerate(lines) if line.startswith("cmp") and not identities & set(line.split()[1:3])]
+    i = cmp_lines[pick]
+    g, f = map(int, lines[i].split()[1:3])
+    assert len(lo._into[lo.mor_dom[g]]) > 1  # the row keeps other entries
+    text = "".join(lines[:i] + lines[i + 1 :])
+    cat = catio.loads_category(text)
+    assert validate(cat).missing_compositions == [(g, f)]
+    assert catio.dumps_category(cat) == text
+    assert same_category(catio.loads_category(catio.dumps_category(cat)), cat)

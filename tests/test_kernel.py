@@ -468,6 +468,34 @@ def test_build_problem_caps_k_at_the_points(compiled_kernel):
     assert build_problem(0, [], 5, 1, []).k == 1  # the compiled kernel needs k >= 1
 
 
+@pytest.mark.parametrize(
+    "bundles, perms",
+    [
+        # an item outside range(4) gave order 5 entries, and solve an IndexError
+        ([frozenset({-1, 0}), frozenset({2, 3})], []),
+        ([frozenset({0, 4}), frozenset({2, 3})], []),
+        # a long row was cut short, and a short one raised IndexError
+        ([frozenset({0, 1}), frozenset({2, 3})], [(1, 0, 2, 3, 9)]),
+        ([frozenset({0, 1}), frozenset({2, 3})], [(1, 0, 2)]),
+        # a negative entry was read from the end: [3, 0, 1, 2]
+        ([frozenset({0, 1}), frozenset({2, 3})], [(-1, 0, 1, 2)]),
+        ([frozenset({0, 1}), frozenset({2, 3})], [(1, 0, 3, 4)]),
+    ],
+)
+def test_build_problem_refuses_malformed_input(bundles, perms):
+    with pytest.raises(ValueError, match="range\\(4\\)"):
+        build_problem(4, bundles, 2, 1, perms)
+
+
+def test_build_problem_checks_rows_that_it_drops():
+    # with one item only the identity is a row, and none is kept, but a
+    # malformed row is still refused
+    assert build_problem(1, [frozenset({0})], 2, 1, [(0,)]).perms == array("i")
+    for row in ((1,), (-1,), (0, 0), ()):
+        with pytest.raises(ValueError, match="range\\(1\\)"):
+            build_problem(1, [frozenset({0})], 2, 1, [row])
+
+
 def needs_cc():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) on PATH")

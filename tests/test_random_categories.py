@@ -15,7 +15,7 @@ from catramsey.degrees import degree_bounds
 from catramsey.essential import EssentialQuery, find_essential_at_B
 from catramsey.io import dumps_category
 from conftest import (ArrowDefinition, composition_table, essential_exists_by_partitions, is_category_by_definition,
-                      random_categories)
+                      iso_by_double_loop, random_categories)
 
 # the oracle enumerates k ** |hom(A, C)| colorings
 HOM_CAP = 9
@@ -29,6 +29,16 @@ def queries(cat: FiniteCategory, mode: str = "morphism"):
         if len(cat.hom(A, C)) <= HOM_CAP:
             for k, t in KT:
                 yield ArrowQuery(A, B, C, k, t, mode)
+
+
+@RANDOM
+@given(random_categories())
+def test_iso_matches_the_double_loop(cat):
+    # partial automorphism groups, isos between distinct objects and empty
+    # hom-sets, in the category and its opposite
+    for c in (cat, cat.opposite()):
+        for a, b in itertools.product(range(c.n_objects), repeat=2):
+            assert c.iso(a, b) == iso_by_double_loop(c, a, b), (a, b)
 
 
 @RANDOM
