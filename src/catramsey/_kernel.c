@@ -1,9 +1,17 @@
-/* Compiled kernel: the witness search, search_from_prefix; the bulk of the
+/* Compiled kernel: the problem layout, layout, that kernel.build_problem
+   calls; the witness search, search_from_prefix; the bulk of the
    category-file reader, scan_lines and fill_table; and the composition-table
    check, check_table, which core's pure check mirrors.  None of them uses
    the Python API or allocates; every array is owned by the caller
-   (_kernel.py), which calls them through ctypes with the GIL released.
-   Their calling convention is ABI 6 (KERNEL_ABI below).
+   (_kernel.py), which passes each by address through ctypes with the GIL
+   released.  A caller's array of length 0 may be passed as a null pointer,
+   so no function reads one, or does arithmetic on it, unless its length
+   says there is something there.  Their calling convention is ABI 7
+   (KERNEL_ABI below).
+
+   layout is the same computation as _kernel_py.layout, step for step: the
+   search order, each point's bundles and the permutation rows conjugated
+   into search order, from the bundles and rows laid end to end.
 
    search_from_prefix is the same search as _kernel_py.search_from_prefix,
    loop for loop: same tree, same node counts, same witness.  See that module
@@ -38,17 +46,125 @@
 
 #include <string.h>
 
+/* Each exported function starts on a 64-byte boundary, so that where its
+   loops fall against the cache lines does not shift when the code before it
+   changes.  On a CPU that runs a branch crossing a 32-byte boundary slowly
+   (Intel's JCC erratum), such a shift alone, with scan_lines unchanged,
+   took it from 0.86 to 1.49 ms on a Surj_5 file. */
+#if defined(__GNUC__)
+#define ALIGNED __attribute__((aligned(64)))
+#else
+#define ALIGNED
+#endif
+
 /* The calling convention of the functions below.  _kernel.py refuses a
    library whose catramsey_kernel_abi() returns another value, or that has
    none, so a library built from an older source is never called with
    arguments it would misread, or asked for a function it lacks.  Bump it
    whenever a function is added or removed, or the signature or the meaning
    of an argument changes. */
-#define KERNEL_ABI 6
+#define KERNEL_ABI 7
 
 int catramsey_kernel_abi(void)
 {
     return KERNEL_ABI;
+}
+
+/* Lay a bundle problem over item ids out in search order, as
+   kernel.build_problem does.  Bundle b holds the bundle_sizes[b] items that
+   follow those of bundle b - 1 in items, n_total in all, and rows holds
+   n_rows item permutations of n_items entries each, one after another.
+   Fill order (n_items), the item id at each search position; pb_off
+   (n_items + 1) and pb (n_total), point p's bundles in index order at
+   pb[pb_off[p]:pb_off[p + 1]]; and perms (n_rows * n_items), row r
+   conjugated into search order, pos[row[order[i]]] at position i.  work
+   holds 3 * n_bundles + n_total + 3 * n_items + 2 ints, of any content.
+
+   The order puts the items of smaller bundles first: the bundles sorted by
+   size (a stable counting sort keeps equal sizes in index order), each
+   item at its first place in them, then the items in none.  That is each
+   item's rank, the first bundle in size order that holds it (n_bundles for
+   none), written while walking the bundles in reverse; the ids then go in
+   order of rank, ascending within one, by a second counting sort.  No
+   bundle is sorted.
+
+   Return 0; -3 when a size is below 0 or the sizes do not add up to
+   n_total; -1 when an item lies outside [0, n_items); -2 when a row is not
+   a permutation of [0, n_items), which a stamp per entry, the row's number
+   plus one, tells.  The outputs are then partly written. */
+ALIGNED
+int layout(int n_items, int n_bundles, const int *bundle_sizes, int n_total, const int *items,
+           int n_rows, const int *rows, int *order, int *pb_off, int *pb, int *perms, int *work)
+{
+    int *start = work, *by_size = start + n_bundles, *cnt = by_size + n_bundles;
+    int *rank = cnt + n_total + n_bundles + 2, *pos = rank + n_items, *stamp = pos + n_items;
+    long long total = 0;
+    for (int b = 0; b < n_bundles; b++) {
+        if (bundle_sizes[b] < 0 || total + bundle_sizes[b] > n_total)
+            return -3;
+        start[b] = (int)total;
+        total += bundle_sizes[b];
+    }
+    if (total != n_total)
+        return -3;
+    for (int i = 0; i < n_total; i++)
+        if (items[i] < 0 || items[i] >= n_items)
+            return -1;
+
+    /* the bundles by size: cnt[s] counts those smaller than s */
+    memset(cnt, 0, (size_t)(n_total + 2) * sizeof *cnt);
+    for (int b = 0; b < n_bundles; b++)
+        cnt[bundle_sizes[b] + 1]++;
+    for (int s = 1; s <= n_total + 1; s++)
+        cnt[s] += cnt[s - 1];
+    for (int b = 0; b < n_bundles; b++)
+        by_size[cnt[bundle_sizes[b]]++] = b;
+
+    for (int x = 0; x < n_items; x++)
+        rank[x] = n_bundles;
+    for (int j = n_bundles - 1; j >= 0; j--) {
+        int b = by_size[j];
+        for (int i = start[b]; i < start[b] + bundle_sizes[b]; i++)
+            rank[items[i]] = j;
+    }
+
+    /* the ids by rank: cnt[j] counts those of rank below j */
+    memset(cnt, 0, (size_t)(n_bundles + 2) * sizeof *cnt);
+    for (int x = 0; x < n_items; x++)
+        cnt[rank[x] + 1]++;
+    for (int j = 1; j <= n_bundles + 1; j++)
+        cnt[j] += cnt[j - 1];
+    for (int x = 0; x < n_items; x++)
+        order[cnt[rank[x]]++] = x;
+    for (int p = 0; p < n_items; p++)
+        pos[order[p]] = p;
+
+    /* bundles are visited in index order, so each point's list ascends; the
+       ranks are spent, and rank[p] becomes point p's next slot in pb */
+    memset(pb_off, 0, (size_t)(n_items + 1) * sizeof *pb_off);
+    for (int i = 0; i < n_total; i++)
+        pb_off[pos[items[i]] + 1]++;
+    for (int p = 0; p < n_items; p++) {
+        pb_off[p + 1] += pb_off[p];
+        rank[p] = pb_off[p];
+    }
+    for (int b = 0; b < n_bundles; b++)
+        for (int i = start[b]; i < start[b] + bundle_sizes[b]; i++)
+            pb[rank[pos[items[i]]]++] = b;
+
+    memset(stamp, 0, (size_t)n_items * sizeof *stamp);
+    for (int r = 0; r < n_rows; r++) {
+        long base = (long)r * n_items;
+        for (int i = 0; i < n_items; i++) {
+            int v = rows[base + i];
+            if (v < 0 || v >= n_items || stamp[v] == r + 1)
+                return -2;
+            stamp[v] = r + 1;
+        }
+        for (int i = 0; i < n_items; i++)
+            perms[base + i] = pos[rows[base + order[i]]];
+    }
+    return 0;
 }
 
 typedef struct {
@@ -177,23 +293,28 @@ static void undo(State *s, int d)
    tried below the prefix at depth count_from or deeper; those above are not
    charged to the budget, so the empty prefix with count_from at the branch
    depth walks every branch prefix in one call and returns what
-   kernel.solve's branch fold adds up to.  bundle_sizes and slack are
-   n_bundles long; counts must be zeroed, k * n_bundles long; color and head
-   n_points long; pos, fresh and link n_perms long; ren n_perms * k long;
-   trail 3 * n_perms * n_points long; used, next and top n_points + 1 long.
-   Only counts is read before it is written. */
+   kernel.solve's branch fold adds up to.  bundle_sizes is n_bundles long.
+   work, of any content, holds the search's state end to end: color
+   (n_points), where a witness is left, then counts (k * n_bundles), slack
+   (n_bundles), pos, fresh and link (n_perms each), ren (n_perms * k), head
+   (n_points), trail (3 * n_perms * n_points), and used, next and top
+   (n_points + 1 each).  Only counts is read before it is written, and it is
+   zeroed here. */
+ALIGNED
 int search_from_prefix(int n_points, int k, int t, int n_bundles, const int *bundle_sizes,
                        const int *pb_off, const int *pb, int n_perms, const int *perms,
                        int prefix_len, const int *prefix, int count_from,
-                       long long budget, long long *nodes,
-                       int *counts, int *slack, int *color,
-                       int *pos, int *fresh, int *ren, int *link, int *head, int *trail,
-                       int *used, int *next, int *top, const volatile int *stop)
+                       long long budget, long long *nodes, int *work, const volatile int *stop)
 {
+    int *color = work, *counts = color + n_points, *slack = counts + (long)k * n_bundles;
+    int *pos = slack + n_bundles, *fresh = pos + n_perms, *link = fresh + n_perms;
+    int *ren = link + n_perms, *head = ren + (long)n_perms * k, *trail = head + n_points;
+    int *used = trail + 3L * n_perms * n_points, *next = used + n_points + 1, *top = next + n_points + 1;
     State s = {n_points, k, n_bundles, pb_off, pb, perms,
                counts, slack, color,
                pos, fresh, ren, link, head, trail, top, 0};
     *nodes = 0;
+    memset(counts, 0, (size_t)k * (size_t)n_bundles * sizeof *counts);
     for (int p = 0; p < n_points; p++)
         if (pb_off[p] > pb_off[p + 1])
             return -2;
@@ -295,6 +416,7 @@ static int is_cmp_line(const unsigned char *p, const unsigned char *end)
    cap were written.  Return -1 when the text holds a line break other than
    \n that str.splitlines splits at: \r, \v, \f, \x1c to \x1e, or U+0085,
    U+2028 or U+2029 (C2 85, E2 80 A8 and E2 80 A9 in UTF-8). */
+ALIGNED
 int scan_lines(const char *text, int n, int *out, int cap)
 {
     const unsigned char *s = (const unsigned char *)text, *end = s + n;
@@ -359,6 +481,7 @@ static int read_id(const unsigned char **pp, const unsigned char *end, int n_mor
    [ \t]*cmp([ \t]+-?[0-9]+){3}[ \t]* exactly.  Return the number of cmp
    lines, or -1 when a line is outside that grammar, names an id outside
    [0, n_mor), or fills a cell that an earlier line filled. */
+ALIGNED
 int fill_table(const char *text, int n, int n_mor, int *table)
 {
     const unsigned char *s = (const unsigned char *)text, *end = s + n;
@@ -395,6 +518,7 @@ int fill_table(const char *text, int n, int n_mor, int *table)
    the first unknown id on a composable pair in row-major order, or, when
    there is none, 2 for the first entry off the composable pairs.  m * m must
    be in int range. */
+ALIGNED
 int check_table(int m, const int *table, const int *mor_dom, const int *mor_cod, int *bad)
 {
     int off = -1;

@@ -1,8 +1,13 @@
 """Compiled kernel: _kernel.c, built on first import and loaded with ctypes.
-It holds the witness search, search_from_prefix; the bulk of the
-category-file reader, scan_lines and fill_table, which io reaches through
-kernel.READER; and the composition-table check, check_table, which
-core.FiniteCategory reaches the same way.  The library speaks ABI 6.
+It holds the problem layout, layout, that kernel.build_problem calls; the
+witness search, search_from_prefix; the bulk of the category-file reader,
+scan_lines and fill_table, which io reaches through kernel.READER; and the
+composition-table check, check_table, which core.FiniteCategory reaches the
+same way.  The library speaks ABI 7.  Every array reaches C by its address,
+array("i").buffer_info()[0], through a c_void_p argument: no ctypes array
+object is built per call.  An input that is not an array("i") is copied
+into one, which refuses a value outside the C int range, and each call's
+work arrays are cut from one array("i") allocated for it.
 
 The library is named after the source it was built from,
 libcatramsey_kernel-<the first 16 hex digits of _kernel.c's sha256>.so, next
@@ -37,7 +42,7 @@ IMPL = "compiled"
 RELEASES_GIL = True
 # the value _kernel.c's catramsey_kernel_abi() returns: the calling
 # convention of the functions this module binds
-ABI = 6
+ABI = 7
 # seconds the compiler may take on first import; the build takes well under one
 BUILD_TIMEOUT_S = 60
 
@@ -97,62 +102,104 @@ _abi.argtypes = []
 if (_built := _abi()) != ABI:
     raise ImportError(f"compiled kernel {_LIBRARY} speaks ABI {_built}, not {ABI}: {_SOURCE} is not this version's")
 
-_int_p = ctypes.POINTER(ctypes.c_int)
+_p = ctypes.c_void_p  # an array's address, buffer_info()[0]: 0, a null pointer, for one of length 0
+_layout = _lib.layout
+_layout.restype = ctypes.c_int
+_layout.argtypes = [
+    ctypes.c_int, ctypes.c_int, _p, ctypes.c_int, _p,  # n_items, n_bundles, bundle_sizes, n_total, items
+    ctypes.c_int, _p,  # n_rows, rows
+    _p, _p, _p, _p, _p,  # order, pb_off, pb, perms, work
+]
 _search = _lib.search_from_prefix
 _search.restype = ctypes.c_int
 _search.argtypes = [
-    ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, _int_p,  # n_points, k, t, n_bundles, bundle_sizes
-    _int_p, _int_p, ctypes.c_int, _int_p,  # pb_off, pb, n_perms, perms
-    ctypes.c_int, _int_p, ctypes.c_int,  # prefix, count_from
-    ctypes.c_longlong, ctypes.POINTER(ctypes.c_longlong),  # budget, nodes
-    _int_p, _int_p, _int_p,  # counts, slack, color
-    _int_p, _int_p, _int_p, _int_p, _int_p, _int_p,  # pos, fresh, ren, link, head, trail
-    _int_p, _int_p, _int_p, _int_p,  # used, next, top, stop
+    ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_int, _p,  # n_points, k, t, n_bundles, bundle_sizes
+    _p, _p, ctypes.c_int, _p,  # pb_off, pb, n_perms, perms
+    ctypes.c_int, _p, ctypes.c_int,  # prefix, count_from
+    ctypes.c_longlong, _p, _p, _p,  # budget, nodes, work, stop
 ]
 
 _scan = _lib.scan_lines
 _scan.restype = ctypes.c_int
-_scan.argtypes = [ctypes.c_char_p, ctypes.c_int, _int_p, ctypes.c_int]  # text, n, out, cap
+_scan.argtypes = [ctypes.c_char_p, ctypes.c_int, _p, ctypes.c_int]  # text, n, out, cap
 _fill = _lib.fill_table
 _fill.restype = ctypes.c_int
-_fill.argtypes = [ctypes.c_char_p, ctypes.c_int, ctypes.c_int, _int_p]  # text, n, n_mor, table
+_fill.argtypes = [ctypes.c_char_p, ctypes.c_int, ctypes.c_int, _p]  # text, n, n_mor, table
 _check = _lib.check_table
 _check.restype = ctypes.c_int
-_check.argtypes = [ctypes.c_int, _int_p, _int_p, _int_p, _int_p]  # m, table, mor_dom, mor_cod, bad
+_check.argtypes = [ctypes.c_int, _p, _p, _p, _p]  # m, table, mor_dom, mor_cod, bad
 
 # a budget no search can spend; a larger one would overflow long long, and
 # any budget below 0 stops at the first node just as 0 does
 _BUDGET_CAP = 2**62
 
+# repeated to make zeroed arrays, and the stop flag of a search that passes
+# none; never written
+_ZERO = array("i", [0])
+
 
 def _ints(values):
-    """`values` as a C int array: an array("i")'s own buffer, anything else
-    copied into one; array("i") refuses a value outside the C int range,
-    which ctypes would silently wrap."""
-    if not (isinstance(values, array) and values.typecode == "i"):
-        try:
-            values = array("i", values)
-        except OverflowError as exc:
-            raise ValueError(f"value out of C int range: {exc}") from None
-    return (ctypes.c_int * len(values)).from_buffer(values)
+    """`values` as an array("i"): itself when it is one, else a copy;
+    array("i") refuses a value outside the C int range, which C would
+    silently wrap."""
+    if isinstance(values, array) and values.typecode == "i":
+        return values
+    try:
+        return array("i", values)
+    except OverflowError as exc:
+        raise ValueError(f"value out of C int range: {exc}") from None
 
 
-def _zeros(size):
-    return (ctypes.c_int * size)()
+def _at(values):
+    """The address of an array's buffer, to pass as a C pointer; 0 when it
+    is empty, so C must not read it then."""
+    return values.buffer_info()[0]
 
 
 def _flag(stop):
-    """stop[0] as a C int over the caller's memory, not a copy, so that a
+    """The address of stop[0], in the caller's memory, not a copy, so that a
     flag set by another thread reaches the running search."""
     if not (isinstance(stop, array) and stop.typecode == "i" and stop):
         raise ValueError("stop must be an array('i') with at least one element")
-    return ctypes.c_int.from_buffer(stop)
+    return _at(stop)
+
+
+# the messages of layout's codes below 0, as _kernel_py.layout words them
+_LAYOUT_FAULTS = {
+    -1: "a bundle holds an item outside range({n})",
+    -2: "an item permutation needs {n} distinct entries in range({n})",
+    -3: "bundle sizes must be >= 0 and add up to the number of items",
+}
+
+
+def layout(n_items, bundle_sizes, items, rows):
+    """Same contract as _kernel_py.layout, computed in one C pass; the
+    arguments are copied into array("i")s unless they are ones."""
+    bundle_sizes, items, rows = _ints(bundle_sizes), _ints(items), _ints(rows)
+    n_bundles, n_total = len(bundle_sizes), len(items)
+    if n_items < 0:
+        raise ValueError(f"n_items must be >= 0, got {n_items}")
+    n_rows, rest = divmod(len(rows), n_items) if n_items else (0, len(rows))
+    if rest:
+        raise ValueError(f"rows must hold whole rows of {n_items} entries")
+    size = 3 * n_bundles + n_total + 3 * n_items + 2
+    if size >= 2**31 or len(rows) >= 2**31:
+        raise ValueError("the layout's work and rows must be shorter than 2**31")
+    order, pb_off, pb, perms, work = (_ZERO * m for m in (n_items, n_items + 1, n_total, len(rows), size))
+    code = _layout(
+        n_items, n_bundles, _at(bundle_sizes), n_total, _at(items), n_rows, _at(rows),
+        _at(order), _at(pb_off), _at(pb), _at(perms), _at(work),
+    )
+    if code:
+        raise ValueError(_LAYOUT_FAULTS[code].format(n=n_items))
+    return order.tolist(), pb_off, pb, perms
 
 
 def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop=None, count_from=0):
     """Same contract as _kernel_py.search_from_prefix; stop=None is a flag
     that is never set.  An array("i"), as build_problem lays out all but the
-    prefix, reaches C as its own buffer; any other sequence is copied.
+    prefix, reaches C by the address of its own buffer; any other sequence
+    is copied into one.  C keeps its whole state in one work array.
 
     Raises ValueError on input that would make the C code index out of
     bounds or overflow an int; the pure kernel would raise IndexError or
@@ -175,23 +222,23 @@ def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, 
     if not (n_perms * k < 2**31 and 3 * n_perms * n_points < 2**31):
         raise ValueError("need n_perms * k and the trail, 3 * n_perms * n_points, in C int range")
 
-    nodes = ctypes.c_longlong()
-    color = _zeros(n_points)
+    flag = _at(_ZERO) if stop is None else _flag(stop)
+    bundle_sizes, pb_off, pb, perms, prefix = map(_ints, (bundle_sizes, pb_off, pb, perms, prefix))
+    nodes = array("q", [0])
+    # color, counts, slack, pos, fresh, link, ren, head, trail, used, next, top
+    work = _ZERO * (n_points + k * n_bundles + n_bundles + 3 * n_perms + n_perms * k
+                    + n_points + 3 * n_perms * n_points + 3 * (n_points + 1))
     r = _search(
-        n_points, k, t, n_bundles, _ints(bundle_sizes),
-        _ints(pb_off), _ints(pb), n_perms, _ints(perms),
-        len(prefix), _ints(prefix), count_from, max(0, min(budget, _BUDGET_CAP)), ctypes.byref(nodes),
-        _zeros(k * n_bundles), _zeros(n_bundles), color,
-        _zeros(n_perms), _zeros(n_perms), _zeros(n_perms * k), _zeros(n_perms),
-        _zeros(n_points), _zeros(3 * n_perms * n_points),
-        _zeros(n_points + 1), _zeros(n_points + 1), _zeros(n_points + 1),
-        ctypes.byref(ctypes.c_int() if stop is None else _flag(stop)),
+        n_points, k, t, n_bundles, _at(bundle_sizes),
+        _at(pb_off), _at(pb), n_perms, _at(perms),
+        len(prefix), _at(prefix), count_from, max(0, min(budget, _BUDGET_CAP)), _at(nodes),
+        _at(work), flag,
     )
     if r == -2:
         raise ValueError("pb_off must be nondecreasing, pb must name bundles in range and perms points in range")
     if r == 1:
-        return list(color), nodes.value, True
-    return None, nodes.value, r == 0
+        return work[:n_points].tolist(), nodes[0], True
+    return None, nodes[0], r == 0
 
 
 # header lines the first scan makes room for; a text with more is scanned twice
@@ -211,8 +258,8 @@ def scan_lines(data):
     _check_text(data)
     cap = _HEADER_LINES
     while True:
-        out = _zeros(3 * cap)
-        count = _scan(data, len(data), out, cap)
+        out = _ZERO * (3 * cap)
+        count = _scan(data, len(data), _at(out), cap)
         if count < 0:
             raise ValueError("a line break other than \\n")
         if count <= cap:
@@ -230,7 +277,7 @@ def fill_table(data, n_mor):
     if n_mor < 0 or n_mor * n_mor >= 2**31:
         raise ValueError(f"n_mor must be in 0..46340, got {n_mor}")
     table = array("i", [-1]) * (n_mor * n_mor)
-    if _fill(data, len(data), n_mor, (ctypes.c_int * len(table)).from_buffer(table)) < 0:
+    if _fill(data, len(data), n_mor, _at(table)) < 0:
         raise ValueError("a cmp line outside its grammar, an id out of range, or a repeated cell")
     return table
 
@@ -249,9 +296,10 @@ def check_table(table, mor_dom, mor_cod):
         raise ValueError(f"need mor_dom and mor_cod of one length in 0..46340, got {m} and {len(mor_cod)}")
     if not (isinstance(table, array) and table.typecode == "i" and len(table) == m * m):
         raise ValueError(f"the table must be an array('i') of {m * m} cells")
-    bad = ctypes.c_int()
-    code = _check(m, (ctypes.c_int * len(table)).from_buffer(table), _ints(mor_dom), _ints(mor_cod), ctypes.byref(bad))
+    bad = array("i", [0])
+    mor_dom, mor_cod = _ints(mor_dom), _ints(mor_cod)
+    code = _check(m, _at(table), _at(mor_dom), _at(mor_cod), _at(bad))
     if code == 0:
         return None
-    g, f = divmod(bad.value, m)
+    g, f = divmod(bad[0], m)
     return code == 1, g, f

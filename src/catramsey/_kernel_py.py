@@ -62,9 +62,74 @@ recursion, so thousands of points cannot exhaust the Python stack.
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate, chain
+
 IMPL = "python"
 # the search holds the GIL throughout, so threads cannot run two at once
 RELEASES_GIL = False
+
+
+def layout(n_items, bundle_sizes, items, rows):
+    """Lay a bundle problem over item ids out in search order, for
+    kernel.build_problem: returns (order, pb_off, pb, perms).
+
+    Bundle b holds the bundle_sizes[b] items that follow those of bundle
+    b - 1 in `items`, and `rows` holds item permutations of n_items entries
+    each, one after another.  order, a list, is the item id at each search
+    position: the items of smaller bundles first, each at its first place in
+    the bundles sorted by size (a stable sort keeps equal sizes in index
+    order), then the items in none.  That place is the item's rank, the first
+    bundle in size order that holds it; the ids are then sorted by rank,
+    ascending within one, so no bundle is sorted.  Point p's bundles lie in
+    pb[pb_off[p]:pb_off[p + 1]] in index order, and row r of perms is row r
+    of `rows` conjugated into search order, pos[row[order[i]]] at position i.
+    All three are array("i")s.
+
+    Raises ValueError when a size is below 0 or the sizes do not add up to
+    len(items), when an item lies outside range(n_items), or when `rows` is
+    not whole rows each a permutation of range(n_items).  _kernel.c's layout
+    is this function, step for step.
+    """
+    if n_items < 0:
+        raise ValueError(f"n_items must be >= 0, got {n_items}")
+    if len(rows) % n_items if n_items else len(rows):
+        raise ValueError(f"rows must hold whole rows of {n_items} entries")
+    n_bundles = len(bundle_sizes)
+    start = list(accumulate(bundle_sizes, initial=0))
+    if min(bundle_sizes, default=0) < 0 or start[-1] != len(items):
+        raise ValueError("bundle sizes must be >= 0 and add up to the number of items")
+    if items and not 0 <= min(items) <= max(items) < n_items:
+        raise ValueError(f"a bundle holds an item outside range({n_items})")
+    bundles = [items[start[b] : start[b + 1]] for b in range(n_bundles)]
+
+    rank = [n_bundles] * n_items
+    by_size = sorted(range(n_bundles), key=bundle_sizes.__getitem__)
+    for j in reversed(range(n_bundles)):
+        for x in bundles[by_size[j]]:
+            rank[x] = j
+    order = sorted(range(n_items), key=rank.__getitem__)
+    pos = sorted(range(n_items), key=order.__getitem__)  # the inverse of order
+
+    # bundles are visited in index order, so each point's list ascends
+    point_bundles: list[list[int]] = [[] for _ in range(n_items)]
+    for b, bundle in enumerate(bundles):
+        for x in bundle:
+            point_bundles[pos[x]].append(b)
+
+    every = set(range(n_items))
+    perms = array("i")
+    for base in range(0, len(rows), n_items or 1):
+        row = rows[base : base + n_items]
+        if len(set(row)) != n_items or not every.issuperset(row):
+            raise ValueError(f"an item permutation needs {n_items} distinct entries in range({n_items})")
+        perms.extend([pos[row[i]] for i in order])
+    return (
+        order,
+        array("i", accumulate(map(len, point_bundles), initial=0)),
+        array("i", chain.from_iterable(point_bundles)),
+        perms,
+    )
 
 
 def search_from_prefix(n_points, k, t, bundle_sizes, pb_off, pb, perms, prefix, budget, stop=(0,), count_from=0):

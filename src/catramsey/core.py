@@ -174,11 +174,13 @@ class FiniteCategory:
         one slice when fs is a step-1 range within it, such as a hom-set
         with consecutive ids, else cell by cell.  Raises like compose if one
         is undefined."""
-        table, m = self._table, self.n_morphisms
-        if type(fs) is range and fs.step == 1 and 0 <= fs.start <= fs.stop <= m:
-            gfs = table[g * m + fs.start : g * m + fs.stop].tolist()
+        table, row = self._table, g * self.n_morphisms
+        if type(fs) is range and fs.step == 1 and 0 <= fs.start <= fs.stop <= self.n_morphisms:
+            gfs = table[row + fs.start : row + fs.stop].tolist()
         else:
-            gfs = list(map(table[g * m : g * m + m].__getitem__, fs))
+            # a slice of the whole row would copy m cells to read the few
+            # that fs names
+            gfs = [table[row + f] for f in fs]
         if -1 in gfs:
             raise CategoryError(f"morphisms {g} and {fs[gfs.index(-1)]} are not composable")
         return gfs

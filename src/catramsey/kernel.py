@@ -5,15 +5,17 @@ The actual DFS lives in _kernel (compiled C, which its first import builds
 when a C compiler is on PATH and the package directory is writable) or
 _kernel_py (pure Python, used when that import fails); IMPL names the one in
 use.  Both expose the same search_from_prefix and explore identical trees, so
-results and node counts match bit for bit.  build_problem lays a search out
+results and node counts match bit for bit.  Both also expose the same
+layout, which build_problem calls to order the points and conjugate the
+rows: one C pass with the compiled kernel.  build_problem lays a search out
 once, as the flat arrays of SearchProblem, and every kernel call, the thread
 pool's branch calls among them, reads those arrays as they are: the compiled
-kernel hands their own buffers to C.  The branch prefixes are listed once per
-shape, and the branch depth is the length of the first.  A serial search is
-one kernel call over the whole tree.  Threads act only with a kernel that
-releases the GIL, the compiled one, and only on a search that needs more than
-PROBE nodes; the pure kernel runs every search serially, whatever the thread
-count.
+kernel hands C their buffers' addresses.  The branch prefixes are listed
+once per shape, and the branch depth is the length of the first.  A serial
+search is one kernel call over the whole tree.  Threads act only with a
+kernel that releases the GIL, the compiled one, and only on a search that
+needs more than PROBE nodes; the pure kernel runs every search serially,
+whatever the thread count.
 
 The compiled library also reads category files and checks composition
 tables; READER is that module, or None with the pure kernel, and io and core
@@ -27,9 +29,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, repeat
-from operator import itemgetter
-from struct import Struct
+from itertools import chain, starmap
+from struct import Struct, error as struct_error
 from typing import Sequence
 
 try:
@@ -81,40 +82,38 @@ def build_problem(
     one place that builds a SearchProblem.
 
     Points are ordered to finish small bundles first, which lets the
-    cannot-exceed-t prune fire as early as possible.  A bundle listed more
-    than once is kept once, at its first place: a repeat adds no point to
-    the order and prunes exactly where its first copy does, so the tree and
-    its node count are the same.  Each of `item_perms`, any sequence of
-    item permutations, is conjugated into search order once, packed into
-    the bytes of its row of `perms`, and kept in first-seen order without
-    the identity and repeats: each row prunes on its own, so neither changes
-    the tree.  A bundle item outside range(n_items), or a row that is not
-    n_items entries in range(n_items), raises ValueError; a row in range
-    that is not a permutation is not caught.
+    cannot-exceed-t prune fire as early as possible: each item at its first
+    place in the bundles sorted by size (a stable sort keeps equal sizes in
+    their order), each bundle's items ascending, then the items in none.  A
+    bundle listed more than once is kept once, at its first place: a repeat
+    adds no point to the order and prunes exactly where its first copy does,
+    so the tree and its node count are the same.  Each of `item_perms`, any
+    sequence of item permutations, is packed as native ints, the bytes of
+    array("i"), conjugated into search order, and kept in first-seen order
+    without the identity and repeats: each row prunes on its own, so neither
+    changes the tree.  The kernel's layout does the ordering and the
+    conjugation in one pass.  A bundle item outside range(n_items), or a row
+    that is not a permutation of range(n_items), raises ValueError.
     """
+    if n_items < 0:
+        raise ValueError(f"n_items must be >= 0, got {n_items}")
     bundles = list(dict.fromkeys(bundles))
-    # each item at its first place in the bundles, smallest first (a stable
-    # sort keeps equal sizes in their order), then the items in none; an
-    # item outside range(n_items) would be one more
-    order = list(dict.fromkeys(chain(*map(sorted, sorted(bundles, key=len)), range(n_items))))
-    if len(order) != n_items:
-        raise ValueError(f"a bundle holds an item outside range({n_items})")
-    pos = sorted(range(n_items), key=order.__getitem__)  # the inverse of order
-
-    # bundles are visited in increasing order, so each point's list is sorted
-    point_bundles: list[list[int]] = [[] for _ in range(n_items)]
-    for b, items in enumerate(bundles):
-        for it in items:
-            point_bundles[pos[it]].append(b)
-
-    # row[i] = pos[p[order[i]]], by two C-level gathers per row, packed as
-    # native ints, the layout of array("i"), so that one join lays out
-    # perms; fewer than two items have only the identity, which is dropped
-    take = itemgetter(*order) if n_items > 1 else None
-    pack = Struct(f"{n_items}i").pack
-    checked = list(map(_checked_perm, item_perms, repeat(n_items)))
-    rows = dict.fromkeys(pack(*itemgetter(*take(p))(pos)) for p in checked) if take else {}
-    rows.pop(pack(*range(n_items)), None)
+    flat = list(chain.from_iterable(bundles))
+    try:
+        items = array("i", flat)
+    except (TypeError, OverflowError):
+        raise ValueError(f"a bundle holds an item outside range({n_items})") from None
+    # conjugation maps distinct rows to distinct rows and the identity to
+    # itself, so the repeats and the identity go before the layout, which
+    # still checks every distinct row
+    row, identity = _row(n_items)
+    try:
+        rows = dict.fromkeys(starmap(row.pack, item_perms))
+    except struct_error:
+        raise ValueError(f"an item permutation needs {n_items} entries in range({n_items})") from None
+    rows.pop(identity, None)
+    sizes = array("i", list(map(len, bundles)))
+    order, pb_off, pb, perms = _impl.layout(n_items, sizes, items, array("i", b"".join(rows)))
 
     return SearchProblem(
         n_points=n_items,
@@ -123,20 +122,20 @@ def build_problem(
         # keeps k >= 1, which the compiled kernel needs, when there are none
         k=min(k, max(n_items, 1)),
         t=t,
-        bundle_sizes=array("i", map(len, bundles)),
-        pb_off=array("i", accumulate(map(len, point_bundles), initial=0)),
-        pb=array("i", chain.from_iterable(point_bundles)),
-        perms=array("i", b"".join(rows)),
+        bundle_sizes=sizes,
+        pb_off=pb_off,
+        pb=pb,
+        perms=perms,
         order=order,
     )
 
 
-def _checked_perm(p: Sequence[int], n_items: int) -> Sequence[int]:
-    """p, when it is a row of n_items entries in range(n_items); a longer row
-    would be cut short and a negative entry read from the end."""
-    if len(p) != n_items or (p and not 0 <= min(p) <= max(p) < n_items):
-        raise ValueError(f"an item permutation needs {n_items} entries in range({n_items})")
-    return p
+@cache
+def _row(n_items: int) -> tuple[Struct, bytes]:
+    """The packing of a row of n_items native ints, the layout of
+    array("i"), and the identity row's bytes."""
+    row = Struct(f"{n_items}i")
+    return row, row.pack(*range(n_items))
 
 
 @cache

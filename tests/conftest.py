@@ -13,7 +13,9 @@ import itertools
 import shutil
 import subprocess
 from array import array
+from operator import itemgetter
 from pathlib import Path
+from struct import Struct
 
 import pytest
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from catramsey.core import CategoryError, FiniteCategory, concrete_category
 from catramsey.expansions import ColoringExpansionSpec, build_coloring_expansion
 from catramsey.generators import UniverseSpec, generate, object_of_size
 from catramsey.io import dumps_category
+from catramsey.kernel import SearchProblem
 
 
 def restricted_growth(length: int, k: int):
@@ -42,6 +45,39 @@ def restricted_growth(length: int, k: int):
             yield from rec(i + 1, used + (c == used))
 
     yield from rec(0, 0)
+
+
+def layout_by_sorting(n_items: int, bundles, k: int, t: int, item_perms) -> SearchProblem:
+    """kernel.build_problem as it was before the kernels laid problems out:
+    every bundle sorted, the search order read off the sorted bundles by
+    dict.fromkeys, each row conjugated by two gathers.  It does not check
+    that a row is a permutation."""
+    bundles = list(dict.fromkeys(bundles))
+    order = list(dict.fromkeys(itertools.chain(*map(sorted, sorted(bundles, key=len)), range(n_items))))
+    if len(order) != n_items:
+        raise ValueError(f"a bundle holds an item outside range({n_items})")
+    pos = sorted(range(n_items), key=order.__getitem__)
+    point_bundles: list[list[int]] = [[] for _ in range(n_items)]
+    for b, items in enumerate(bundles):
+        for it in items:
+            point_bundles[pos[it]].append(b)
+    for p in item_perms:
+        if len(p) != n_items or (p and not 0 <= min(p) <= max(p) < n_items):
+            raise ValueError(f"an item permutation needs {n_items} entries in range({n_items})")
+    take = itemgetter(*order) if n_items > 1 else None
+    pack = Struct(f"{n_items}i").pack
+    rows = dict.fromkeys(pack(*itemgetter(*take(p))(pos)) for p in item_perms) if take else {}
+    rows.pop(pack(*range(n_items)), None)
+    return SearchProblem(
+        n_points=n_items,
+        k=min(k, max(n_items, 1)),
+        t=t,
+        bundle_sizes=array("i", map(len, bundles)),
+        pb_off=array("i", itertools.accumulate(map(len, point_bundles), initial=0)),
+        pb=array("i", itertools.chain.from_iterable(point_bundles)),
+        perms=array("i", b"".join(rows)),
+        order=order,
+    )
 
 
 def composition_table(m: int, entries) -> array:

@@ -498,11 +498,15 @@ def test_row_reads_match_compose_and_refuse_a_missing_composite(surj3):
     for g in ids:
         fs = [f for f in ids if surj3.mor_cod[f] == surj3.mor_dom[g]]
         assert surj3.post(g, fs) == [surj3.compose(g, f) for f in fs]
+        # a few cells of the row, in any order and with repeats
+        for picked in (fs[:1], fs[::-1], fs[1::3] + fs[:2], [fs[-1]] * 3, []):
+            assert surj3.post(g, picked) == surj3.post(g, tuple(picked)) == [surj3.compose(g, f) for f in picked]
         hs = [h for h in ids if surj3.mor_dom[h] == surj3.mor_cod[g]]
         assert surj3.pre(hs, g) == [surj3.compose(h, g) for h in hs]
     cat = _missing_e_e()
-    with pytest.raises(CategoryError, match="1 and 1"):
-        cat.post(1, [0, 1])
+    for fs in ([0, 1], (0, 1), [1], (1, 0)):
+        with pytest.raises(CategoryError, match="1 and 1"):
+            cat.post(1, fs)
     with pytest.raises(CategoryError, match="1 and 1"):
         cat.pre([0, 1], 1)
 

@@ -10,13 +10,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from catramsey import _kernel_py, kernel
-from catramsey.arrows import ArrowQuery, check_arrow, check_arrow_native_dual
+from catramsey import _kernel_py, arrows, kernel
+from catramsey.arrows import ArrowQuery, check_arrow, check_arrow_dual, check_arrow_native_dual
 from catramsey.cache import ResultCache, cached_check_arrow
 from catramsey.degrees import degree_bounds
+from catramsey.generators import UniverseSpec, generate
 from catramsey.kernel import SearchProblem, branch_prefixes, build_problem, solve
 from catramsey.matrix import run_matrix
-from conftest import KERNEL_C, KERNEL_PY, library_name, load_kernel, obj, restricted_growth
+from conftest import KERNEL_C, KERNEL_PY, layout_by_sorting, library_name, load_kernel, obj, restricted_growth
 
 PATH_POINTS = 1200
 PATH_BUNDLES = [frozenset({i, i + 1}) for i in range(PATH_POINTS - 1)]
@@ -331,7 +332,8 @@ def test_matrix_search_work_is_pinned(monkeypatch):
         nodes.append(out[1])
         return out
 
-    monkeypatch.setattr(kernel, "_impl", type("Counting", (), {"search_from_prefix": staticmethod(search_from_prefix)}))
+    counting = {"layout": staticmethod(impl.layout), "search_from_prefix": staticmethod(search_from_prefix)}
+    monkeypatch.setattr(kernel, "_impl", type("Counting", (), counting))
     run_matrix(threads=1)
     assert (len(nodes), sum(nodes)) == (27, 1081)  # one call per solve
 
@@ -356,7 +358,7 @@ def branch_fold(impl, pr, budget):
 def gil_free(impl):
     """`impl` declaring that it releases the GIL, so that solve() hands a
     search too big for PROBE to the thread pool."""
-    return SimpleNamespace(RELEASES_GIL=True, search_from_prefix=impl.search_from_prefix)
+    return SimpleNamespace(RELEASES_GIL=True, layout=impl.layout, search_from_prefix=impl.search_from_prefix)
 
 
 @given(search=searches(), stopped=st.booleans())
@@ -399,7 +401,7 @@ def test_matrix_through_the_thread_pool_is_unchanged(monkeypatch):
         prefixes.append(args[7])
         return impl.search_from_prefix(*args)
 
-    monkeypatch.setattr(kernel, "_impl", gil_free(SimpleNamespace(search_from_prefix=search_from_prefix)))
+    monkeypatch.setattr(kernel, "_impl", gil_free(SimpleNamespace(layout=impl.layout, search_from_prefix=search_from_prefix)))
     monkeypatch.setattr(kernel, "PROBE", 0)
     assert run_matrix(threads=4).canonical_json() == serial
     assert any(prefixes)  # the pool searched branch prefixes
@@ -494,6 +496,119 @@ def test_build_problem_checks_rows_that_it_drops():
     for row in ((1,), (-1,), (0, 0), ()):
         with pytest.raises(ValueError, match="range\\(1\\)"):
             build_problem(1, [frozenset({0})], 2, 1, [row])
+
+
+@pytest.fixture(scope="session", params=["python", "compiled"])
+def layout_kernel(request):
+    """Each kernel whose layout build_problem can call: the pure one, and the
+    compiled one built with the sanitizer (skipped without a C compiler)."""
+    return _kernel_py if request.param == "python" else request.getfixturevalue("compiled_kernel")
+
+
+def built_by(impl, *args) -> SearchProblem:
+    """build_problem(*args) laid out by the kernel `impl`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_impl", impl)
+        return build_problem(*args)
+
+
+@st.composite
+def layout_inputs(draw):
+    """build_problem's arguments over up to 8 items: empty bundles, repeated
+    ones and items in none, and rows that repeat or are the identity, in any
+    order."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    bundle = st.frozensets(st.integers(min_value=0, max_value=n - 1)) if n else st.just(frozenset())
+    bundles = draw(st.lists(bundle, max_size=8))
+    bundles += draw(st.lists(st.sampled_from(bundles), max_size=3)) if bundles else []
+    rows = draw(st.lists(st.permutations(range(n)), max_size=4))
+    rows += draw(st.lists(st.sampled_from(rows + [tuple(range(n))]), max_size=3))
+    k = draw(st.integers(min_value=1, max_value=10))
+    t = draw(st.integers(min_value=0, max_value=3))
+    return n, draw(st.permutations(bundles)), k, t, draw(st.permutations(rows))
+
+
+@given(args=layout_inputs())
+@example(args=(0, [], 2, 1, []))
+@example(args=(0, [frozenset(), frozenset()], 2, 1, [(), ()]))
+@example(args=(1, [frozenset(), frozenset({0}), frozenset()], 2, 1, [(0,), (0,)]))
+@example(args=(2, [frozenset({1}), frozenset({0, 1}), frozenset({1})], 3, 1, [(1, 0), (0, 1), (1, 0)]))
+@example(args=(9, TRIPLES_9, 4, 1, ROTATIONS_9))
+@settings(max_examples=150, deadline=None)
+def test_both_layouts_build_the_problem_that_sorting_the_bundles_builds(layout_kernel, args):
+    assert built_by(layout_kernel, *args) == layout_by_sorting(*args)
+
+
+def test_both_layouts_build_every_problem_of_a_dual_sweep(layout_kernel, monkeypatch):
+    # every problem that both dual routes build over Surj_4, as the matrix's
+    # threads=2 part does: Aut(C) rows and bundles from real categories
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return build_problem(*args)
+
+    monkeypatch.setattr(arrows, "build_problem", recording)
+    surj = generate(UniverseSpec("Surj", 4))
+    for A, B, C in itertools.product(range(surj.n_objects), repeat=3):
+        q = ArrowQuery(A, B, C, 2, 1)
+        check_arrow_dual(surj, q)
+        check_arrow_native_dual(surj, q)
+    assert len(calls) > 10 and any(len(rows) > 1 for *_, rows in calls)
+    for args in calls:
+        assert built_by(layout_kernel, *args) == layout_by_sorting(*args)
+
+
+@pytest.mark.parametrize(
+    "bundles, perms",
+    [
+        ([frozenset({-1, 0})], []),
+        ([frozenset({0, 4})], []),
+        ([frozenset({0, 2**40})], []),  # outside the C int range too
+        ([frozenset({0, "x"})], []),
+        ([frozenset({0, 1})], [(1, 0, 2)]),  # short
+        ([frozenset({0, 1})], [(1, 0, 2, 3, 0)]),  # long
+        ([frozenset({0, 1})], [(1, 0, 2, 4)]),
+        ([frozenset({0, 1})], [(1, 0, 2, -1)]),
+        ([frozenset({0, 1})], [(1, 0, 2, 2**40)]),
+        ([frozenset({0, 1})], [(1, 0, 2, "3")]),
+        # in range, but not permutations
+        ([frozenset({0, 1})], [(0, 0, 0, 0)]),
+        ([frozenset({0, 1})], [(1, 0, 3, 2), (1, 1, 2, 3)]),
+        ([frozenset({0, 1})], [(3, 2, 1, 0), (0, 1, 2, 2)]),
+    ],
+)
+def test_both_layouts_refuse_malformed_input(layout_kernel, bundles, perms):
+    with pytest.raises(ValueError, match="range\\(4\\)"):
+        built_by(layout_kernel, 4, bundles, 2, 1, perms)
+
+
+def test_a_row_in_range_that_is_not_a_permutation_is_refused(layout_kernel):
+    # it was conjugated as if it were one, and pruned every coloring: the
+    # search returned a wrong "holds" (no witness, exhausted)
+    bundles = [frozenset({0, 1}), frozenset({2, 3})]
+    with pytest.raises(ValueError, match="distinct entries in range\\(4\\)"):
+        built_by(layout_kernel, 4, bundles, 2, 1, [(0, 0, 0, 0)])
+    assert solve(built_by(layout_kernel, 4, bundles, 2, 1, [])).witness == [0, 1, 0, 1]
+
+
+def test_a_layout_refuses_sizes_and_rows_that_do_not_fit_its_items(layout_kernel):
+    # bundles {2} and {0, 1}: item 2 comes first, and the rotation 0 -> 1 ->
+    # 2 -> 0 of the items moves the points 0 -> 1 -> 2 -> 0 too
+    items = array("i", [2, 0, 1])
+    assert layout_kernel.layout(3, array("i", [1, 2]), items, array("i", [1, 2, 0])) == (
+        [2, 0, 1], array("i", [0, 1, 2, 3]), array("i", [0, 1, 1]), array("i", [1, 2, 0]),
+    )
+    for n, sizes, rows in (
+        (3, [2], []),  # one item too many
+        (3, [2, 2], []),  # one too few
+        (3, [4, -1], []),  # the right total, a size below 0
+        (3, [3], [0, 1]),  # not a whole row
+        (0, [], [0]),  # a row with no items
+        (-1, [], []),
+    ):
+        with pytest.raises(ValueError):
+            layout_kernel.layout(n, array("i", sizes), items if sum(sizes) else array("i"), array("i", rows))
 
 
 def needs_cc():
