@@ -3,7 +3,7 @@ It holds the problem layout, layout, that kernel.build_problem calls; the
 witness search, search_from_prefix; the bulk of the category-file reader,
 scan_lines and fill_table, which io reaches through kernel.READER; and the
 composition-table check, check_table, which core.FiniteCategory reaches the
-same way.  The library speaks ABI 7.  Every array reaches C by its address,
+same way.  The library speaks ABI 8.  Every array reaches C by its address,
 array("i").buffer_info()[0], through a c_void_p argument: no ctypes array
 object is built per call.  An input that is not an array("i") is copied
 into one, which refuses a value outside the C int range, and each call's
@@ -42,7 +42,7 @@ IMPL = "compiled"
 RELEASES_GIL = True
 # the value _kernel.c's catramsey_kernel_abi() returns: the calling
 # convention of the functions this module binds
-ABI = 7
+ABI = 8
 # seconds the compiler may take on first import; the build takes well under one
 BUILD_TIMEOUT_S = 60
 
@@ -169,6 +169,7 @@ _LAYOUT_FAULTS = {
     -1: "a bundle holds an item outside range({n})",
     -2: "an item permutation needs {n} distinct entries in range({n})",
     -3: "bundle sizes must be >= 0 and add up to the number of items",
+    -4: "a bundle repeats an item",
 }
 
 

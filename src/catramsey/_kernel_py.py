@@ -18,7 +18,9 @@ where distinct counts the colors it holds and uncolored its points not yet
 colored.  It starts at size - t - 1, and the bundle can still exceed t
 colors while it is >= 0.  Coloring a point with a color the bundle already
 holds costs one unit of slack; a new color costs none.  counts[c][b], the
-points of b colored c, tells the two apart.  A color is tested before it is
+points of b colored c, tells the two apart.  _kernel.c makes the same
+update without a branch, slack[b] -= (cnt[b]++ != 0); in Python the branch
+is the faster form.  A color is tested before it is
 applied: it fits point p when every bundle of p has slack of at least its
 cost, and only a color that fits is applied, so a refused color leaves no
 state to undo.  A bundle whose slack starts below 0 refuses every color at
@@ -87,9 +89,10 @@ def layout(n_items, bundle_sizes, items, rows):
     All three are array("i")s.
 
     Raises ValueError when a size is below 0 or the sizes do not add up to
-    len(items), when an item lies outside range(n_items), or when `rows` is
-    not whole rows each a permutation of range(n_items).  _kernel.c's layout
-    is this function, step for step.
+    len(items), when an item lies outside range(n_items), when a bundle
+    holds an item twice, which would count twice in its size and so in its
+    slack, or when `rows` is not whole rows each a permutation of
+    range(n_items).  _kernel.c's layout is this function, step for step.
     """
     if n_items < 0:
         raise ValueError(f"n_items must be >= 0, got {n_items}")
@@ -102,6 +105,8 @@ def layout(n_items, bundle_sizes, items, rows):
     if items and not 0 <= min(items) <= max(items) < n_items:
         raise ValueError(f"a bundle holds an item outside range({n_items})")
     bundles = [items[start[b] : start[b + 1]] for b in range(n_bundles)]
+    if any(len(set(bundle)) != len(bundle) for bundle in bundles):
+        raise ValueError("a bundle repeats an item")
 
     rank = [n_bundles] * n_items
     by_size = sorted(range(n_bundles), key=bundle_sizes.__getitem__)

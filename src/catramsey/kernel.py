@@ -51,7 +51,8 @@ MIN_BRANCHES = 33
 MAX_BRANCH_DEPTH = 8
 # with threads > 1 and a kernel that releases the GIL, a search goes to the
 # thread pool only when one serial call has not finished it within this many
-# nodes: about 9 ms of the compiled kernel, the pool's own cost per solve
+# nodes: 2 to 4 ms of the compiled kernel on a 2-core Xeon (random to
+# circulant 3-uniform instances), about the pool's own cost per solve, 2 ms
 PROBE = 100_000
 
 
@@ -92,8 +93,10 @@ def build_problem(
     array("i"), conjugated into search order, and kept in first-seen order
     without the identity and repeats: each row prunes on its own, so neither
     changes the tree.  The kernel's layout does the ordering and the
-    conjugation in one pass.  A bundle item outside range(n_items), or a row
-    that is not a permutation of range(n_items), raises ValueError.
+    conjugation in one pass.  A bundle item outside range(n_items), a bundle
+    that holds an item twice, which would count twice in its size and so in
+    its slack, or a row that is not a permutation of range(n_items), raises
+    ValueError.
     """
     if n_items < 0:
         raise ValueError(f"n_items must be >= 0, got {n_items}")

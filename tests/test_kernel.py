@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import os
+import random
 import shutil
 import time
 from array import array
@@ -338,6 +341,57 @@ def test_matrix_search_work_is_pinned(monkeypatch):
     assert (len(nodes), sum(nodes)) == (27, 1081)  # one call per solve
 
 
+def seeded_search_suite(seed):
+    """The benchmark's search suite, made as perfbench's workloads.py makes
+    it but kept apart from it: 150 random 3-uniform instances on 28 points
+    with 84 edges, which mostly hold, and 150 circulant ones on 30 points,
+    edges {v, v + a, v + b} mod 30 for three (a, b), with the 30 rotations
+    as rows; shuffled together.  Each is (n_items, bundles, rows)."""
+    rng = random.Random(f"search-{seed}")
+    suite = []
+    for _ in range(150):
+        edges = set()
+        while len(edges) < 84:
+            edges.add(tuple(sorted(rng.sample(range(28), 3))))
+        suite.append((28, sorted(edges), []))
+    for _ in range(150):
+        patterns = set()
+        while len(patterns) < 3:
+            patterns.add(tuple(sorted(rng.sample(range(1, 30), 2))))
+        edges = {tuple(sorted((v, (v + a) % 30, (v + b) % 30))) for v in range(30) for a, b in patterns}
+        suite.append((30, sorted(edges), [tuple((v + r) % 30 for v in range(30)) for r in range(30)]))
+    rng.shuffle(suite)
+    return suite
+
+
+def test_search_suite_trees_are_pinned():
+    # the witness and node count of every instance, k=2 and t=1, as the
+    # kernel in use walks it; a change to the order, the pruning or the
+    # witness moves the digest, which a faster kernel must keep
+    walks = []
+    for n, edges, rows in seeded_search_suite(1):
+        out = solve(build_problem(n, [frozenset(e) for e in edges], 2, 1, rows))
+        assert out.exhausted
+        walks.append([out.witness, out.nodes])
+    digest = hashlib.sha256(json.dumps(walks).encode()).hexdigest()
+    assert (sum(nodes for _, nodes in walks), sum(w is None for w, _ in walks), digest) == (
+        562_553, 195, "5bca9b9967dc31866eaaa969f829e6d5ca7c19c4af71d561b3b34332f18bd708",
+    )
+
+
+def test_a_large_holding_search_is_pinned(compiled_kernel, monkeypatch):
+    # 260 random triples of 80 points, in sorted order: no witness, and a
+    # tree of six million nodes, too large for the pure kernel's job
+    rng = random.Random(3)
+    triples = set()
+    while len(triples) < 260:
+        triples.add(tuple(sorted(rng.sample(range(80), 3))))
+    problem = build_problem(80, [frozenset(e) for e in sorted(triples)], 2, 1, [])
+    monkeypatch.setattr(kernel, "_impl", compiled_kernel)
+    out = solve(problem)
+    assert (out.witness, out.nodes, out.exhausted) == (None, 6_015_820, True)
+
+
 def branch_fold(impl, pr, budget):
     """The serial solve() as it was before a serial search became one kernel
     call: one call per branch prefix, each with the budget the earlier ones
@@ -470,23 +524,34 @@ def test_build_problem_caps_k_at_the_points(compiled_kernel):
     assert build_problem(0, [], 5, 1, []).k == 1  # the compiled kernel needs k >= 1
 
 
+# (n_items, bundles, perms, what the refusal names)
+MALFORMED_PROBLEMS = [
+    # an item outside range(4) gave order 5 entries, and solve an IndexError
+    (4, [frozenset({-1, 0}), frozenset({2, 3})], [], "range\\(4\\)"),
+    (4, [frozenset({0, 4}), frozenset({2, 3})], [], "range\\(4\\)"),
+    # a long row was cut short, and a short one raised IndexError
+    (4, [frozenset({0, 1}), frozenset({2, 3})], [(1, 0, 2, 3, 9)], "range\\(4\\)"),
+    (4, [frozenset({0, 1}), frozenset({2, 3})], [(1, 0, 2)], "range\\(4\\)"),
+    # a negative entry was read from the end: [3, 0, 1, 2]
+    (4, [frozenset({0, 1}), frozenset({2, 3})], [(-1, 0, 1, 2)], "range\\(4\\)"),
+    (4, [frozenset({0, 1}), frozenset({2, 3})], [(1, 0, 3, 4)], "range\\(4\\)"),
+    # a repeated item counted twice in its bundle's size, and so in its
+    # slack: solve returned [0, 0, 0], one color on bundle {0, 1}
+    (3, [(0, 1, 1), (1, 2, 2)], [], "repeats an item"),
+    (1, [(0, 0)], [], "repeats an item"),
+]
+
+
+# each case is named by its place, so that a case keeps its name when one is added
 @pytest.mark.parametrize(
-    "bundles, perms",
-    [
-        # an item outside range(4) gave order 5 entries, and solve an IndexError
-        ([frozenset({-1, 0}), frozenset({2, 3})], []),
-        ([frozenset({0, 4}), frozenset({2, 3})], []),
-        # a long row was cut short, and a short one raised IndexError
-        ([frozenset({0, 1}), frozenset({2, 3})], [(1, 0, 2, 3, 9)]),
-        ([frozenset({0, 1}), frozenset({2, 3})], [(1, 0, 2)]),
-        # a negative entry was read from the end: [3, 0, 1, 2]
-        ([frozenset({0, 1}), frozenset({2, 3})], [(-1, 0, 1, 2)]),
-        ([frozenset({0, 1}), frozenset({2, 3})], [(1, 0, 3, 4)]),
-    ],
+    "n_items, bundles, perms, fault",
+    MALFORMED_PROBLEMS,
+    ids=[f"bundles{i}-perms{i}" for i in range(len(MALFORMED_PROBLEMS))],
 )
-def test_build_problem_refuses_malformed_input(bundles, perms):
-    with pytest.raises(ValueError, match="range\\(4\\)"):
-        build_problem(4, bundles, 2, 1, perms)
+def test_build_problem_refuses_malformed_input(n_items, bundles, perms, fault):
+    for impl in dict.fromkeys((kernel._impl, _kernel_py)):  # both kernels' layouts
+        with pytest.raises(ValueError, match=fault):
+            built_by(impl, n_items, bundles, 2, 1, perms)
 
 
 def test_build_problem_checks_rows_that_it_drops():
