@@ -1,12 +1,14 @@
 /* Compiled kernel: the problem layout, layout, that kernel.build_problem
    calls; the witness search, search_from_prefix; the bulk of the
-   category-file reader, scan_lines and fill_table; and the composition-table
-   check, check_table, which core's pure check mirrors.  None of them uses
+   category-file reader, scan_lines and fill_table; the composition-table
+   check, check_table, which core's pure check mirrors; the id lookup of a
+   block of composites, lookup, which core.concrete_category calls; and the
+   cmp-line writer, write_cmp, which io's writers call.  None of them uses
    the Python API or allocates; every array is owned by the caller
    (_kernel.py), which passes each by address through ctypes with the GIL
    released.  A caller's array of length 0 may be passed as a null pointer,
    so no function reads one, or does arithmetic on it, unless its length
-   says there is something there.  Their calling convention is ABI 8
+   says there is something there.  Their calling convention is ABI 9
    (KERNEL_ABI below).
 
    layout is the same computation as _kernel_py.layout, step for step: the
@@ -52,6 +54,7 @@
    _kernel.py builds it on first import, named after this file's sha256:
    cc -O2 -shared -fPIC _kernel.c -o libcatramsey_kernel-<digest>.so */
 
+#include <stdint.h>
 #include <string.h>
 
 /* Each exported function starts on a 64-byte boundary, so that where its
@@ -71,7 +74,7 @@
    arguments it would misread, or asked for a function it lacks.  Bump it
    whenever a function is added or removed, or the signature, the meaning
    of an argument or a return code changes. */
-#define KERNEL_ABI 8
+#define KERNEL_ABI 9
 
 int catramsey_kernel_abi(void)
 {
@@ -558,4 +561,95 @@ int check_table(int m, const int *table, const int *mor_dom, const int *mor_cod,
         return 0;
     *bad = off;
     return 2;
+}
+
+/* The ids of one block of composites, core.concrete_category's dict lookup
+   at C speed.  keys holds the n_keys values of a hom-set in ascending order
+   as uint64, and ids[i] is the id of keys[i]; values holds rows * width
+   composites, row-major.  Write the id of values[r * width + j] to
+   out[r * stride + j], found by binary search; of equal keys the last
+   counts, as a dict built in id order keeps the last.  Return -1 when every
+   value is listed, or else the index of the first that is not, in
+   row-major order; the cells before it are then written. */
+ALIGNED
+int lookup(int n_keys, const uint64_t *keys, const int *ids, int rows, int width, const uint64_t *values,
+           int stride, int *out)
+{
+    for (int r = 0; r < rows; r++) {
+        const uint64_t *row = values + (long)r * width;
+        int *cells = out + (long)r * stride;
+        for (int j = 0; j < width; j++) {
+            uint64_t v = row[j];
+            /* pos counts the keys <= v: those below pos are, those from
+               pos + len on are not */
+            int pos = 0, len = n_keys;
+            while (len > 1) {
+                int half = len / 2;
+                pos += keys[pos + half - 1] <= v ? half : 0;
+                len -= half;
+            }
+            if (len)
+                pos += keys[pos] <= v;
+            if (pos == 0 || keys[pos - 1] != v)
+                return r * width + j;
+            cells[j] = ids[pos - 1];
+        }
+    }
+    return -1;
+}
+
+/* Write x, which is >= 0, in decimal at p; return the end. */
+static char *put_int(char *p, int x)
+{
+    char digits[10];
+    int n = 0;
+    do {
+        digits[n++] = (char)('0' + x % 10);
+        x /= 10;
+    } while (x);
+    while (n)
+        *p++ = digits[--n];
+    return p;
+}
+
+/* The cmp lines of a composition table, as io's pure writer lays them out:
+   "cmp g f gf\n" for each cell g * m + f holding gf >= 0 on a composable
+   pair, mor_cod[f] == mor_dom[g], in row-major order.  Write them to out,
+   which holds cap bytes, each line only when it fits whole, and none after
+   the first that does not; return the bytes that all the lines take, so a
+   return above cap means that out was too small.  m * m must be in int
+   range. */
+ALIGNED
+long long write_cmp(int m, const int *table, const int *mor_dom, const int *mor_cod, char *out, long long cap)
+{
+    long long size = 0;
+    int fits = 1;
+    char head[16] = "cmp ";
+    for (int g = 0; g < m; g++) {
+        const int *row = table + (long)g * m;
+        int d = mor_dom[g];
+        /* "cmp g " once per row */
+        char *head_end = put_int(head + 4, g);
+        *head_end++ = ' ';
+        int head_len = (int)(head_end - head);
+        for (int f = 0; f < m; f++) {
+            int gf = row[f];
+            if (gf < 0 || mor_cod[f] != d)
+                continue;
+            /* the line after its head, at most 2 * 10 digits and 2 bytes */
+            char tail[24], *t = put_int(tail, f);
+            *t++ = ' ';
+            t = put_int(t, gf);
+            *t++ = '\n';
+            int len = head_len + (int)(t - tail);
+            if (fits && size + len <= cap) {
+                memcpy(out + size, head, (size_t)head_len);
+                memcpy(out + size + head_len, tail, (size_t)(t - tail));
+            } else {
+                fits = 0;
+            }
+            size += len;
+        }
+    }
+    return size;
 }

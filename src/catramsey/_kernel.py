@@ -3,7 +3,10 @@ It holds the problem layout, layout, that kernel.build_problem calls; the
 witness search, search_from_prefix; the bulk of the category-file reader,
 scan_lines and fill_table, which io reaches through kernel.READER; and the
 composition-table check, check_table, which core.FiniteCategory reaches the
-same way.  The library speaks ABI 8.  Every array reaches C by its address,
+same way; the id lookup of a block of composites, lookup, which
+core.concrete_category reaches the same way; and the cmp-line writer,
+write_cmp, which io's category writers reach the same way.  The library
+speaks ABI 9.  Every array reaches C by its address,
 array("i").buffer_info()[0], through a c_void_p argument: no ctypes array
 object is built per call.  An input that is not an array("i") is copied
 into one, which refuses a value outside the C int range, and each call's
@@ -42,7 +45,7 @@ IMPL = "compiled"
 RELEASES_GIL = True
 # the value _kernel.c's catramsey_kernel_abi() returns: the calling
 # convention of the functions this module binds
-ABI = 8
+ABI = 9
 # seconds the compiler may take on first import; the build takes well under one
 BUILD_TIMEOUT_S = 60
 
@@ -128,6 +131,15 @@ _fill.argtypes = [ctypes.c_char_p, ctypes.c_int, ctypes.c_int, _p]  # text, n, n
 _check = _lib.check_table
 _check.restype = ctypes.c_int
 _check.argtypes = [ctypes.c_int, _p, _p, _p, _p]  # m, table, mor_dom, mor_cod, bad
+_lookup = _lib.lookup
+_lookup.restype = ctypes.c_int
+_lookup.argtypes = [
+    ctypes.c_int, _p, _p,  # n_keys, keys, ids
+    ctypes.c_int, ctypes.c_int, _p, ctypes.c_int, _p,  # rows, width, values, stride, out
+]
+_write_cmp = _lib.write_cmp
+_write_cmp.restype = ctypes.c_longlong
+_write_cmp.argtypes = [ctypes.c_int, _p, _p, _p, _p, ctypes.c_longlong]  # m, table, mor_dom, mor_cod, out, cap
 
 # a budget no search can spend; a larger one would overflow long long, and
 # any budget below 0 stops at the first node just as 0 does
@@ -138,11 +150,15 @@ _BUDGET_CAP = 2**62
 _ZERO = array("i", [0])
 
 
+def _typed(values, typecode):
+    return isinstance(values, array) and values.typecode == typecode
+
+
 def _ints(values):
     """`values` as an array("i"): itself when it is one, else a copy;
     array("i") refuses a value outside the C int range, which C would
     silently wrap."""
-    if isinstance(values, array) and values.typecode == "i":
+    if _typed(values, "i"):
         return values
     try:
         return array("i", values)
@@ -159,7 +175,7 @@ def _at(values):
 def _flag(stop):
     """The address of stop[0], in the caller's memory, not a copy, so that a
     flag set by another thread reaches the running search."""
-    if not (isinstance(stop, array) and stop.typecode == "i" and stop):
+    if not (_typed(stop, "i") and stop):
         raise ValueError("stop must be an array('i') with at least one element")
     return _at(stop)
 
@@ -295,7 +311,7 @@ def check_table(table, mor_dom, mor_cod):
     m = len(mor_dom)
     if len(mor_cod) != m or m * m >= 2**31:
         raise ValueError(f"need mor_dom and mor_cod of one length in 0..46340, got {m} and {len(mor_cod)}")
-    if not (isinstance(table, array) and table.typecode == "i" and len(table) == m * m):
+    if not (_typed(table, "i") and len(table) == m * m):
         raise ValueError(f"the table must be an array('i') of {m * m} cells")
     bad = array("i", [0])
     mor_dom, mor_cod = _ints(mor_dom), _ints(mor_cod)
@@ -304,3 +320,53 @@ def check_table(table, mor_dom, mor_cod):
         return None
     g, f = divmod(bad[0], m)
     return code == 1, g, f
+
+
+def lookup(keys, ids, values, table, first, width, stride):
+    """Write the id of each composite of a block into `table`, as
+    core.concrete_category's dict lookup does: keys, an array("Q"), holds a
+    hom-set's values in ascending order and ids, an array("i"), the id of
+    each, the last counting among equal keys; values, an array("Q"), holds
+    the block's composites row-major, `width` a row, and the id of row r's
+    j-th goes to table[first + r * stride + j].  Returns None when every
+    composite is listed, else the index in `values` of the first that is
+    not.  Raises ValueError on arrays of another type or length, or cells
+    outside `table`."""
+    if not (_typed(keys, "Q") and _typed(ids, "i") and len(keys) == len(ids) < 2**31):
+        raise ValueError("keys and ids must be an array('Q') and an array('i') of one length")
+    if not (_typed(values, "Q") and _typed(table, "i")):
+        raise ValueError("values and table must be an array('Q') and an array('i')")
+    if not 1 <= width <= stride < 2**31:
+        raise ValueError(f"need 1 <= width <= stride in C int range, got {width} and {stride}")
+    rows, rest = divmod(len(values), width)
+    if rest or len(values) >= 2**31:
+        raise ValueError(f"values must hold whole rows of {width}, fewer than 2**31 in all")
+    if rows and not (0 <= first and first + (rows - 1) * stride + width <= len(table)):
+        raise ValueError("the block's cells must lie within the table")
+    out = _at(table) + table.itemsize * first
+    missing = _lookup(len(keys), _at(keys), _at(ids), rows, width, _at(values), stride, out)
+    return None if missing < 0 else missing
+
+
+def write_cmp(table, mor_dom, mor_cod, out):
+    """Write the cmp lines of the composition table `table` into `out`, a
+    writable buffer such as a bytearray, as io's pure writer makes them:
+    "cmp g f gf\n" for each cell g * m + f holding gf >= 0 on a composable
+    pair, in row-major order, ASCII.  Returns the bytes written, from the
+    start of `out`.  Raises ValueError, with nothing written past the end of
+    `out`, when `out` is too small for them, or unless `table` is an
+    array("i") of m * m cells, m = len(mor_dom) = len(mor_cod), in C int
+    range."""
+    m = len(mor_dom)
+    if len(mor_cod) != m or m * m >= 2**31:
+        raise ValueError(f"need mor_dom and mor_cod of one length in 0..46340, got {m} and {len(mor_cod)}")
+    if not (_typed(table, "i") and len(table) == m * m):
+        raise ValueError(f"the table must be an array('i') of {m * m} cells")
+    mor_dom, mor_cod = _ints(mor_dom), _ints(mor_cod)
+    cap = memoryview(out).nbytes
+    # from_buffer refuses a read-only buffer, and holds `out` for the call
+    buf = (ctypes.c_char * cap).from_buffer(out) if cap else None
+    size = _write_cmp(m, _at(table), _at(mor_dom), _at(mor_cod), ctypes.addressof(buf) if cap else 0, cap)
+    if size > cap:
+        raise ValueError(f"the cmp lines take {size} bytes, but the buffer holds {cap}")
+    return size

@@ -15,10 +15,13 @@ build equal ones, and all of it dies with the category.
 The table is filled and read in whole rows and columns where it can be.  A
 concrete category numbers each hom-set with consecutive ids, so
 concrete_category takes each (a, b, c) block, g*f for every g in hom(b, c)
-and f in hom(a, b), from one compose call in row-major order, looks its ids
-up at once into one array, and writes each row, g*f for one g and every f,
-with one slice assignment.  opposite() transposes the table with one
-strided slice per column, since the opposite's row f is column f here.  The
+and f in hom(a, b), from one compose call in row-major order, and looks its
+ids up in one C call, lookup in the compiled kernel, which writes them
+straight into the table; without the library, or for values that are not
+ints in [0, 2**64), each id is a dict lookup, and each row, g*f for one g
+and every f, goes in with one slice assignment.  opposite() transposes the
+table with one strided slice per column, since the opposite's row f is
+column f here.  The
 finished table is the constructor's only composition input: a file fills one
 cell per line, products, expansions and the generated families go through
 concrete_category.  The
@@ -436,10 +439,15 @@ def concrete_category(
     by hom-set in (a, b) order; g*f is computed only over hom(b, c) x
     hom(a, b), an (a, b, c) block per compose call, or a slab of it for a
     hom(b, c) of more than _SLAB_ROWS morphisms: fs is always all of
-    hom(a, b), and gs a run of hom(b, c), each in id order.  A block's ids
-    are looked up at once and written into the table one row slice per g.
-    Returns the category and each morphism's value.  A composite or identity
-    that no hom-set lists, or more than MAX_MORPHISMS morphisms, raise
+    hom(a, b), and gs a run of hom(b, c), each in id order.  When the
+    compiled library is built and every listed value is an int in
+    [0, 2**64), as generate's images and lifted_expansion's base ids are, a
+    block's ids are found by binary search in hom(a, c)'s sorted values with
+    one C call, kernel.READER.lookup, which writes them into the table;
+    otherwise, and for a block whose composites are not all such ints, each
+    is a dict lookup, written one row slice per g.  Returns the category and
+    each morphism's value.  A composite or identity that no hom-set lists, a
+    block of the wrong length, or more than MAX_MORPHISMS morphisms, raise
     CategoryError."""
     n = len(object_labels)
     morphisms: list[tuple[int, int, str]] = []
@@ -470,6 +478,7 @@ def concrete_category(
         raise CategoryError(f"the identity of object {identities.index(None)} is not a morphism")
     m = len(values)
     table = array("i", [-1]) * (m * m)
+    keys = _sorted_homs(values, out)
     for a in range(n):
         # per c, the id of each value of hom(a, c)
         id_of = [index.get((a, c), {}).get for c in range(n)]
@@ -479,18 +488,69 @@ def concrete_category(
                 # the (a, b, c) block, a slab at a time: row g holds g*f for
                 # every f in hom(a, b), which lie side by side in table row g
                 for gs, g_values in slabs:
-                    slab = list(map(id_of[c], compose(g_values, f_values)))
-                    if len(slab) != len(gs) * w:
-                        raise CategoryError(f"{len(slab)} composites for {len(gs)} x {w} cells of {a} -> {b} -> {c}")
-                    try:
-                        cells = array("i", slab)
-                    except TypeError:  # a None: a composite that hom(a, c) does not list
-                        g, f = divmod(slab.index(None), w)
-                        raise CategoryError(f"the composite {gs[g]}*{fs[f]} is not a morphism {a} -> {c}") from None
-                    first = gs.start * m + fs.start
-                    for row, i in zip(range(first, gs.stop * m, m), range(0, len(slab), w)):
-                        table[row : row + w] = cells[i : i + w]
+                    block, first = compose(g_values, f_values), gs.start * m + fs.start
+                    if keys is not None and not isinstance(block, (list, array)):
+                        block = list(block)  # the dict reads it again if no array("Q") takes it
+                    packed = None if keys is None else _uint64s(block)
+                    found = packed if packed is not None else list(map(id_of[c], block))
+                    if len(found) != len(gs) * w:
+                        raise CategoryError(f"{len(found)} composites for {len(gs)} x {w} cells of {a} -> {b} -> {c}")
+                    if packed is not None:
+                        missing = kernel.READER.lookup(*keys.get((a, c), _NO_KEYS), packed, table, first, w, m)
+                    else:
+                        missing = _place(found, table, first, w, m)
+                    if missing is not None:
+                        g, f = divmod(missing, w)
+                        raise CategoryError(f"the composite {gs[g]}*{fs[f]} is not a morphism {a} -> {c}")
     return FiniteCategory(object_labels, morphisms, table, identities), values
+
+
+# the keys and ids of an empty hom-set, for kernel.READER.lookup
+_NO_KEYS = (array("Q"), array("i"))
+
+
+def _sorted_homs(values: list, out: list) -> dict[tuple[int, int], tuple[array, array]] | None:
+    """Per nonempty hom(a, c), the keys and ids that the compiled lookup
+    searches: its values sorted as uint64 in an array("Q"), and the id of
+    each in an array("i"), equal values in id order.  None when the library
+    is not built, or a value is no int in [0, 2**64): the blocks then keep
+    the dict."""
+    if kernel.READER is None:
+        return None
+    try:
+        array("Q", values)
+    except (TypeError, OverflowError):
+        return None
+    keys = {}
+    for a, homs in enumerate(out):
+        for c, ids, _ in homs:
+            order = sorted(ids, key=values.__getitem__)
+            keys[a, c] = array("Q", map(values.__getitem__, order)), array("i", order)
+    return keys
+
+
+def _uint64s(block: Sequence) -> array | None:
+    """The composites of a block as an array("Q"), without a copy when they
+    are one; None when one is no int in [0, 2**64)."""
+    if isinstance(block, array) and block.typecode == "Q":
+        return block
+    try:
+        return array("Q", block)
+    except (TypeError, OverflowError):
+        return None
+
+
+def _place(ids: list, table: array, first: int, width: int, stride: int) -> int | None:
+    """Write a block's ids, `width` a row, into `table`, row r's from cell
+    first + r * stride, one slice assignment a row; or, when a composite has
+    no id (None), write nothing and return its index in `ids`."""
+    try:
+        cells = array("i", ids)
+    except TypeError:  # a None: a composite that the hom-set does not list
+        return ids.index(None)
+    for row, i in zip(range(first, first + len(ids) // width * stride, stride), range(0, len(ids), width)):
+        table[row : row + width] = cells[i : i + width]
+    return None
 
 
 def _as_range(ids: list[int]) -> Sequence[int]:

@@ -32,6 +32,15 @@ morphism ids, a morphism past MAX_MORPHISMS, a dangling or repeated
 reference, a cmp line on a pair that is not composable).  A fault that no
 line carries, such as a missing header or an object without an identity,
 is a CategoryError.
+
+There is one writer: the header lines from Python, then the cmp lines, one
+per defined composite in (g, f) order, which the C kernel's write_cmp lays
+out as ASCII bytes where the library is built, and the pure writer, as the
+same text, where it is not.  dump_category_file writes bytes, so the
+compiled block goes out without a text encoding.  A label must be one
+nonempty field, equal to its own split(), to load back as itself; any other
+is refused with a CategoryError before the category's first line is
+written, and before dump_category_file or dump_functor_file opens its file.
 """
 
 from __future__ import annotations
@@ -255,16 +264,47 @@ def load_category_file(path: str) -> FiniteCategory:
         return load_category(fh)
 
 
-def dump_category(cat: FiniteCategory, stream: TextIO) -> None:
-    stream.write(f"objects: {cat.n_objects}\n")
-    for o in range(cat.n_objects):
-        stream.write(f"obj {o} {cat.object_labels[o]}\n")
-    for m in range(cat.n_morphisms):
-        stream.write(f"mor {m} {cat.mor_dom[m]} {cat.mor_cod[m]} {cat.mor_labels[m]}\n")
-    # the cmp block in one write, built a row at a time: row g's lines are
-    # the pieces "cmp g", " f " and "gf\n" for each f composable with g,
-    # each piece built once per id, laid out by slice and joined once; a row
-    # with an undefined composite writes its defined entries one by one
+def _check_labels(cat: FiniteCategory) -> None:
+    """Refuse a label that would not load back as itself: a line's fields
+    are split at whitespace, so a label must be one nonempty field."""
+    for kind, labels in (("object", cat.object_labels), ("morphism", cat.mor_labels)):
+        for i, label in enumerate(labels):
+            if label.split() != [label]:
+                raise CategoryError(
+                    f"{kind} {i} has the label {label!r}, which would not load back: it must be one nonempty field"
+                )
+
+
+def _header(cat: FiniteCategory) -> str:
+    """The objects header and the obj and mor lines; refuses a label that
+    would not load back."""
+    _check_labels(cat)
+    lines = [f"objects: {cat.n_objects}\n"]
+    lines += [f"obj {o} {label}\n" for o, label in enumerate(cat.object_labels)]
+    records = zip(cat.mor_dom, cat.mor_cod, cat.mor_labels)
+    lines += [f"mor {i} {d} {c} {label}\n" for i, (d, c, label) in enumerate(records)]
+    return "".join(lines)
+
+
+def _cmp_block(cat: FiniteCategory) -> str | memoryview:
+    """The cmp lines, one per defined composite, in (g, f) order: ASCII
+    bytes from the compiled writer, where the library is built, else a str
+    from the pure one."""
+    reader = kernel.READER
+    if reader is None:
+        return _cmp_text(cat)
+    # every line takes at most "cmp", three ids of the longest and 4 separators
+    width = 3 + 3 * len(str(max(cat.n_morphisms - 1, 0))) + 4
+    pairs = sum(len(into) * len(out) for into, out in zip(cat._into, cat._out))
+    out = bytearray(pairs * width)
+    return memoryview(out)[: reader.write_cmp(cat._table, cat.mor_dom, cat.mor_cod, out)]
+
+
+def _cmp_text(cat: FiniteCategory) -> str:
+    """The pure writer's cmp lines, built a row at a time: row g's lines are
+    the pieces "cmp g", " f " and "gf\n" for each f composable with g, each
+    piece built once per id, laid out by slice and joined once; a row with
+    an undefined composite writes its defined entries one by one."""
     ids = list(map(str, range(cat.n_morphisms)))
     tails = [i + "\n" for i in ids]
     mids = [[f" {ids[f]} " for f in fs] for fs in cat._into]
@@ -278,7 +318,16 @@ def dump_category(cat: FiniteCategory, stream: TextIO) -> None:
             pieces[1::3] = row_mids
             pieces[2::3] = map(tails.__getitem__, cells)
             rows.append("".join(pieces))
-    stream.write("".join(rows))
+    return "".join(rows)
+
+
+def dump_category(cat: FiniteCategory, stream: TextIO) -> None:
+    """Write the category file of `cat` to `stream`: the header lines, then
+    the cmp lines.  Raises CategoryError, writing nothing, on a label that
+    would not load back."""
+    stream.write(_header(cat))
+    block = _cmp_block(cat)
+    stream.write(block if isinstance(block, str) else str(block, "ascii"))
 
 
 def dumps_category(cat: FiniteCategory) -> str:
@@ -288,8 +337,13 @@ def dumps_category(cat: FiniteCategory) -> str:
 
 
 def dump_category_file(cat: FiniteCategory, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        dump_category(cat, fh)
+    """Write the category file of `cat` to `path` as UTF-8; the compiled
+    writer's bytes go out as they are.  A label that would not load back is
+    refused before the file is opened, so an existing file stays whole."""
+    header, block = _header(cat).encode(), _cmp_block(cat)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(block.encode() if isinstance(block, str) else block)
 
 
 def load_functor(stream: TextIO):
@@ -365,5 +419,9 @@ def dumps_functor(functor) -> str:
 
 
 def dump_functor_file(functor, path: str) -> None:
+    """Like dump_category_file, a label that would not load back is refused
+    before the file is opened."""
+    _check_labels(functor.upstairs)
+    _check_labels(functor.downstairs)
     with open(path, "w", encoding="utf-8") as fh:
         dump_functor(functor, fh)

@@ -17,10 +17,10 @@ kernel that releases the GIL, the compiled one, and only on a search that
 needs more than PROBE nodes; the pure kernel runs every search serially,
 whatever the thread count.
 
-The compiled library also reads category files and checks composition
-tables; READER is that module, or None with the pure kernel, and io and core
-take it from here rather than importing _kernel again, which would retry a
-build that failed.  _kernel_py is imported only when _kernel is not there,
+The compiled library also reads and writes category files, checks
+composition tables and looks up the ids of composites; READER is that
+module, or None with the pure kernel, and io and core take it from here
+rather than importing _kernel again, which would retry a build that failed.  _kernel_py is imported only when _kernel is not there,
 so a process with the compiled kernel never compiles or runs it.
 """
 
@@ -39,8 +39,9 @@ except ImportError:
     from . import _kernel_py as _impl  # type: ignore[no-redef]
 
 IMPL = _impl.IMPL
-# the compiled category-file reader (scan_lines, fill_table) that io uses,
-# and the table check (check_table) that core uses
+# the compiled category-file reader and writer (scan_lines, fill_table,
+# write_cmp) that io uses, and the table check and id lookup (check_table,
+# lookup) that core uses
 READER = _impl if IMPL == "compiled" else None
 
 DEFAULT_BUDGET = 10**8

@@ -1,12 +1,13 @@
 import hashlib
 import io
 import re
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from catramsey import io as catio, kernel
-from catramsey.core import MAX_MORPHISMS, CategoryError, validate
+from catramsey.core import MAX_MORPHISMS, CategoryError, FiniteCategory, validate
 from catramsey.generators import UniverseSpec, generate, forgetful_LO_to_Inj
 from conftest import matrix_coloring_expansion, same_category, surj3_coloring_expansion
 
@@ -437,7 +438,43 @@ def test_truncated_directive_in_a_functor_block_rejected():
 def test_file_round_trip(tmp_path, surj3):
     path = tmp_path / "surj.txt"
     catio.dump_category_file(surj3, str(path))
+    assert path.read_bytes() == catio.dumps_category(surj3).encode()
     assert same_category(catio.load_category_file(str(path)), surj3)
+
+
+def _labelled(object_label: str, morphism_label: str) -> FiniteCategory:
+    return FiniteCategory([object_label], [(0, 0, morphism_label)], array("i", [0]), [0])
+
+
+# labels that a dump would not load back as they are: "A B" loads as "A",
+# "x\ny" ends its line early, and an empty label loads as the id
+_UNLOADABLE = {
+    "object_with_a_space": (("A B", "id"), "object 0 has the label 'A B'"),
+    "morphism_with_a_line_break": (("A", "x\ny"), "morphism 0 has the label 'x\\ny'"),
+    "empty_object": (("", "id"), "object 0 has the label ''"),
+    "empty_morphism": (("A", ""), "morphism 0 has the label ''"),
+    "morphism_with_a_tab": (("A", "\tid"), "morphism 0 has the label '\\tid'"),
+    "object_with_a_no_break_space": (("A\xa0B", "id"), "object 0 has the label 'A\\xa0B'"),
+}
+
+
+@pytest.mark.parametrize("case", _UNLOADABLE)
+def test_a_label_that_cannot_load_back_is_refused(case, tmp_path):
+    labels, message = _UNLOADABLE[case]
+    cat = _labelled(*labels)
+    with pytest.raises(CategoryError, match=re.escape(message)):
+        catio.dumps_category(cat)
+    # the file writer refuses before it opens the file, which stays whole
+    path = tmp_path / "kept.txt"
+    path.write_text("kept\n")
+    with pytest.raises(CategoryError, match=re.escape(message)):
+        catio.dump_category_file(cat, str(path))
+    assert path.read_text() == "kept\n"
+
+
+def test_a_label_of_one_field_loads_back():
+    cat = _labelled("A,B", "(0*1)")
+    assert same_category(catio.loads_category(catio.dumps_category(cat)), cat)
 
 
 @pytest.mark.parametrize("pick", [0, -1])

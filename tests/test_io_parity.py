@@ -1,23 +1,27 @@
-"""The compiled category reader against the pure one.
+"""The compiled category reader and writer against the pure ones.
 
 The compiled reader, built here with every warning an error and the
 undefined-behaviour sanitizer on, either returns exactly the category that
 the pure reader returns (labels, dom and cod, the table's bytes) or declines
 the text.  It never accepts a file that the pure reader refuses, and it
 declines only a text with a line break other than \\n, which str.splitlines
-splits at and the pure reader therefore reads.
+splits at and the pure reader therefore reads.  The compiled cmp-line
+writer, built the same way, writes the pure writer's bytes, through
+dumps_category and dump_category_file alike, and nothing past its buffer.
 """
 
 import os
 import shutil
+from array import array
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from catramsey import io as catio, kernel
-from catramsey.core import CategoryError
+from catramsey.core import CategoryError, FiniteCategory, product
 from catramsey.generators import UniverseSpec, generate
+from conftest import random_categories
 from test_io import _SMALL_DUMPS, one_line_changes, respelt_cmp_lines
 
 # the line breaks of str.splitlines other than \n
@@ -144,3 +148,103 @@ def test_the_compiled_reader_is_in_use_where_it_can_be_built():
     if shutil.which("cc") is None or not os.access(package, os.W_OK):
         pytest.skip("the compiled library cannot be built here")
     assert kernel.READER is not None
+
+
+# the compiled cmp-line writer against the pure one
+
+
+def written(reader, cat, tmp_path=None):
+    """The dump of `cat` with `reader` as the compiled library, the pure
+    writer when None: dumps_category's text, encoded, or, given tmp_path,
+    the bytes that dump_category_file writes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "READER", reader)
+        if tmp_path is None:
+            return catio.dumps_category(cat).encode()
+        path = tmp_path / f"{'pure' if reader is None else 'compiled'}.txt"
+        catio.dump_category_file(cat, str(path))
+        return path.read_bytes()
+
+
+def with_undefined(cat, pick):
+    """A copy of `cat` whose table has the composable cell g*f set to -1
+    after construction, for the pick-th (g, f) whose g and f are no
+    identities, as a file that leaves a cmp line out loads."""
+    morphisms = list(zip(cat.mor_dom, cat.mor_cod, cat.mor_labels))
+    copy = FiniteCategory(cat.object_labels, morphisms, array("i", cat._table), cat.identities)
+    pairs = [(g, f) for g, f, _ in cat.compose_entries() if not {g, f} & set(cat.identities)]
+    g, f = pairs[pick]
+    copy._table[g * cat.n_morphisms + f] = -1
+    return copy
+
+
+def _writer_cases():
+    sizes = (("LO", 4), ("Inj", 3), ("Surj", 3), ("Inj", 5))
+    bases = {f"{family}_{size}": generate(UniverseSpec(family, size)) for family, size in sizes}
+    cases = {**bases, **{f"{name}_op": cat.opposite() for name, cat in bases.items()}}
+    cases["Inj_3xLO_4"] = product(bases["Inj_3"], bases["LO_4"])
+    cases["Surj_3xSurj_3_op"] = product(bases["Surj_3"], cases["Surj_3_op"])
+    cases["empty"] = FiniteCategory([], [], array("i"), [])
+    for pick in (0, -1):
+        cases[f"LO_4_undefined_{pick}"] = with_undefined(bases["LO_4"], pick)
+        cases[f"Surj_3_op_undefined_{pick}"] = with_undefined(cases["Surj_3_op"], pick)
+    return cases
+
+
+WRITER_CASES = _writer_cases()
+
+
+@pytest.mark.parametrize("name", WRITER_CASES)
+def test_the_compiled_writer_writes_as_the_pure_one(compiled_kernel, name, tmp_path):
+    cat = WRITER_CASES[name]
+    text = written(None, cat)
+    assert written(compiled_kernel, cat) == text
+    assert written(compiled_kernel, cat, tmp_path) == written(None, cat, tmp_path) == text
+
+
+def test_the_compiled_writer_leaves_out_an_undefined_composite(compiled_kernel):
+    full, cut = WRITER_CASES["LO_4"], WRITER_CASES["LO_4_undefined_0"]
+    lines, kept = written(compiled_kernel, full).splitlines(), written(compiled_kernel, cut).splitlines()
+    assert len(kept) == len(lines) - 1 and set(kept) < set(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cat=random_categories(), data=st.data())
+def test_the_compiled_writer_writes_a_random_category_as_the_pure_one(compiled_kernel, cat, data):
+    # with some of its composites undefined after construction
+    cells = [g * cat.n_morphisms + f for g, f, _ in cat.compose_entries()]
+    for cell in data.draw(st.lists(st.sampled_from(cells), max_size=3)):
+        cat._table[cell] = -1
+    assert written(compiled_kernel, cat) == written(None, cat)
+
+
+def test_the_compiled_writer_stops_at_the_end_of_its_buffer(compiled_kernel):
+    cat = WRITER_CASES["Surj_3"]
+    text = written(None, cat)
+    block = text[text.index(b"cmp") :]
+    need = len(block)
+    for size in (need - 1, need, need + 5):
+        memory = bytearray(b"\xaa" * (need + 16))
+        view = memoryview(memory)[:size]
+        if size < need:
+            with pytest.raises(ValueError, match=f"take {need} bytes"):
+                compiled_kernel.write_cmp(cat._table, cat.mor_dom, cat.mor_cod, view)
+        else:
+            assert compiled_kernel.write_cmp(cat._table, cat.mor_dom, cat.mor_cod, view) == need
+            assert memory[:need] == block
+        # nothing past the buffer's end, nor past the lines' end
+        assert memory[min(size, need) :] == b"\xaa" * (need + 16 - min(size, need))
+    assert compiled_kernel.write_cmp(array("i"), (), (), bytearray()) == 0
+
+
+def test_the_compiled_writer_refuses_what_it_cannot_hold(compiled_kernel):
+    for table, dom, cod in (
+        (array("i", [0]), (0,), ()),
+        (array("i", [0, 0]), (0,), (0,)),
+        (array("l", [0]), (0,), (0,)),
+        ([0], (0,), (0,)),
+    ):
+        with pytest.raises(ValueError):
+            compiled_kernel.write_cmp(table, dom, cod, bytearray(64))
+    with pytest.raises(ValueError, match="take 10 bytes"):
+        compiled_kernel.write_cmp(array("i", [0]), (0,), (0,), bytearray())
