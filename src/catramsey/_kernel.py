@@ -158,7 +158,7 @@ def _ints(values):
     """`values` as an array("i"): itself when it is one, else a copy;
     array("i") refuses a value outside the C int range, which C would
     silently wrap."""
-    if _typed(values, "i"):
+    if isinstance(values, array) and values.typecode == "i":
         return values
     try:
         return array("i", values)
@@ -175,7 +175,7 @@ def _at(values):
 def _flag(stop):
     """The address of stop[0], in the caller's memory, not a copy, so that a
     flag set by another thread reaches the running search."""
-    if not (_typed(stop, "i") and stop):
+    if not (isinstance(stop, array) and stop.typecode == "i" and stop):
         raise ValueError("stop must be an array('i') with at least one element")
     return _at(stop)
 

@@ -184,22 +184,22 @@ _MAPS = [(0, 1), (1, 0), (0, 0), (1, 1)]
 
 
 def _maps_by_index(compose=None, values=range(4), objects=1):
-    """The 2-point maps as a category of ints, the index of each map; with
-    more objects, a chain 0 -> 1 -> ... whose only morphisms are identities
-    and the maps from each object to the next, which leaves hom(0, 2)
-    empty."""
+    """The 2-point maps as a category of ints, each map valued by its index
+    in _MAPS.  One object holds them all; more objects form a chain
+    0 -> 1 -> ... whose morphisms are the identities and the maps from each
+    object to the next, which leaves hom(0, 2) empty."""
 
     def arrows(a, b):
-        if a == b:
-            return [(0, "id")]
-        return [(v, str(v)) for v in values] if b == a + 1 else []
+        if objects == 1 or b == a + 1:
+            return [(v, str(v)) for v in values]
+        return [(0, "id")] if a == b else []
 
-    def composite(gs, fs):
-        return [_MAPS.index(tuple(_MAPS[g][x] for x in _MAPS[f])) for g in gs for f in fs]
+    return concrete_category([f"X{a}" for a in range(objects)], arrows, compose or _composites, lambda a: 0)[0]
 
-    if objects == 1:
-        arrows = lambda a, b: [(v, str(v)) for v in values]  # noqa: E731
-    return concrete_category([f"X{a}" for a in range(objects)], arrows, compose or composite, lambda a: 0)[0]
+
+def _composites(gs, fs):
+    """g*f, x -> g[f[x]], of the maps of index g and f, as an index."""
+    return [_MAPS.index(tuple(_MAPS[g][x] for x in _MAPS[f])) for g in gs for f in fs]
 
 
 def _with_cell(value):
@@ -207,7 +207,7 @@ def _with_cell(value):
     `value` instead."""
 
     def compose(gs, fs):
-        block = [_MAPS.index(tuple(_MAPS[g][x] for x in _MAPS[f])) for g in gs for f in fs]
+        block = _composites(gs, fs)
         block[1 * len(fs) + 2] = value
         return block
 
@@ -244,7 +244,7 @@ def test_the_compiled_lookup_refuses_as_the_dict(compiled_kernel, case, looked_u
         "a_generator": lambda: _maps_by_index(lambda gs, fs: (g for g in gs for _ in fs)),
     }[case]
     outcome = assert_built_alike(compiled_kernel, build, looked_up)
-    assert outcome == refusal if refusal else isinstance(outcome, FiniteCategory)
+    assert (outcome == refusal) if refusal else isinstance(outcome, FiniteCategory)
 
 
 def test_the_compiled_lookup_refuses_what_it_cannot_hold(compiled_kernel):

@@ -166,15 +166,28 @@ def written(reader, cat, tmp_path=None):
         return path.read_bytes()
 
 
+def _copy(cat):
+    morphisms = list(zip(cat.mor_dom, cat.mor_cod, cat.mor_labels))
+    return FiniteCategory(cat.object_labels, morphisms, array("i", cat._table), cat.identities)
+
+
 def with_undefined(cat, pick):
     """A copy of `cat` whose table has the composable cell g*f set to -1
     after construction, for the pick-th (g, f) whose g and f are no
     identities, as a file that leaves a cmp line out loads."""
-    morphisms = list(zip(cat.mor_dom, cat.mor_cod, cat.mor_labels))
-    copy = FiniteCategory(cat.object_labels, morphisms, array("i", cat._table), cat.identities)
+    copy = _copy(cat)
     pairs = [(g, f) for g, f, _ in cat.compose_entries() if not {g, f} & set(cat.identities)]
     g, f = pairs[pick]
     copy._table[g * cat.n_morphisms + f] = -1
+    return copy
+
+
+def with_off_pair(cat):
+    """A copy of `cat` with an entry set after construction on the first
+    pair that does not compose, which neither writer writes."""
+    copy, m = _copy(cat), cat.n_morphisms
+    g, f = next((g, f) for g in range(m) for f in range(m) if not cat.composable(g, f))
+    copy._table[g * m + f] = 0
     return copy
 
 
@@ -188,6 +201,7 @@ def _writer_cases():
     for pick in (0, -1):
         cases[f"LO_4_undefined_{pick}"] = with_undefined(bases["LO_4"], pick)
         cases[f"Surj_3_op_undefined_{pick}"] = with_undefined(cases["Surj_3_op"], pick)
+    cases["Inj_3_off_pair"] = with_off_pair(bases["Inj_3"])
     return cases
 
 
