@@ -20,8 +20,9 @@ whatever the thread count.
 The compiled library also reads and writes category files, checks
 composition tables and looks up the ids of composites; READER is that
 module, or None with the pure kernel, and io and core take it from here
-rather than importing _kernel again, which would retry a build that failed.  _kernel_py is imported only when _kernel is not there,
-so a process with the compiled kernel never compiles or runs it.
+rather than importing _kernel again, which would retry a build that failed.
+_kernel_py is imported only when _kernel is not there, so a process with
+the compiled kernel never compiles or runs it.
 """
 
 from __future__ import annotations
