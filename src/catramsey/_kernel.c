@@ -73,7 +73,8 @@
    none, so a library built from an older source is never called with
    arguments it would misread, or asked for a function it lacks.  Bump it
    whenever a function is added or removed, or the signature, the meaning
-   of an argument or a return code changes. */
+   of an argument or a return code changes.  ABI 9 added lookup and
+   write_cmp, which core and io call whenever the library loads. */
 #define KERNEL_ABI 9
 
 int catramsey_kernel_abi(void)

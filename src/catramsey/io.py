@@ -420,8 +420,7 @@ def dumps_functor(functor) -> str:
 
 def dump_functor_file(functor, path: str) -> None:
     """Like dump_category_file, a label that would not load back is refused
-    before the file is opened."""
-    _check_labels(functor.upstairs)
-    _check_labels(functor.downstairs)
+    before the file is opened: the text is made first."""
+    text = dumps_functor(functor)
     with open(path, "w", encoding="utf-8") as fh:
-        dump_functor(functor, fh)
+        fh.write(text)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from catramsey import io as catio, kernel
 from catramsey.core import MAX_MORPHISMS, CategoryError, FiniteCategory, validate
+from catramsey.expansions import ExpansionFunctor
 from catramsey.generators import UniverseSpec, generate, forgetful_LO_to_Inj
 from conftest import matrix_coloring_expansion, same_category, surj3_coloring_expansion
 
@@ -470,6 +471,13 @@ def test_a_label_that_cannot_load_back_is_refused(case, tmp_path):
     with pytest.raises(CategoryError, match=re.escape(message)):
         catio.dump_category_file(cat, str(path))
     assert path.read_text() == "kept\n"
+    # so does the functor file writer, the label upstairs or downstairs
+    fine = _labelled("A", "id")
+    for up, down in ((cat, fine), (fine, cat)):
+        functor = ExpansionFunctor(upstairs=up, downstairs=down, object_map={0: 0}, morphism_map={0: 0})
+        with pytest.raises(CategoryError, match=re.escape(message)):
+            catio.dump_functor_file(functor, str(path))
+        assert path.read_text() == "kept\n"
 
 
 def test_a_label_of_one_field_loads_back():
